@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .automata import Dfao, canonical_dfa, enumerate_accepted, is_empty
+from .automata import Dfao, _explore, enumerate_accepted, is_empty
 from .errors import RankTwoError
 from .logic import (
     CompileLimits,
@@ -50,33 +50,19 @@ class AnalysisConstants:
     power_states: int
 
 
-def appearance_constant(seq: Dfao, limits: Optional[CompileLimits] = None) -> int:
-    """Least-cover bound C with A(n) <= C*n for all n.
+def constants(seq: Dfao, limits: Optional[CompileLimits] = None) -> AnalysisConstants:
+    """The appearance constant C and the power bound B, with their sources.
 
     The graph of n -> A(n) is recognised by an automaton with r0 states;
     an accepted pair with m > k^(r0+1) * n would contain a pumpable run
     of columns whose n-track digit is zero, contradicting that A is a
     function.  Hence C = k^(r0+1) is a valid bound.
-    """
-    a = compile_formula(P.appearance_formula("n", "m"), seq=seq, limits=limits)
-    return seq.k ** (a.num_states + 1)
-
-
-def power_bound(seq: Dfao, limits: Optional[CompileLimits] = None) -> tuple[int, int]:
-    """(B, r): any factor with an exponent-B power has unbounded powers.
 
     r is the state count of the automaton for "the block at the first
     occurrence i repeats with period p across a window of length n"; a
-    window longer than k^r * C * p pumps to windows of unbounded length.
+    window longer than k^r * C * p pumps to windows of unbounded length,
+    so B = k^r * C.
     """
-    a = compile_formula(
-        P.unbounded_powers_formula("i", "n", "p"), seq=seq, limits=limits
-    )
-    r = a.num_states
-    return seq.k ** r * appearance_constant(seq, limits=limits), r
-
-
-def constants(seq: Dfao, limits: Optional[CompileLimits] = None) -> AnalysisConstants:
     ap = compile_formula(P.appearance_formula("n", "m"), seq=seq, limits=limits)
     C = seq.k ** (ap.num_states + 1)
     pw = compile_formula(
@@ -91,6 +77,18 @@ def constants(seq: Dfao, limits: Optional[CompileLimits] = None) -> AnalysisCons
         appearance_states=ap.num_states,
         power_states=pw.num_states,
     )
+
+
+def appearance_constant(seq: Dfao, limits: Optional[CompileLimits] = None) -> int:
+    """Least-cover bound C with A(n) <= C*n for all n (see constants)."""
+    return constants(seq, limits).C
+
+
+def power_bound(seq: Dfao, limits: Optional[CompileLimits] = None) -> tuple[int, int]:
+    """(B, r): any factor with an exponent-B power has unbounded powers
+    (see constants)."""
+    c = constants(seq, limits)
+    return c.B, c.power_states
 
 
 def unbounded_primitive_factors(
@@ -238,20 +236,12 @@ def shift_sequence(seq: Dfao, t: int, limits: Optional[CompileLimits] = None) ->
     ]
     # run the per-letter acceptors in parallel; exactly one accepts any
     # given position, which names the output letter
-    initial = tuple(p.initial for p in parts)
-    states = {initial: 0}
-    order = [initial]
-    delta = []
+    order, delta = _explore(
+        tuple(p.initial for p in parts),
+        lambda vec: [tuple(p.delta[q][d] for p, q in zip(parts, vec)) for d in range(seq.k)],
+    )
     outputs = []
     for vec in order:
-        row = []
-        for d in range(seq.k):
-            nxt = tuple(p.delta[q][d] for p, q in zip(parts, vec))
-            if nxt not in states:
-                states[nxt] = len(order)
-                order.append(nxt)
-            row.append(states[nxt])
-        delta.append(row)
         hits = [a for a, p, q in zip(letters, parts, vec) if p.accepting[q]]
         if len(hits) != 1:
             raise RankTwoError("shifted sequence has an ill-defined output")

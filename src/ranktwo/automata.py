@@ -124,78 +124,73 @@ class Dfa:
             raise ValueError("arity mismatch")
         return self.accepts_encoded(encode_tuple(self.k, values))
 
-    def accepts_many(self, rows: Sequence[Sequence[int]]) -> list[bool]:
-        """Vectorised membership test for a batch of tuples."""
-        if not rows:
-            return []
-        if any(len(row) != len(self.var_order) for row in rows):
-            raise ValueError("arity mismatch")
-        enc = [encode_tuple(self.k, row) for row in rows]
-        width = max(len(e) for e in enc)
-        mat = np.zeros((len(enc), width), dtype=np.int64)
-        for i, e in enumerate(enc):
-            if e:
-                mat[i, width - len(e):] = e
-        delta = np.asarray(self.delta, dtype=np.int64)
-        acc = np.asarray(self.accepting, dtype=bool)
-        state = np.full(len(enc), self.initial, dtype=np.int64)
-        for j in range(width):
-            state = delta[state, mat[:, j]]
-        return acc[state].tolist()
 
+def _explore(start, successors, max_states=None, stage="explore"):
+    """Number the states reachable from start breadth-first.
 
-def _trim_reachable(delta, accepting, initial):
-    order = [initial]
-    seen = {initial: 0}
-    for q in order:
-        for t in delta[q]:
-            if t not in seen:
-                seen[t] = len(order)
+    successors(state) is called once per state, in numbering order, and
+    lists its successor states letter by letter.  Returns (order, delta):
+    order[i] is the state numbered i and delta[i] the numbers of its
+    successors.  More than max_states states raise BudgetExceededError
+    naming the stage.
+    """
+    ids = {start: 0}
+    order = [start]
+    delta = []
+    for state in order:
+        row = []
+        for t in successors(state):
+            i = ids.get(t)
+            if i is None:
+                i = ids[t] = len(order)
                 order.append(t)
-    new_delta = [[seen[t] for t in delta[q]] for q in order]
-    new_acc = [accepting[q] for q in order]
-    return new_delta, new_acc, 0
+                if max_states is not None and len(order) > max_states:
+                    raise BudgetExceededError(stage, max_states)
+            row.append(i)
+        delta.append(row)
+    return order, delta
 
 
-def _moore_classes(delta, accepting) -> list[int]:
+def _minimize(delta, labels, initial):
+    """Moore refinement from integer state labels, then the quotient.
+
+    labels are small naturals (accepting flags, output codes); two states
+    end in one class iff every input word leads them to equal labels.
+    Returns (reps, new_delta): classes are numbered breadth-first from
+    the class of initial, reps[i] is a state of class i and new_delta[i]
+    lists the classes of its successors.  Classes are language classes,
+    so the breadth-first pass also drops every unreachable state.
+    """
     d = np.asarray(delta, dtype=np.int64)
-    cls = np.asarray(accepting, dtype=np.int64)
-    n_classes = int(cls.max(initial=0)) + 1 if len(cls) else 0
+    cls = np.asarray(labels, dtype=np.int64)
+    n_classes = int(cls.max(initial=0)) + 1
     while True:
         sig = np.concatenate([cls[:, None], cls[d]], axis=1)
         _, new = np.unique(sig, axis=0, return_inverse=True)
         new_count = int(new.max(initial=0)) + 1
         if new_count == n_classes:
-            return new.tolist()
+            break
         cls, n_classes = new, new_count
+    cls = new.tolist()
+    rep = {}
+    for q, c in enumerate(cls):
+        rep.setdefault(c, q)
+    order, new_delta = _explore(cls[initial], lambda c: [cls[t] for t in delta[rep[c]]])
+    return [rep[c] for c in order], new_delta
 
 
 def canonical_dfa(k, var_order, delta, accepting, initial) -> Dfa:
-    """Trim, minimize, and renumber states breadth-first."""
+    """Minimize, drop unreachable states, and renumber breadth-first."""
     if not delta:
         delta, accepting, initial = [[0]], [False], 0
-    delta, accepting, initial = _trim_reachable(delta, accepting, initial)
-    cls = _moore_classes(delta, accepting)
-    n_cls = max(cls) + 1
-    rep = [-1] * n_cls
-    for q, c in enumerate(cls):
-        if rep[c] < 0:
-            rep[c] = q
-    # breadth-first renumbering of classes for a canonical layout
-    start = cls[initial]
-    order = [start]
-    number = {start: 0}
-    for c in order:
-        for t in delta[rep[c]]:
-            tc = cls[t]
-            if tc not in number:
-                number[tc] = len(order)
-                order.append(tc)
-    new_delta = tuple(
-        tuple(number[cls[t]] for t in delta[rep[c]]) for c in order
+    reps, new_delta = _minimize(delta, accepting, initial)
+    return Dfa(
+        k,
+        tuple(var_order),
+        tuple(map(tuple, new_delta)),
+        tuple(bool(accepting[q]) for q in reps),
+        0,
     )
-    new_acc = tuple(bool(accepting[rep[c]]) for c in order)
-    return Dfa(k, tuple(var_order), new_delta, new_acc, 0)
 
 
 def is_zero_closed(a: Dfa) -> bool:
@@ -228,25 +223,13 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
     merged = tuple(sorted(set(a.var_order) | set(b.var_order)))
     amap = _letter_map(k, merged, a.var_order)
     bmap = _letter_map(k, merged, b.var_order)
-    n_letters = letter_count(k, len(merged))
+    letter_pairs = list(zip(amap, bmap))
 
-    start = (a.initial, b.initial)
-    ids = {start: 0}
-    order = [start]
-    delta = []
-    for qa, qb in order:
-        da, db = a.delta[qa], b.delta[qb]
-        row = []
-        for ell in range(n_letters):
-            t = (da[amap[ell]], db[bmap[ell]])
-            i = ids.get(t)
-            if i is None:
-                i = ids[t] = len(order)
-                order.append(t)
-                if max_states is not None and len(order) > max_states:
-                    raise BudgetExceededError(stage, max_states)
-            row.append(i)
-        delta.append(row)
+    def successors(pair):
+        da, db = a.delta[pair[0]], b.delta[pair[1]]
+        return [(da[x], db[y]) for x, y in letter_pairs]
+
+    order, delta = _explore((a.initial, b.initial), successors, max_states, stage)
     acc = [op(a.accepting[qa], b.accepting[qb]) for qa, qb in order]
     return canonical_dfa(k, merged, delta, acc, 0)
 
@@ -317,23 +300,17 @@ def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
             break
         start = grown
 
-    ids = {start: 0}
-    order = [start]
-    delta = []
-    for mask in order:
-        row = []
+    def successors(mask):
+        rows = [nfa[q] for q in _iter_bits(mask)]
+        out = []
         for ell in range(n_letters):
             tgt = 0
-            for q in _iter_bits(mask):
-                tgt |= nfa[q][ell]
-            i = ids.get(tgt)
-            if i is None:
-                i = ids[tgt] = len(order)
-                order.append(tgt)
-                if max_states is not None and len(order) > max_states:
-                    raise BudgetExceededError("project", max_states)
-            row.append(i)
-        delta.append(row)
+            for row in rows:
+                tgt |= row[ell]
+            out.append(tgt)
+        return out
+
+    order, delta = _explore(start, successors, max_states, "project")
     acc = [bool(mask & acc_mask) for mask in order]
     return canonical_dfa(k, new_vars, delta, acc, 0)
 
@@ -491,17 +468,6 @@ def language_equal(a: Dfa, b: Dfa) -> bool:
         and a.accepting == b.accepting
         and a.initial == b.initial
     )
-
-
-def rename_tracks(a: Dfa, mapping: dict[str, str]) -> Dfa:
-    """Rename variables; letter layout follows the re-sorted order."""
-    new_names = tuple(mapping.get(v, v) for v in a.var_order)
-    if len(set(new_names)) != len(new_names):
-        raise ValueError("track rename collides")
-    order = tuple(sorted(new_names))
-    perm = _letter_map(a.k, order, new_names)
-    delta = tuple(tuple(row[perm[ell]] for ell in range(len(perm))) for row in a.delta)
-    return canonical_dfa(a.k, order, delta, list(a.accepting), a.initial)
 
 
 # ---------------------------------------------------------------------------
@@ -712,24 +678,6 @@ class Dfao:
                     states[i] = c.delta[states[m]][d]
         return [c.outputs[q] for q in states[:n]]
 
-    def stream(self) -> Iterator[int]:
-        """Infinite symbol stream x[0], x[1], ..."""
-        c = self.canonical()
-        states = [c.initial]
-        i = 0
-        while True:
-            if i >= len(states):
-                old = len(states)
-                states.extend([0] * (old * (self.k - 1)))
-                for m in range(old):
-                    row = c.delta[states[m]]
-                    for d in range(self.k):
-                        j = self.k * m + d
-                        if 0 < j < len(states):
-                            states[j] = row[d]
-            yield c.outputs[states[i]]
-            i += 1
-
     def canonical(self) -> "Dfao":
         return _canonical_dfao(self)
 
@@ -749,37 +697,10 @@ class Dfao:
 @lru_cache(maxsize=64)
 def _canonical_dfao_cached(key):
     k, alphabet, outputs, delta, initial = key
-    cls = _moore_classes_outputs(delta, outputs)
-    rep = {}
-    for q, c in enumerate(cls):
-        rep.setdefault(c, q)
-    start = cls[initial]
-    order = [start]
-    number = {start: 0}
-    for c in order:
-        for t in delta[rep[c]]:
-            tc = cls[t]
-            if tc not in number:
-                number[tc] = len(order)
-                order.append(tc)
-    new_delta = tuple(tuple(number[cls[t]] for t in delta[rep[c]]) for c in order)
-    new_out = tuple(outputs[rep[c]] for c in order)
-    return Dfao(k, alphabet, new_out, new_delta, 0)
-
-
-def _moore_classes_outputs(delta, outputs) -> list[int]:
-    d = np.asarray(delta, dtype=np.int64)
-    uniq = sorted(set(outputs))
-    code = {s: i for i, s in enumerate(uniq)}
-    cls = np.asarray([code[s] for s in outputs], dtype=np.int64)
-    n_classes = int(cls.max(initial=0)) + 1 if len(cls) else 0
-    while True:
-        sig = np.concatenate([cls[:, None], cls[d]], axis=1)
-        _, new = np.unique(sig, axis=0, return_inverse=True)
-        new_count = int(new.max(initial=0)) + 1
-        if new_count == n_classes:
-            return new.tolist()
-        cls, n_classes = new, new_count
+    code = {s: i for i, s in enumerate(sorted(set(outputs)))}
+    reps, new_delta = _minimize(delta, [code[s] for s in outputs], initial)
+    new_out = tuple(outputs[q] for q in reps)
+    return Dfao(k, alphabet, new_out, tuple(map(tuple, new_delta)), 0)
 
 
 def _canonical_dfao(m: Dfao) -> Dfao:
@@ -804,9 +725,9 @@ def validate_dfao(m: Dfao) -> None:
         if s not in alpha:
             raise ValueError(f"state {q} outputs {s} outside the alphabet")
     # leading zeros must not affect any eventual output: the initial state
-    # and its zero-successor must be output-equivalent
-    cls = _moore_classes_outputs(m.delta, m.outputs)
-    if cls[m.initial] != cls[m.delta[m.initial][0]]:
+    # and its zero-successor must be output-equivalent, that is the
+    # minimized automaton must loop on zero at its initial state
+    if m.canonical().delta[0][0] != 0:
         raise ValueError("leading zeros change outputs (no zero self-loop up to equivalence)")
 
 
@@ -826,21 +747,13 @@ def seq_eq_dfa(m: Dfao, var1: str, var2: str) -> Dfa:
     c = m.canonical()
     vars_ = tuple(sorted((var1, var2)))
     i1 = vars_.index(var1)
-    start = (c.initial, c.initial)
-    ids = {start: 0}
-    order = [start]
-    delta = []
-    for qa, qb in order:
-        row = []
-        for ell in range(k * k):
-            d = decode_letter(k, 2, ell)
-            t = (c.delta[qa][d[i1]], c.delta[qb][d[1 - i1]])
-            i = ids.get(t)
-            if i is None:
-                i = ids[t] = len(order)
-                order.append(t)
-            row.append(i)
-        delta.append(row)
+    letters = [decode_letter(k, 2, ell) for ell in range(k * k)]
+
+    def successors(pair):
+        da, db = c.delta[pair[0]], c.delta[pair[1]]
+        return [(da[d[i1]], db[d[1 - i1]]) for d in letters]
+
+    order, delta = _explore((c.initial, c.initial), successors)
     acc = [c.outputs[qa] == c.outputs[qb] for qa, qb in order]
     return canonical_dfa(k, vars_, delta, acc, 0)
 
@@ -930,12 +843,3 @@ def loads_dfao(text: str) -> Dfao:
 def load_dfao(path) -> Dfao:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_dfao(fh.read())
-
-
-def save_dfao(m: Dfao, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(m.dumps())
-
-
-def eval_sequence(m: Dfao, n: int) -> int:
-    return m.eval(n)

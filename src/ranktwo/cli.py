@@ -247,10 +247,6 @@ def _cmd_rank2(args) -> int:
         assume_D=args.assume_D,
     )
     data = report.to_dict()
-    if args.assume_D is not None:
-        # a run configured with assumed constants is tainted as a whole,
-        # whichever stage produced the verdict
-        data["soundness_flags"]["unsound"] = True
     _emit(args, _verdict_human(data), data)
     return 0
 

@@ -163,19 +163,7 @@ def brute_max_exponent(word, z) -> Optional[Fraction]:
 
 def in_pair_star(word, a, b) -> bool:
     """word splits exactly into a/b blocks (empty blocks are ignored)."""
-    word = tuple(word)
-    blocks = [tuple(x) for x in (a, b) if len(x) > 0]
-    if not blocks:
-        return len(word) == 0
-    n = len(word)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for i in range(n):
-        if reach[i]:
-            for blk in blocks:
-                if word[i:i + len(blk)] == blk:
-                    reach[i + len(blk)] = True
-    return reach[n]
+    return parse_reach(word, a, b)[-1] == len(word)
 
 
 def is_minimal_pair(u, v) -> bool:

@@ -24,7 +24,6 @@ from .logic import (
     le,
     lt,
     mul,
-    ne,
     not_,
     or_,
     seq_at,
@@ -147,16 +146,6 @@ def prefix_in_periodic_orbit(m, letters) -> Formula:
     """x[0..m) is a factor of the one-sided periodic word w^ω, w concrete."""
     phases = [agrees_with_rotation(m, letters, phase) for phase in range(len(letters))]
     return or_(*phases)
-
-
-def is_power_of(r, letters) -> Formula:
-    """x[0..r) equals w^e for some e >= 1, w concrete."""
-    ell = len(letters)
-    return and_(
-        ge(term(r), ell),
-        congruent(r, 0, ell),
-        agrees_with_rotation(r, letters, 0),
-    )
 
 
 def u_power_prefix(m, letters) -> Formula:

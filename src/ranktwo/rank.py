@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from . import predicates as P
 from .analysis import (
@@ -32,8 +32,8 @@ from .analysis import (
     strip_max_power_prefix,
     unbounded_primitive_factors,
 )
-from .automata import Dfao
-from .errors import BudgetExceededError, EnumerationLimitError
+from .automata import Dfao, _explore
+from .errors import BudgetExceededError, EnumerationLimitError, RankTwoError
 from .logic import (
     CompileLimits,
     Const,
@@ -226,25 +226,11 @@ def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
                     out.add(_BOUNDARY if i + 1 == len(w) else (b, i + 1))
         return frozenset(out)
 
-    start = frozenset([_BOUNDARY])
+    # subsets[0] is the parser's start set {_BOUNDARY}
     letters = sorted(set(m.outputs))
-    subsets = [start]
-    index = {start: 0}
-    moves = {a: [] for a in letters}
-    pos = 0
-    while pos < len(subsets):
-        s = subsets[pos]
-        for a in letters:
-            t = step(s, a)
-            if t not in index:
-                index[t] = len(subsets)
-                subsets.append(t)
-            moves[a].append(index[t])
-        pos += 1
-    n_sub = len(subsets)
-    letter_maps = {a: tuple(moves[a]) for a in letters}
-    start_i = index[start]
-    dead_i = index.get(frozenset(), -1)
+    subsets, moves = _explore(frozenset([_BOUNDARY]), lambda s: [step(s, a) for a in letters])
+    letter_maps = {a: tuple(row[j] for row in moves) for j, a in enumerate(letters)}
+    dead_i = subsets.index(frozenset()) if frozenset() in subsets else -1
 
     # Level 0: the one-letter action below each state is its output letter.
     level = tuple(letter_maps[m.outputs[q]] for q in range(m.num_states))
@@ -253,11 +239,11 @@ def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
         if level in seen:
             return True
         seen.add(level)
-        if level[m.initial][start_i] == dead_i:
+        if level[m.initial][0] == dead_i:
             return False
         nxt = []
         for q in range(m.num_states):
-            cur = list(range(n_sub))
+            cur = list(range(len(subsets)))
             for d in range(m.k):
                 action = level[m.delta[q][d]]
                 cur = [action[c] for c in cur]
@@ -302,8 +288,18 @@ def validate_explicit_pair(seq: Dfao, u: WordLike, v: WordLike, min_prefix: int 
     if not cuts:
         return None
     best = max(cuts)
-    assert dp_factorize(w[:best], u, v) is not None
+    if dp_factorize(w[:best], u, v) is None:
+        raise RankTwoError(f"cut {best} of u = {list(u)}, v = {list(v)} fails the DP cross-check")
     return best
+
+
+def _explicit_pair(seq: Dfao, u: Word, v: Word) -> ExplicitPair:
+    """Certificate for a pair already decided exactly; a prefix without a
+    factorization cut means the decision procedure is at fault."""
+    cov = validate_explicit_pair(seq, u, v)
+    if cov is None:
+        raise RankTwoError(f"decided pair u = {list(u)}, v = {list(v)} has no factorization cut")
+    return ExplicitPair(u, v, cov)
 
 
 def decide_with_unbounded(
@@ -355,9 +351,7 @@ def decide_with_unbounded(
             vv = u + u if m == 0 else tuple(seq.prefix(m))
             if vv == u:
                 continue
-            cov = validate_explicit_pair(seq, u, vv)
-            assert cov is not None
-            return ExplicitPair(u, vv, cov)
+            return _explicit_pair(seq, u, vv)
         return None
 
     # (i) v is itself a word with unbounded powers, or no longer than u.
@@ -388,9 +382,7 @@ def decide_with_unbounded(
         raise BudgetExceededError("short-companion-candidates", budget.max_enumeration)
     for v in candidates:
         if decide_fixed_pair(seq, u, v, budget):
-            cov = validate_explicit_pair(seq, u, v)
-            assert cov is not None
-            return ExplicitPair(u, v, cov)
+            return _explicit_pair(seq, u, v)
 
     # (ii) drop the maximal u-power prefix so u is not a prefix of the tail
     _, tail = strip_max_power_prefix(seq, u, limits)
@@ -409,9 +401,7 @@ def decide_with_unbounded(
         if v == u:
             continue
         if decide_fixed_pair(seq, u, v, budget):
-            cov = validate_explicit_pair(seq, u, v)
-            assert cov is not None
-            return ExplicitPair(u, v, cov)
+            return _explicit_pair(seq, u, v)
 
     # (iv) the remaining shape: v = tail[0..r) long, not a power residue,
     # not inside Fac(u^omega), and the tail decomposes into v-blocks
@@ -444,9 +434,7 @@ def decide_with_unbounded(
         r = got["r"]
         v = tuple(tail.prefix(r))
         if v != u and decide_fixed_pair(seq, u, v, budget):
-            cov = validate_explicit_pair(seq, u, v)
-            assert cov is not None
-            return ExplicitPair(u, v, cov)
+            return _explicit_pair(seq, u, v)
         floor = r
     raise BudgetExceededError("run-tower-witnesses", budget.max_enumeration)
 
@@ -486,10 +474,11 @@ def rank2_decide(
     """Decide Rank1 / RankTwo / RankAtLeastThree, or report Inconclusive.
 
     assume_D and assume_p override the computed constants so the later
-    stages become exercisable at desk scale.  Any verdict they influence
-    is flagged unsound in the report, even when the recovered witness
-    re-validates, because exhaustiveness of the search is no longer
-    guaranteed at the shrunken constants.
+    stages become exercisable at desk scale.  Every report of a run with
+    either hook is flagged unsound, whichever stage produced the verdict
+    and even when the recovered witness re-validates, because
+    exhaustiveness of the search is no longer guaranteed at the shrunken
+    constants.
     """
     budget = budget or Budget()
     limits = budget.limits()
@@ -513,7 +502,7 @@ def rank2_decide(
     notes: list[str] = []
     consts_view: Optional[dict] = None
 
-    def report(verdict: RankVerdict, unsound: bool = False) -> RankReport:
+    def report(verdict: RankVerdict) -> RankReport:
         return RankReport(
             verdict=verdict,
             constants=consts_view,
@@ -525,7 +514,7 @@ def rank2_decide(
                 "stages_run": list(stages),
             },
             soundness_flags={
-                "unsound": bool(unsound),
+                "unsound": hooked,
                 "assumptions": list(assumptions),
                 "notes": list(notes),
             },
@@ -547,9 +536,7 @@ def rank2_decide(
                 return report(Rank1(1))
             if len(letters) == 2:
                 a, b = letters
-                cov = validate_explicit_pair(seq, (a,), (b,))
-                assert cov is not None
-                return report(RankTwo(ExplicitPair((a,), (b,), cov)))
+                return report(RankTwo(_explicit_pair(seq, (a,), (b,))))
 
         # ultimate periodicity always dispatches: the remaining stages
         # presume an aperiodic sequence
@@ -559,9 +546,7 @@ def rank2_decide(
             c, per = up
             head = tuple(seq.prefix(c + per))
             pre, tw = head[:c], head[c:]
-            cov = validate_explicit_pair(seq, pre, tw)
-            assert cov is not None
-            return report(RankTwo(ExplicitPair(pre, tw, cov)))
+            return report(RankTwo(_explicit_pair(seq, pre, tw)))
 
         if not disable_fast_paths:
             stages.append("Step0d")
@@ -609,7 +594,7 @@ def rank2_decide(
             if pair is not None:
                 if hooked:
                     notes.append("unbounded-stage pair re-validated exactly")
-                return report(RankTwo(pair), unsound=hooked)
+                return report(RankTwo(pair))
 
         stages.append("Step4")
         if budget.max_patterns <= 0 or D_used >= budget.max_patterns.bit_length():
@@ -631,8 +616,8 @@ def rank2_decide(
             sentence = P.setup2_formula(patt, p_used)
             if decide(sentence, seq=seq, limits=limits):
                 notes.append(_witness_note(seq, sentence, budget, limits))
-                return report(RankTwo(ExistenceByFormula(patt)), unsound=hooked)
-        return report(RankAtLeastThree(), unsound=hooked)
+                return report(RankTwo(ExistenceByFormula(patt)))
+        return report(RankAtLeastThree())
     except (BudgetExceededError, EnumerationLimitError) as exc:
         stage = stages[-1] if stages else "Step0"
         return report(Inconclusive(stage, str(exc)))

@@ -3,14 +3,16 @@
 Words are tuples of small non-negative integers.  The helpers here are the
 ground layer for the rank decision procedure: periods, primitive roots,
 conjugation equations, reduction of a word pair to a minimal generating
-pair, and greedy parsing of a symbol stream into two-word blocks.
+pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
+
+from .oracle import parse_reach
 
 Word = tuple[int, ...]
 
@@ -59,10 +61,6 @@ def primitive_root(w: WordLike) -> tuple[Word, int]:
     if p < n and n % p == 0:
         return w[:p], n // p
     return w, 1
-
-
-def is_primitive(w: WordLike) -> bool:
-    return primitive_root(w)[1] == 1
 
 
 def commutes(u: WordLike, v: WordLike) -> bool:
@@ -119,22 +117,6 @@ class Pair:
 FreeReduction = Union[Single, Pair]
 
 
-def _factorizes(w: Word, a: Word, b: Word) -> bool:
-    """True iff w is a concatenation of copies of a and b."""
-    n = len(w)
-    la, lb = len(a), len(b)
-    ok = [False] * (n + 1)
-    ok[0] = True
-    for m in range(n):
-        if not ok[m]:
-            continue
-        if w[m : m + la] == a:
-            ok[m + la] = True
-        if w[m : m + lb] == b:
-            ok[m + lb] = True
-    return ok[n]
-
-
 def _strip_to_fixed_point(u: Word, v: Word) -> tuple[Word, Word]:
     # While one word is a prefix of the other, replace the longer word by
     # its remainder.  Total length strictly decreases, so this terminates.
@@ -188,7 +170,7 @@ def free_reduce(u: WordLike, v: WordLike) -> FreeReduction:
                 break
             if a == b or a[: len(b)] == b or b[: len(a)] == a:
                 continue
-            if _factorizes(u, a, b) and _factorizes(v, a, b):
+            if parse_reach(u, a, b)[-1] == len(u) and parse_reach(v, a, b)[-1] == len(v):
                 cand = tuple(sorted((a, b), key=key))
                 total = len(a) + len(b)
                 if total < best_total or (total == best_total and cand < best):
@@ -204,129 +186,3 @@ def is_prefix_code_pair(u: WordLike, v: WordLike) -> bool:
     if not u or not v:
         return False
     return u[: len(v)] != v and v[: len(u)] != u
-
-
-@dataclass(frozen=True)
-class StopRule:
-    """When greedy_parse should stop: after so many blocks, so many
-    occurrences of the second word, or so many consumed symbols."""
-
-    kind: str  # "blocks" | "v_count" | "length"
-    value: int
-
-    def __post_init__(self):
-        if self.kind not in ("blocks", "v_count", "length"):
-            raise ValueError(f"unknown stop rule kind {self.kind!r}")
-        if self.value < 0:
-            raise ValueError("stop rule value must be non-negative")
-
-
-@dataclass(frozen=True)
-class ParseResult:
-    """Outcome of greedy_parse.
-
-    blocks is a 0/1 tuple (0 for u, 1 for v), consumed the number of
-    symbols covered by complete blocks.  outcome is "hit" when the stop
-    rule was reached, "fail" when neither word matched at position
-    fail_position, and "exhausted" when the stream ended first.
-    """
-
-    blocks: tuple[int, ...]
-    consumed: int
-    outcome: str
-    fail_position: Optional[int] = None
-
-
-def greedy_parse(stream: Iterable[int], u: WordLike, v: WordLike, stop: StopRule) -> ParseResult:
-    """Parse a symbol stream into u/v blocks until the stop rule fires.
-
-    u and v must form a prefix code pair, which makes the parse
-    deterministic: at each boundary at most one of the two words can
-    match.
-    """
-    u, v = word(u), word(v)
-    if not is_prefix_code_pair(u, v):
-        raise ValueError("greedy_parse requires a prefix code pair")
-    it: Iterator[int] = iter(int(s) for s in stream)
-    buf: list[int] = []
-
-    def fill(n: int) -> bool:
-        while len(buf) < n:
-            try:
-                buf.append(next(it))
-            except StopIteration:
-                return False
-        return True
-
-    blocks: list[int] = []
-    consumed = 0
-    v_count = 0
-
-    def done() -> bool:
-        if stop.kind == "blocks":
-            return len(blocks) >= stop.value
-        if stop.kind == "v_count":
-            return v_count >= stop.value
-        return consumed >= stop.value
-
-    while not done():
-        matched = None
-        saw_partial = False
-        for bit, w in ((0, u), (1, v)):
-            if fill(len(w)):
-                if tuple(buf[: len(w)]) == w:
-                    matched = (bit, w)
-                    break
-            elif tuple(buf) == w[: len(buf)]:
-                # stream ended inside this candidate block
-                saw_partial = True
-        if matched is None:
-            if saw_partial:
-                return ParseResult(tuple(blocks), consumed, "exhausted")
-            return ParseResult(tuple(blocks), consumed, "fail", fail_position=consumed)
-        bit, w = matched
-        del buf[: len(w)]
-        consumed += len(w)
-        blocks.append(bit)
-        if bit == 1:
-            v_count += 1
-    return ParseResult(tuple(blocks), consumed, "hit")
-
-
-FactorizationPattern = tuple[int, ...]
-
-
-def pattern(bits: Union[str, Iterable[int]]) -> FactorizationPattern:
-    """Coerce "0110"-style strings or bit iterables to a pattern tuple."""
-    p = word(bits)
-    if any(b not in (0, 1) for b in p):
-        raise ValueError("pattern bits must be 0 or 1")
-    return p
-
-
-def build_pattern(bits: Union[str, Iterable[int]], u: WordLike, v: WordLike) -> Word:
-    """Substitute u for 0 and v for 1 in the pattern."""
-    u, v = word(u), word(v)
-    return tuple(s for bit in pattern(bits) for s in (v if bit else u))
-
-
-def is_p_syndetic(blocks: Union[str, Iterable[int]], p: int) -> bool:
-    """Check the flanked-run condition on a 0/1 block sequence.
-
-    True iff no run of 1-blocks of length >= p is enclosed by 0-blocks on
-    both sides, and symmetrically no run of 0-blocks of length >= p is
-    enclosed by 1-blocks.  Runs touching either end of the sequence are
-    not enclosed and never violate the condition.
-    """
-    bits = pattern(blocks)
-    if p <= 0:
-        raise ValueError("p must be positive")
-    i, n = 0, len(bits)
-    while i < n:
-        j = i
-        while j < n and bits[j] == bits[i]:
-            j += 1
-        if i > 0 and j < n and j - i >= p:
-            return False
-        i = j
-    return True

@@ -21,9 +21,9 @@ from ranktwo.oracle import (
     search_depsilon_counterexample,
     search_pairs,
 )
-from ranktwo.words import StopRule, greedy_parse, is_prefix_code_pair
+from ranktwo.words import is_prefix_code_pair
 
-from oracles import FIXTURE_ORACLES, brute_appearance_value, random_word
+from oracles import FIXTURE_ORACLES, brute_appearance_value, random_word, regex_member
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -63,8 +63,10 @@ def test_dp_factorize_covers_ternary_fixture_prefix():
 
 
 def test_dp_factorize_agrees_with_greedy_parse():
-    """For prefix code pairs both must accept the same words and agree
-    on the (unique) cut structure; 10^4 seeded trials."""
+    """For prefix code pairs a word factorizes at most one way, and a
+    greedy left-to-right parse finds it: at most one block matches at any
+    cut.  dp_factorize must accept exactly the {u, v}* members and return
+    the greedy cuts; 10^4 seeded trials."""
     rng = random.Random(1105)
     trials = 0
     while trials < 10_000:
@@ -79,14 +81,13 @@ def test_dp_factorize_agrees_with_greedy_parse():
         else:
             w = random_word(rng, alphabet, 0, 12)
         cuts = dp_factorize(w, u, v)
-        res = greedy_parse(w, u, v, StopRule("length", len(w)))
-        full = res.outcome == "hit" and res.consumed == len(w)
-        assert (cuts is not None) == full, (u, v, w)
+        assert (cuts is not None) == regex_member(w, u, v), (u, v, w)
         if cuts is not None:
-            acc = [0]
-            for bit in res.blocks:
-                acc.append(acc[-1] + len((u, v)[bit]))
-            assert cuts == acc, (u, v, w)
+            greedy = [0]
+            while greedy[-1] < len(w):
+                i = greedy[-1]
+                greedy.append(i + len(u) if w[i:i + len(u)] == u else i + len(v))
+            assert cuts == greedy, (u, v, w)
 
 
 def test_parse_reach_tracks_every_cut():

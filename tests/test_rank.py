@@ -1,11 +1,16 @@
 """Rank pipeline: trace decision, case split, constants, and verdicts."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import ranktwo
 from ranktwo.analysis import constants, unbounded_primitive_factors
 from ranktwo.automata import Dfao
 from ranktwo.errors import BudgetExceededError
@@ -176,6 +181,27 @@ def test_validate_explicit_pair_cut_values():
     assert validate_explicit_pair(T3, (0, 1), (2, 1)) is None
 
 
+def test_validate_explicit_pair_cross_check_survives_optimize_flag():
+    # under python -O asserts vanish; a cut the DP rejects must still raise
+    script = "\n".join([
+        "import ranktwo.rank as R",
+        "from ranktwo.errors import RankTwoError",
+        "from ranktwo.fixtures import load_fixture",
+        "assert False, 'asserts must be stripped'",
+        "R.dp_factorize = lambda *args: None",
+        "try:",
+        "    R.validate_explicit_pair(load_fixture('ternary-tm'), '01', '20')",
+        "except RankTwoError:",
+        "    print('raised')",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(ranktwo.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
+
+
 def test_decide_with_unbounded_short_companion():
     pair = decide_with_unbounded(P2, (0,))
     assert pair == ExplicitPair((0,), (1,), pair.validated_prefix)
@@ -282,6 +308,13 @@ def test_rank2_decide_assume_hooks_validate():
         rank2_decide(TM, assume_D=1)
     with pytest.raises(ValueError):
         rank2_decide(TM, assume_p=0)
+
+
+def test_rank2_decide_assumed_constants_taint_every_verdict():
+    # mod3 is settled at Step 0, before any assumed constant is used
+    rep = rank2_decide(M3, assume_D=4)
+    assert rep.verdict == Rank1(3)
+    assert rep.soundness_flags["unsound"] is True
 
 
 def test_rank2_decide_monotone_under_budget_growth():

@@ -7,15 +7,10 @@ import pytest
 from ranktwo.words import (
     ConjugationSolution,
     Pair,
-    ParseResult,
     Single,
-    StopRule,
-    build_pattern,
     commutes,
     exponent,
     free_reduce,
-    greedy_parse,
-    is_p_syndetic,
     is_prefix_code_pair,
     period,
     primitive_root,
@@ -148,55 +143,3 @@ def test_is_prefix_code_pair():
     assert not is_prefix_code_pair((0,), (0, 1))
     assert not is_prefix_code_pair((0, 1), (0,))
     assert not is_prefix_code_pair((0, 1), (0, 1))
-
-
-TERNARY_PREFIX = word("0120200120010120")
-
-
-def test_greedy_parse_hit():
-    res = greedy_parse(TERNARY_PREFIX, word("01"), word("20"), StopRule("blocks", 3))
-    assert res == ParseResult(blocks=(0, 1, 1), consumed=6, outcome="hit")
-
-
-def test_greedy_parse_fail_position():
-    res = greedy_parse(TERNARY_PREFIX, word("01"), word("21"), StopRule("blocks", 3))
-    assert res.outcome == "fail"
-    assert res.fail_position == 2
-    assert res.blocks == (0,)
-    assert res.consumed == 2
-
-
-def test_greedy_parse_exhausted():
-    res = greedy_parse(word("0120"), word("01"), word("20"), StopRule("blocks", 3))
-    assert res.outcome == "exhausted"
-    assert res.blocks == (0, 1)
-    assert res.consumed == 4
-
-
-def test_greedy_parse_stop_rules():
-    res = greedy_parse(TERNARY_PREFIX, word("01"), word("20"), StopRule("v_count", 2))
-    assert res.outcome == "hit"
-    assert res.blocks == (0, 1, 1)
-    res = greedy_parse(TERNARY_PREFIX, word("01"), word("20"), StopRule("length", 7))
-    assert res.outcome == "hit"
-    assert res.consumed == 8
-
-
-def test_greedy_parse_requires_prefix_code():
-    with pytest.raises(ValueError):
-        greedy_parse(TERNARY_PREFIX, word("0"), word("01"), StopRule("blocks", 1))
-
-
-def test_build_pattern():
-    assert build_pattern("0110", word("01"), word("20")) == word("01202001")
-    assert build_pattern("", word("01"), word("20")) == ()
-
-
-def test_is_p_syndetic():
-    # a run of three 1-blocks enclosed by 0-blocks
-    assert not is_p_syndetic((0, 0, 1, 1, 1, 0), 3)
-    assert is_p_syndetic((0, 0, 1, 1, 1, 0), 4)
-    # runs touching the ends are not enclosed
-    assert is_p_syndetic((1, 1, 1, 0), 3)
-    assert is_p_syndetic((0, 1, 1, 1), 3)
-    assert is_p_syndetic((), 1)
