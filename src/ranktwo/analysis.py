@@ -30,6 +30,7 @@ from .logic import (
     witness,
 )
 from . import predicates as P
+from .words import primitive_root
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ def unbounded_primitive_factors(
     a = compile_formula(
         P.unbounded_primitive_factors_formula("i", "p"), seq=seq, limits=limits
     )
-    assert a.var_order == ("i", "p") or is_empty(a)
+    if a.var_order != ("i", "p") and not is_empty(a):
+        raise RankTwoError(f"unbounded primitive factor automaton has tracks {a.var_order}")
     try:
         pairs = enumerate_accepted(a, limit=max_results)
     except RankTwoError as exc:
@@ -116,8 +118,7 @@ def unbounded_primitive_factors(
     for i, p in sorted(pairs):
         pref = seq.prefix(i + p)
         word = tuple(pref[i:i + p])
-        root = word[:_brute_root_len(word)]
-        if len(root) != p:
+        if primitive_root(word)[1] != 1:
             raise RankTwoError(
                 f"imprimitive word {word} reported as unbounded primitive factor"
             )
@@ -127,14 +128,6 @@ def unbounded_primitive_factors(
             )
         out.append((i, p, word))
     return out
-
-
-def _brute_root_len(word) -> int:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and tuple(word) == tuple(word[:d]) * (n // d):
-            return d
-    return n
 
 
 class SpecialExponent(enum.Enum):
@@ -183,10 +176,9 @@ def max_exponent(seq: Dfao, z: Sequence[int], limits: Optional[CompileLimits] = 
     # successor of the maximum
     phi = exists(j, and_(P.word_at(j, z), window(m)))
     blocked = witness(not_(phi), seq=seq, limits=limits)
-    assert blocked is not None, "bounded exponents must have a maximal window"
-    m_max = blocked["m"] - 1
-    assert m_max >= 0
-    return Fraction(m_max + r, r)
+    if blocked is None or blocked["m"] == 0:
+        raise RankTwoError(f"bounded exponents of {list(z)} have no maximal window")
+    return Fraction(blocked["m"] - 1 + r, r)
 
 
 def is_purely_periodic(seq: Dfao, limits: Optional[CompileLimits] = None) -> Optional[int]:
@@ -210,7 +202,8 @@ def is_ultimately_periodic(
         return None
     c = wc["c"]
     wp = witness(P.ultimate_period_formula(Const(c), "p"), seq=seq, limits=limits)
-    assert wp is not None
+    if wp is None:
+        raise RankTwoError(f"preperiod {c} has no period")
     return (c, wp["p"])
 
 
@@ -270,6 +263,7 @@ def strip_max_power_prefix(
     blocked = witness(not_(P.u_power_prefix("m", u)), seq=seq, limits=limits)
     if blocked is None:
         raise ValueError("sequence is periodic under the given word")
+    if blocked["m"] == 0:
+        raise RankTwoError("u^0 is a prefix of every sequence, yet m = 0 was rejected")
     i_max = blocked["m"] - 1
-    assert i_max >= 0
     return i_max, shift_sequence(seq, i_max * len(u), limits=limits)

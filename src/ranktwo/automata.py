@@ -695,16 +695,11 @@ class Dfao:
 
 
 @lru_cache(maxsize=64)
-def _canonical_dfao_cached(key):
-    k, alphabet, outputs, delta, initial = key
-    code = {s: i for i, s in enumerate(sorted(set(outputs)))}
-    reps, new_delta = _minimize(delta, [code[s] for s in outputs], initial)
-    new_out = tuple(outputs[q] for q in reps)
-    return Dfao(k, alphabet, new_out, tuple(map(tuple, new_delta)), 0)
-
-
 def _canonical_dfao(m: Dfao) -> Dfao:
-    return _canonical_dfao_cached((m.k, m.alphabet, m.outputs, m.delta, m.initial))
+    code = {s: i for i, s in enumerate(sorted(set(m.outputs)))}
+    reps, new_delta = _minimize(m.delta, [code[s] for s in m.outputs], m.initial)
+    new_out = tuple(m.outputs[q] for q in reps)
+    return Dfao(m.k, m.alphabet, new_out, tuple(map(tuple, new_delta)), 0)
 
 
 def validate_dfao(m: Dfao) -> None:

@@ -269,9 +269,12 @@ def free_vars(f: Formula) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # alpha renaming
 #
-# Bound variables are renamed to %b0, %b1, ... in traversal order before
-# compilation.  This removes shadowing hazards and makes the renamed tree
-# a deterministic function of the input, so compilations cache well.
+# Each bound variable is renamed to %b<level>, its De Bruijn level: the
+# number of quantifiers above its binder.  Levels strictly increase along
+# any path from the root, so no binder can capture an outer name, and the
+# renamed tree depends only on the formula's shape.  Equal subtrees at
+# equal depth therefore get equal names, inside one formula and across
+# formulas, which is what lets one compile cache serve them all.
 
 def _rename_term(t: Term, env: dict[str, str]) -> Term:
     if isinstance(t, Var):
@@ -293,7 +296,7 @@ class _BoundVar(Var):
         pass
 
 
-def _rename(f: Formula, env: dict[str, str], counter: list[int]) -> Formula:
+def _rename(f: Formula, env: dict[str, str], depth: int) -> Formula:
     if isinstance(f, Cmp):
         return Cmp(f.op, _rename_term(f.left, env), _rename_term(f.right, env))
     if isinstance(f, SeqAt):
@@ -301,19 +304,16 @@ def _rename(f: Formula, env: dict[str, str], counter: list[int]) -> Formula:
     if isinstance(f, SeqEq):
         return SeqEq(_rename_term(f.left, env), _rename_term(f.right, env))
     if isinstance(f, Not):
-        return Not(_rename(f.body, env, counter))
+        return Not(_rename(f.body, env, depth))
     if isinstance(f, And):
-        return And(tuple(_rename(p, env, counter) for p in f.parts))
+        return And(tuple(_rename(p, env, depth) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(_rename(p, env, counter) for p in f.parts))
+        return Or(tuple(_rename(p, env, depth) for p in f.parts))
     if isinstance(f, Implies):
-        return Implies(_rename(f.left, env, counter), _rename(f.right, env, counter))
+        return Implies(_rename(f.left, env, depth), _rename(f.right, env, depth))
     if isinstance(f, (Exists, Forall)):
-        fresh = f"%b{counter[0]}"
-        counter[0] += 1
-        inner = dict(env)
-        inner[f.var] = fresh
-        body = _rename(f.body, inner, counter)
+        fresh = f"%b{depth}"
+        body = _rename(f.body, {**env, f.var: fresh}, depth + 1)
         return type(f)(fresh, body)
     raise TypeError(f"not a formula: {f!r}")
 
@@ -328,21 +328,7 @@ class CompileLimits:
     max_automaton_states: Optional[int] = None
 
 
-class _Ctx:
-    def __init__(self, k: int, seq: Optional[Dfao], limits: CompileLimits):
-        self.k = k
-        self.seq = seq
-        self.cap = limits.max_automaton_states
-        self.memo: dict = {}
-
-    def meet(self, a: Dfa, b: Dfa) -> Dfa:
-        return A.intersect(a, b, self.cap)
-
-    def join(self, a: Dfa, b: Dfa) -> Dfa:
-        return A.union(a, b, self.cap)
-
-
-def _lower_term(t: Term, ctx: _Ctx, cons: list, temps: list) -> str:
+def _lower_term(t: Term, k: int, cons: list, temps: list) -> str:
     """Reduce a term to a variable, emitting defining relations for the
     intermediate values; helpers are existential and projected away as
     soon as the owning atom is assembled."""
@@ -351,14 +337,14 @@ def _lower_term(t: Term, ctx: _Ctx, cons: list, temps: list) -> str:
     name = f"%a{len(temps)}"
     temps.append(name)
     if isinstance(t, Const):
-        cons.append(A.const_rel(ctx.k, name, t.value))
+        cons.append(A.const_rel(k, name, t.value))
     elif isinstance(t, Sum):
-        la = _lower_term(t.left, ctx, cons, temps)
-        lb = _lower_term(t.right, ctx, cons, temps)
-        cons.append(A.add_rel(ctx.k, la, lb, name))
+        la = _lower_term(t.left, k, cons, temps)
+        lb = _lower_term(t.right, k, cons, temps)
+        cons.append(A.add_rel(k, la, lb, name))
     elif isinstance(t, ConstMul):
-        la = _lower_term(t.arg, ctx, cons, temps)
-        cons.append(A.const_mul_rel(ctx.k, t.c, la, name))
+        la = _lower_term(t.arg, k, cons, temps)
+        cons.append(A.const_mul_rel(k, t.c, la, name))
     else:
         raise TypeError(f"not a term: {t!r}")
     return name
@@ -371,69 +357,58 @@ _CMP_BUILDERS = {
 }
 
 
-def _compile_atom(f, ctx: _Ctx) -> Dfa:
+def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     cons: list[Dfa] = []
     temps: list[str] = []
     if isinstance(f, Cmp):
-        va = _lower_term(f.left, ctx, cons, temps)
-        vb = _lower_term(f.right, ctx, cons, temps)
-        rel = _CMP_BUILDERS[f.op](ctx.k, va, vb)
+        va = _lower_term(f.left, k, cons, temps)
+        vb = _lower_term(f.right, k, cons, temps)
+        rel = _CMP_BUILDERS[f.op](k, va, vb)
     elif isinstance(f, SeqAt):
-        if ctx.seq is None:
+        if seq is None:
             raise ValueError("formula inspects sequence values but no sequence was given")
-        va = _lower_term(f.index, ctx, cons, temps)
-        rel = A.seq_at_dfa(ctx.seq, va, f.symbol)
+        va = _lower_term(f.index, k, cons, temps)
+        rel = A.seq_at_dfa(seq, va, f.symbol)
     elif isinstance(f, SeqEq):
-        if ctx.seq is None:
+        if seq is None:
             raise ValueError("formula inspects sequence values but no sequence was given")
-        va = _lower_term(f.left, ctx, cons, temps)
-        vb = _lower_term(f.right, ctx, cons, temps)
-        rel = A.seq_eq_dfa(ctx.seq, va, vb)
+        va = _lower_term(f.left, k, cons, temps)
+        vb = _lower_term(f.right, k, cons, temps)
+        rel = A.seq_eq_dfa(seq, va, vb)
     else:
         raise TypeError(f"not an atom: {f!r}")
     for c in cons:
-        rel = ctx.meet(rel, c)
+        rel = A.intersect(rel, c, cap)
     for name in reversed(temps):
-        rel = A.project(rel, name, ctx.cap)
+        rel = A.project(rel, name, cap)
     return rel
 
 
-def _compile(f: Formula, ctx: _Ctx) -> Dfa:
-    hit = ctx.memo.get(f)
-    if hit is not None:
-        return hit
-    if isinstance(f, (Cmp, SeqAt, SeqEq)):
-        out = _compile_atom(f, ctx)
-    elif isinstance(f, Not):
-        out = A.complement(_compile(f.body, ctx))
-    elif isinstance(f, And):
-        parts = [_compile(p, ctx) for p in f.parts]
-        out = parts[0]
-        for p in parts[1:]:
-            out = ctx.meet(out, p)
-    elif isinstance(f, Or):
-        parts = [_compile(p, ctx) for p in f.parts]
-        out = parts[0]
-        for p in parts[1:]:
-            out = ctx.join(out, p)
-    elif isinstance(f, Implies):
-        out = ctx.join(A.complement(_compile(f.left, ctx)), _compile(f.right, ctx))
-    elif isinstance(f, Exists):
-        body = _compile(f.body, ctx)
-        out = A.project(body, f.var, ctx.cap) if f.var in body.var_order else body
-    elif isinstance(f, Forall):
-        body = _compile(Not(Exists(f.var, Not(f.body))), ctx)
-        out = body
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    ctx.memo[f] = out
-    return out
-
-
+# The one compile cache.  It is keyed by the renamed subformula and by
+# the state cap, so a result is only served under the cap it was built
+# under, and a compile that raised BudgetExceededError is never stored.
 @lru_cache(maxsize=512)
-def _compile_top(renamed: Formula, seq: Optional[Dfao], k: int, limits: CompileLimits) -> Dfa:
-    ctx = _Ctx(k, seq, limits)
-    return _compile(renamed, ctx)
+def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
+    if isinstance(f, (Cmp, SeqAt, SeqEq)):
+        return _compile_atom(f, seq, k, cap)
+    if isinstance(f, Not):
+        return A.complement(_compile(f.body, seq, k, cap))
+    if isinstance(f, (And, Or)):
+        combine = A.intersect if isinstance(f, And) else A.union
+        parts = [_compile(p, seq, k, cap) for p in f.parts]
+        out = parts[0]
+        for p in parts[1:]:
+            out = combine(out, p, cap)
+        return out
+    if isinstance(f, Implies):
+        left = A.complement(_compile(f.left, seq, k, cap))
+        return A.union(left, _compile(f.right, seq, k, cap), cap)
+    if isinstance(f, Exists):
+        body = _compile(f.body, seq, k, cap)
+        return A.project(body, f.var, cap) if f.var in body.var_order else body
+    if isinstance(f, Forall):
+        return _compile(Not(Exists(f.var, Not(f.body))), seq, k, cap)
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def compile_formula(
@@ -448,8 +423,8 @@ def compile_formula(
         k = seq.k if seq is not None else 2
     if seq is not None and seq.k != k:
         raise ValueError("base of the sequence disagrees with requested base")
-    renamed = _rename(f, {}, [0])
-    return _compile_top(renamed, seq, k, limits or CompileLimits())
+    cap = limits.max_automaton_states if limits is not None else None
+    return _compile(_rename(f, {}, 0), seq, k, cap)
 
 
 def decide(

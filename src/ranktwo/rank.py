@@ -266,7 +266,8 @@ def decide_fixed_pair(seq: Dfao, u: WordLike, v: WordLike, budget: Optional[Budg
         return pair_omega_membership(seq, (root,), max_levels=cap)
     if not is_prefix_code_pair(u, v):
         red = free_reduce(u, v)
-        assert isinstance(red, Pair)
+        if not isinstance(red, Pair):
+            raise RankTwoError(f"non-commuting u = {list(u)}, v = {list(v)} reduced to one word")
         # the reduced pair generates a superset of the products, so a
         # miss there settles the question before the direct check
         if not pair_omega_membership(seq, (red.a, red.b), max_levels=cap):
@@ -308,7 +309,6 @@ def decide_with_unbounded(
     consts: Optional[AnalysisConstants] = None,
     budget: Optional[Budget] = None,
     *,
-    unbounded_set=None,
     p_override: Optional[int] = None,
     L_override: Optional[int] = None,
 ) -> Optional[ExplicitPair]:
@@ -356,18 +356,10 @@ def decide_with_unbounded(
 
     # (i) v is itself a word with unbounded powers, or no longer than u.
     # Factors of length <= |u| all appear within the appearance window.
-    members = unbounded_set
-    if members is None:
-        members = [
-            w
-            for (_, _, w) in unbounded_primitive_factors(
-                seq, limits, max_results=budget.max_enumeration
-            )
-        ]
+    members = unbounded_primitive_factors(seq, limits, max_results=budget.max_enumeration)
     candidates = []
     seen = {u}
-    for w in members:
-        w = word(w)
+    for _, _, w in members:
         if w not in seen:
             seen.add(w)
             candidates.append(w)
@@ -390,7 +382,8 @@ def decide_with_unbounded(
     # (iii) v a prefix of the tail lying inside Fac(u^omega); those prefix
     # lengths are downward closed and bounded because the tail is aperiodic
     blocked = witness(not_(P.prefix_in_periodic_orbit("m", u)), seq=tail, limits=limits)
-    assert blocked is not None, "an aperiodic tail must leave Fac(u^omega)"
+    if blocked is None:
+        raise RankTwoError(f"aperiodic tail never leaves Fac({list(u)}^omega)")
     longest = blocked["m"] - 1
     if longest > budget.max_enumeration:
         raise BudgetExceededError(
@@ -411,7 +404,8 @@ def decide_with_unbounded(
     if L > budget.max_enumeration:
         raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {L}")
     occ = witness(P.word_at("i", u), seq=tail, limits=limits)
-    assert occ is not None, "a factor with unbounded powers occurs in every tail"
+    if occ is None:
+        raise RankTwoError(f"{list(u)} has unbounded powers but does not occur in the tail")
     shape = and_(
         P.setup_formula(occ["i"], len(u), L, len(u)),
         not_(
@@ -577,20 +571,12 @@ def rank2_decide(
         members = unbounded_primitive_factors(
             seq, limits, max_results=budget.max_enumeration
         )
-        unbounded_words = [w for (_, _, w) in members]
 
         stages.append("Step3")
-        for w in unbounded_words:
+        for _, _, w in members:
             if out_of_time():
                 return report(Inconclusive("Step3", "wall_time exhausted"))
-            pair = decide_with_unbounded(
-                seq,
-                w,
-                consts,
-                budget,
-                unbounded_set=unbounded_words,
-                p_override=assume_p,
-            )
+            pair = decide_with_unbounded(seq, w, consts, budget, p_override=assume_p)
             if pair is not None:
                 if hooked:
                     notes.append("unbounded-stage pair re-validated exactly")

@@ -144,7 +144,7 @@ def eval_term(t, env):
     if isinstance(t, L.Sum):
         return eval_term(t.left, env) + eval_term(t.right, env)
     if isinstance(t, L.ConstMul):
-        return t.coeff * eval_term(t.arg, env)
+        return t.c * eval_term(t.arg, env)
     raise TypeError(t)
 
 
@@ -161,7 +161,7 @@ def eval_formula(f, env, prefix, bound):
             a, b = eval_term(f.left, env), eval_term(f.right, env)
             return {L.CmpOp.EQ: a == b, L.CmpOp.LE: a <= b, L.CmpOp.LT: a < b}[f.op]
         if isinstance(f, L.SeqAt):
-            return prefix[eval_term(f.arg, env)] == f.symbol
+            return prefix[eval_term(f.index, env)] == f.symbol
         if isinstance(f, L.SeqEq):
             return prefix[eval_term(f.left, env)] == prefix[eval_term(f.right, env)]
         if isinstance(f, L.Not):

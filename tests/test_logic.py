@@ -1,9 +1,12 @@
 """Formula compiler against brute-force evaluation and frozen values."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ranktwo import automata
 from ranktwo import logic as L
 from ranktwo.automata import is_empty, language_equal, shortest_accepted
 from ranktwo.errors import BudgetExceededError
@@ -108,6 +111,128 @@ def test_alpha_renaming_shares_cache():
     f = exists("a", and_(lt("a", "n"), seq_at("a", 1)))
     g = exists("b", and_(lt("b", "n"), seq_at("b", 1)))
     assert compile_formula(f, seq=TM) is compile_formula(g, seq=TM)
+
+
+def _count_projections(monkeypatch):
+    calls = []
+    real = automata.project
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(automata, "project", counted)
+    return calls
+
+
+def test_equal_subtrees_at_equal_depth_compile_once(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    L._compile.cache_clear()
+    f = or_(exists("i", seq_at("i", 1)), exists("j", seq_at("j", 1)))
+    assert decide(f, seq=TM)
+    assert len(calls) == 1
+
+
+def test_shared_conjunct_costs_no_projection(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    other = exists("m", and_(lt("m", 5), seq_at(add("m", 2), 0)))
+    L._compile.cache_clear()
+    decide(other, seq=TM)
+    alone = len(calls)
+
+    L._compile.cache_clear()
+    shared = exists("i", and_(seq_at("i", 1), seq_at(add("i", 1), 1)))
+    assert decide(shared, seq=TM)
+    del calls[:]
+    renamed = exists("j", and_(seq_at("j", 1), seq_at(add("j", 1), 1)))
+    assert decide(and_(other, renamed), seq=TM)
+    assert len(calls) == alone
+
+
+# Small formulas over a few names; quantifiers carry explicit bounds so
+# the brute evaluator over range(_BOUND) is exact.
+_BOUND = 4
+_NAMES = ("a", "b", "x")
+
+
+_VARS = st.sampled_from(_NAMES)
+_TERMS = st.one_of(
+    _VARS,
+    st.builds(add, _VARS, st.integers(0, 3)),
+    st.builds(mul, st.integers(0, 3), _VARS),
+)
+_ATOMS = st.one_of(
+    st.builds(seq_at, _TERMS, st.integers(0, 1)),
+    st.builds(seq_eq, _TERMS, _TERMS),
+    st.builds(lt, _TERMS, _TERMS),
+    st.builds(lambda c, v, t: eq(mul(c, v), t), st.integers(2, 3), _VARS, _TERMS),
+)
+
+
+def _bounded_exists(v, body):
+    return exists(v, and_(lt(v, _BOUND), body))
+
+
+def _bounded_forall(v, body):
+    return forall(v, implies(lt(v, _BOUND), body))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(not_, children),
+        st.builds(and_, children, children),
+        st.builds(or_, children, children),
+        st.builds(implies, children, children),
+        st.builds(_bounded_exists, _VARS, children),
+        st.builds(_bounded_forall, _VARS, children),
+    )
+
+
+_FORMULAS = st.recursive(_ATOMS, _extend, max_leaves=5)
+
+
+def _rename_binders(f, env, fresh):
+    """The same formula with every binder given a name never used before."""
+    def term_(t):
+        if isinstance(t, L.Var):
+            return L.Var(env.get(t.name, t.name))
+        if isinstance(t, L.Sum):
+            return L.Sum(term_(t.left), term_(t.right))
+        if isinstance(t, L.ConstMul):
+            return L.ConstMul(t.c, term_(t.arg))
+        return t
+
+    if isinstance(f, L.Cmp):
+        return L.Cmp(f.op, term_(f.left), term_(f.right))
+    if isinstance(f, L.SeqAt):
+        return L.SeqAt(term_(f.index), f.symbol)
+    if isinstance(f, L.SeqEq):
+        return L.SeqEq(term_(f.left), term_(f.right))
+    if isinstance(f, L.Not):
+        return L.Not(_rename_binders(f.body, env, fresh))
+    if isinstance(f, (L.And, L.Or)):
+        return type(f)(tuple(_rename_binders(p, env, fresh) for p in f.parts))
+    if isinstance(f, L.Implies):
+        return L.Implies(_rename_binders(f.left, env, fresh), _rename_binders(f.right, env, fresh))
+    name = f"r{next(fresh)}"
+    return type(f)(name, _rename_binders(f.body, {**env, f.var: name}, fresh))
+
+
+def _assert_matches_brute(f, a):
+    free = sorted(L.free_vars(f))
+    assert a.var_order == tuple(free)
+    for values in itertools.product(range(_BOUND), repeat=len(free)):
+        env = dict(zip(free, values))
+        assert a.accepts(env) == eval_formula(f, env, TM_PREF, bound=_BOUND), (f, env)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_FORMULAS, _FORMULAS)
+def test_cache_hits_agree_with_brute_evaluation(f, h):
+    L._compile.cache_clear()
+    _assert_matches_brute(f, compile_formula(f, seq=TM))
+    g = and_(h, _rename_binders(f, {}, itertools.count()))
+    _assert_matches_brute(g, compile_formula(g, seq=TM))
 
 
 def test_shadowing_and_capture():
@@ -322,6 +447,8 @@ def test_setup2_witness_is_genuine():
 
 def test_budget_is_enforced():
     f = P.factoreq("i", "j", "n")
+    # a result built without a cap is never served under one
+    compile_formula(f, seq=TM)
     with pytest.raises(BudgetExceededError) as ei:
         compile_formula(f, seq=TM, limits=CompileLimits(max_automaton_states=3))
     assert ei.value.cap == 3

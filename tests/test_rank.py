@@ -182,8 +182,10 @@ def test_validate_explicit_pair_cut_values():
 
 
 def test_validate_explicit_pair_cross_check_survives_optimize_flag():
-    # under python -O asserts vanish; a cut the DP rejects must still raise
+    # under python -O asserts vanish; a cut the DP rejects, and a witness
+    # query that finds nothing where one must exist, must still raise
     script = "\n".join([
+        "import ranktwo.analysis as An",
         "import ranktwo.rank as R",
         "from ranktwo.errors import RankTwoError",
         "from ranktwo.fixtures import load_fixture",
@@ -193,13 +195,18 @@ def test_validate_explicit_pair_cross_check_survives_optimize_flag():
         "    R.validate_explicit_pair(load_fixture('ternary-tm'), '01', '20')",
         "except RankTwoError:",
         "    print('raised')",
+        "An.witness = lambda *args, **kwargs: None",
+        "try:",
+        "    An.max_exponent(load_fixture('thue-morse'), (0,))",
+        "except RankTwoError:",
+        "    print('raised')",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(ranktwo.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.split() == ["raised", "raised"]
 
 
 def test_decide_with_unbounded_short_companion():
