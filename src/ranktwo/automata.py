@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -156,18 +156,30 @@ def _minimize(delta, labels, initial):
 
     labels are small naturals (accepting flags, output codes); two states
     end in one class iff every input word leads them to equal labels.
-    Returns (reps, new_delta): classes are numbered breadth-first from
-    the class of initial, reps[i] is a state of class i and new_delta[i]
-    lists the classes of its successors.  Classes are language classes,
-    so the breadth-first pass also drops every unreachable state.
+    Each round gives a state the signature (its class, the classes of its
+    successors letter by letter), all int32; one np.lexsort over the
+    signature columns brings equal signatures together, and a cumulative
+    sum over adjacent-row differences numbers the new classes.  Rounds
+    stop when the class count stays put.  Returns (reps, new_delta):
+    classes are numbered breadth-first from the class of initial, reps[i]
+    is a state of class i and new_delta[i] lists the classes of its
+    successors.  Classes are language classes, so the breadth-first pass
+    also drops every unreachable state.
     """
-    d = np.asarray(delta, dtype=np.int64)
-    cls = np.asarray(labels, dtype=np.int64)
+    succ = np.asarray(delta, dtype=np.int32).T.copy()  # succ[letter, state]
+    cls = np.asarray(labels, dtype=np.int32)
     n_classes = int(cls.max(initial=0)) + 1
+    sig = np.empty((succ.shape[0] + 1, succ.shape[1]), dtype=np.int32)
     while True:
-        sig = np.concatenate([cls[:, None], cls[d]], axis=1)
-        _, new = np.unique(sig, axis=0, return_inverse=True)
-        new_count = int(new.max(initial=0)) + 1
+        np.take(cls, succ, out=sig[:-1])
+        sig[-1] = cls
+        perm = np.lexsort(sig)
+        ranked = sig[:, perm]
+        fresh = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+        new = np.empty_like(cls)
+        new[perm[0]] = 0
+        new[perm[1:]] = np.cumsum(fresh, dtype=np.int32)
+        new_count = int(new[perm[-1]]) + 1
         if new_count == n_classes:
             break
         cls, n_classes = new, new_count
@@ -242,13 +254,6 @@ def union(a: Dfa, b: Dfa, max_states=None) -> Dfa:
     return product(a, b, lambda x, y: x or y, max_states, "union")
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
     """Existential projection of one track, with leading-zero saturation.
 
@@ -257,61 +262,64 @@ def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
     can be recognised only in paddings longer than its own minimal one;
     saturating the initial state set under all-zero columns (any digit on
     the dropped track) restores closure under leading zeros.
+
+    Subsets of the n input states are n-bit masks.  State q's successors
+    are packed into one int: the mask reached on reduced letter l sits at
+    bit offset l*n.  The successors of a subset are the OR of its
+    members' packed ints, taken one 8-state chunk at a time: the union
+    for each (chunk, byte of the mask) pair is computed on first use and
+    kept in that chunk's dict, so a chunk's table holds at most 256
+    entries of n*L bits each (L reduced letters).
     """
     if var not in a.var_order:
         raise ValueError(f"unknown track {var!r}")
     k = a.k
-    pos = a.var_order.index(var)
+    n = a.num_states
     new_vars = tuple(v for v in a.var_order if v != var)
-    t_new = len(new_vars)
-    n_letters = letter_count(k, t_new)
+    reduced = _letter_map(k, a.var_order, new_vars)
+    shifts = range(0, letter_count(k, len(new_vars)) * n, n)
+    full = (1 << n) - 1
 
-    # group full letters by their reduced letter
-    groups: list[list[int]] = [[] for _ in range(n_letters)]
-    for idx in range(a.alphabet_size):
-        digits = decode_letter(k, len(a.var_order), idx)
-        reduced = encode_letter(k, digits[:pos] + digits[pos + 1:])
-        groups[reduced].append(idx)
+    packed = []
+    for row in a.delta:
+        p = 0
+        for t, ell in zip(row, reduced):
+            p |= 1 << (ell * n + t)
+        packed.append(p)
+    tables = [{} for _ in range(0, n, 8)]
+    n_bytes = len(tables)
 
-    nfa = [
-        [0] * n_letters
-        for _ in range(a.num_states)
-    ]
-    for q in range(a.num_states):
-        row = a.delta[q]
-        for ell in range(n_letters):
-            m = 0
-            for idx in groups[ell]:
-                m |= 1 << row[idx]
-            nfa[q][ell] = m
-
-    acc_mask = 0
-    for q, acc in enumerate(a.accepting):
-        if acc:
-            acc_mask |= 1 << q
+    def packed_union(mask):
+        out = 0
+        for j, byte in enumerate(mask.to_bytes(n_bytes, "little")):
+            if byte:
+                table = tables[j]
+                u = table.get(byte)
+                if u is None:
+                    u = 0
+                    for i in range(8):
+                        if byte >> i & 1:
+                            u |= packed[8 * j + i]
+                    table[byte] = u
+                out |= u
+        return out
 
     # saturate the start set under all-zero columns
     start = 1 << a.initial
     while True:
-        grown = start
-        for q in _iter_bits(start):
-            grown |= nfa[q][0]
+        grown = start | (packed_union(start) & full)
         if grown == start:
             break
         start = grown
 
     def successors(mask):
-        rows = [nfa[q] for q in _iter_bits(mask)]
-        out = []
-        for ell in range(n_letters):
-            tgt = 0
-            for row in rows:
-                tgt |= row[ell]
-            out.append(tgt)
-        return out
+        out = packed_union(mask)
+        return [out >> s & full for s in shifts]
 
     order, delta = _explore(start, successors, max_states, "project")
+    acc_mask = sum(1 << q for q, acc in enumerate(a.accepting) if acc)
     acc = [bool(mask & acc_mask) for mask in order]
+    del order, tables  # minimization needs neither the subsets nor the unions
     return canonical_dfa(k, new_vars, delta, acc, 0)
 
 

@@ -179,3 +179,90 @@ def eval_formula(f, env, prefix, bound):
         raise TypeError(f)
 
     return rec(f, env)
+
+
+# ---------------------------------------------------------------------------
+# reference automaton constructions: plain dicts, tuples and frozensets
+
+def ref_minimize(delta, labels, initial):
+    """Moore refinement keyed by signature tuples, then the quotient.
+
+    Returns (reps, new_delta) as the library's minimizer does: classes
+    numbered breadth-first from the class of initial, reps[i] the least
+    state of class i, new_delta[i] the classes of its successors.
+    """
+    cls = list(labels)
+    while True:
+        sigs = {}
+        new = [
+            sigs.setdefault((cls[q],) + tuple(cls[t] for t in row), len(sigs))
+            for q, row in enumerate(delta)
+        ]
+        if len(sigs) == len(set(cls)):
+            break
+        cls = new
+    rep = {}
+    for q, c in enumerate(cls):
+        rep.setdefault(c, q)
+    ids = {cls[initial]: 0}
+    order = [cls[initial]]
+    new_delta = []
+    for c in order:
+        row = []
+        for t in delta[rep[c]]:
+            if cls[t] not in ids:
+                ids[cls[t]] = len(order)
+                order.append(cls[t])
+            row.append(ids[cls[t]])
+        new_delta.append(tuple(row))
+    return [rep[c] for c in order], tuple(new_delta)
+
+
+def ref_canonical_dfa(delta, accepting, initial):
+    """(delta, accepting) of the minimal breadth-first-numbered recogniser."""
+    reps, new_delta = ref_minimize(delta, [bool(a) for a in accepting], initial)
+    return new_delta, tuple(bool(accepting[q]) for q in reps)
+
+
+def ref_subsets(k, tracks, pos, delta, accepting, initial, limit):
+    """Subset construction for dropping track pos, letters as base-k digit
+    columns with track 0 most significant.
+
+    One successor set per (state, reduced letter) is precomputed; a
+    subset's successor on a letter is the union of its members' sets.
+    The start set is saturated under the all-zero reduced letter.
+    Returns (delta, accepting) of the raw subset automaton, numbered
+    breadth-first, or None when it has more than limit subsets.
+    """
+    n_reduced = k ** (tracks - 1)
+    nfa = [[set() for _ in range(n_reduced)] for _ in delta]
+    for q, row in enumerate(delta):
+        for letter, t in enumerate(row):
+            digits = [(letter // k ** (tracks - 1 - i)) % k for i in range(tracks)]
+            del digits[pos]
+            reduced = 0
+            for d in digits:
+                reduced = reduced * k + d
+            nfa[q][reduced].add(t)
+    start = {initial}
+    while True:
+        grown = start.union(*(nfa[q][0] for q in start))
+        if grown == start:
+            break
+        start = grown
+    start = frozenset(start)
+    ids = {start: 0}
+    order = [start]
+    out = []
+    for subset in order:
+        row = []
+        for letter in range(n_reduced):
+            t = frozenset().union(*(nfa[q][letter] for q in subset))
+            if t not in ids:
+                ids[t] = len(order)
+                order.append(t)
+                if len(order) > limit:
+                    return None
+            row.append(ids[t])
+        out.append(row)
+    return out, [any(accepting[q] for q in s) for s in order]

@@ -5,6 +5,7 @@ automaton-with-output text format round-tripped bit for bit."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranktwo import automata as A
 from ranktwo.errors import (
@@ -15,7 +16,7 @@ from ranktwo.errors import (
 )
 from ranktwo.fixtures import fixture_names, load_fixture
 
-from oracles import FIXTURE_ORACLES
+from oracles import FIXTURE_ORACLES, ref_canonical_dfa, ref_minimize, ref_subsets
 
 
 def grid(*ranges):
@@ -243,6 +244,86 @@ def test_budget_errors_name_their_stage():
 
 
 # ---------------------------------------------------------------------------
+# minimization and subset construction against the pure-Python reference
+
+# sizes on both sides of the 8-state chunks and the 64-bit words of the
+# subset masks, plus anything in between
+_SIZES = st.one_of(st.sampled_from((1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70)), st.integers(1, 70))
+_TRACKS = ("a", "b", "c")
+# raw subset count beyond which the reference gives up
+_SUBSET_LIMIT = 3000
+
+
+def _random_table(rng, n, n_letters, n_labels, min_classes=1):
+    """A complete table on n states whose quotient has at most m states,
+    m drawn from [min_classes, n]: state q copies class q % m, and each
+    transition goes to a random member of the class its class's
+    transition names.  min(m, n_labels) distinct labels occur."""
+    m = rng.randint(min(min_classes, n), n)
+    members = [list(range(c, n, m)) for c in range(m)]
+    core = [[rng.randrange(m) for _ in range(n_letters)] for _ in range(m)]
+    label = [c if c < n_labels else rng.randrange(n_labels) for c in range(m)]
+    rng.shuffle(label)
+    delta = [[rng.choice(members[c]) for c in core[q % m]] for q in range(n)]
+    return delta, [label[q % m] for q in range(n)], rng.randrange(n)
+
+
+def _random_dfa(seed, k, tracks, n):
+    rng = random.Random(seed)
+    delta, labels, initial = _random_table(rng, n, k ** tracks, 2)
+    return delta, [bool(x) for x in labels], initial
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES)
+def test_canonical_dfa_matches_reference(seed, k, tracks, n):
+    delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+    got = A.canonical_dfa(k, _TRACKS[:tracks], delta, accepting, initial)
+    assert (got.delta, got.accepting) == ref_canonical_dfa(delta, accepting, initial)
+    assert got.initial == 0 and got.var_order == _TRACKS[:tracks]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES, st.integers(0, 2)
+)
+def test_project_matches_reference(seed, k, tracks, n, pos):
+    pos %= tracks
+    delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+    # a complete table that is not minimal, so the subset loop sees all n states
+    a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting), initial)
+    var = _TRACKS[pos]
+    raw = ref_subsets(k, tracks, pos, delta, accepting, initial, _SUBSET_LIMIT)
+    if raw is None:
+        with pytest.raises(BudgetExceededError):
+            A.project(a, var, max_states=_SUBSET_LIMIT)
+        return
+    raw_delta, raw_acc = raw
+    got = A.project(a, var, max_states=len(raw_delta))
+    assert (got.delta, got.accepting) == ref_canonical_dfa(raw_delta, raw_acc, 0)
+    assert got.var_order == tuple(v for v in _TRACKS[:tracks] if v != var)
+    if len(raw_delta) > 1:
+        with pytest.raises(BudgetExceededError) as ei:
+            A.project(a, var, max_states=len(raw_delta) - 1)
+        assert (ei.value.stage, ei.value.cap) == ("project", len(raw_delta) - 1)
+
+
+def test_project_budget_counts_raw_subsets():
+    # {(y, z) : exists x < y. x + y = z} = {y <= z < 2y}; dropping x from
+    # the 5-state relation meets exactly 6 subsets
+    k = 2
+    a = A.intersect(A.add_rel(k, "x", "y", "z"), A.less_rel(k, "x", "y"))
+    raw_delta, _ = ref_subsets(k, 3, 0, a.delta, a.accepting, a.initial, _SUBSET_LIMIT)
+    assert (a.num_states, len(raw_delta)) == (5, 6)
+    got = A.project(a, "x", max_states=6)
+    rows = grid(20, 40)
+    assert [got.accepts(r) for r in rows] == [y <= z < 2 * y for y, z in rows]
+    with pytest.raises(BudgetExceededError) as ei:
+        A.project(a, "x", max_states=5)
+    assert (ei.value.stage, ei.value.cap) == ("project", 5)
+
+
+# ---------------------------------------------------------------------------
 # automata with output
 
 def test_fixture_values_match_independent_generators():
@@ -319,3 +400,17 @@ def test_seq_at_dfa():
     ]
     # a symbol outside the reachable outputs yields the empty set
     assert A.is_empty(A.seq_at_dfa(tm, "n", 9))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), _SIZES, st.integers(3, 5))
+def test_canonical_dfao_matches_reference(seed, k, n, n_codes):
+    rng = random.Random(seed)
+    delta, codes, initial = _random_table(rng, n, k, n_codes, min_classes=n_codes)
+    # symbols out of order, so the canonical form's output coding is exercised
+    symbols = rng.sample(range(10), n_codes)
+    outputs = tuple(symbols[c] for c in codes)
+    m = A.Dfao(k, tuple(sorted(symbols)), outputs, tuple(map(tuple, delta)), initial)
+    reps, new_delta = ref_minimize(delta, outputs, initial)
+    c = m.canonical()
+    assert (c.delta, c.outputs, c.initial) == (new_delta, tuple(outputs[q] for q in reps), 0)
