@@ -478,6 +478,25 @@ def language_equal(a: Dfa, b: Dfa) -> bool:
     )
 
 
+def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
+    """The same relation with track v renamed names[v].
+
+    When the new names sort like the old ones the letters keep their
+    meaning and the tables are shared.  Otherwise the tracks are re-sorted,
+    each row's letters permuted to match, and the result renumbered
+    breadth-first, since that order follows the letter order.
+    """
+    new = tuple(names[v] for v in a.var_order)
+    order = tuple(sorted(new))
+    if len(set(order)) != len(order):
+        raise ValueError("track rename collides")
+    if order == new:
+        return Dfa(a.k, new, a.delta, a.accepting, a.initial)
+    perm = _letter_map(a.k, order, new)
+    delta = [[row[ell] for ell in perm] for row in a.delta]
+    return canonical_dfa(a.k, order, delta, a.accepting, a.initial)
+
+
 # ---------------------------------------------------------------------------
 # arithmetic relation builders
 

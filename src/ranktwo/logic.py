@@ -267,54 +267,64 @@ def free_vars(f: Formula) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# alpha renaming
+# naming
 #
-# Each bound variable is renamed to %b<level>, its De Bruijn level: the
-# number of quantifiers above its binder.  Levels strictly increase along
-# any path from the root, so no binder can capture an outer name, and the
-# renamed tree depends only on the formula's shape.  Equal subtrees at
-# equal depth therefore get equal names, inside one formula and across
-# formulas, which is what lets one compile cache serve them all.
+# The compile cache is keyed by formulas, so alpha-equivalent subformulas
+# must be spelled alike to share an entry.  _normal spells a formula out
+# by position: each binder becomes %b<depth>, its depth counted from the
+# formula's root, and, when asked, each free variable becomes %f<i>, i
+# counting free variables in order of first occurrence.  compile_formula
+# normalizes binders only, so its result keeps the caller's track names;
+# _compile_child normalizes a quantified subformula fully, compiles it,
+# and renames the tracks back to the names it had at its use site.  So
+# factoreq(i, j, n) and factoreq(i, add(i, p), d), say, compile once.
+# User names cannot start with '%' and free variables become %f names, so
+# a %b binder never captures a name from outside its subtree.
 
-def _rename_term(t: Term, env: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        new = env.get(t.name)
-        if new is None:
-            return t
-        return _BoundVar(new)
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Sum):
-        return Sum(_rename_term(t.left, env), _rename_term(t.right, env))
-    return ConstMul(t.c, _rename_term(t.arg, env))
-
-
-class _BoundVar(Var):
+class _ReservedVar(Var):
     """Variable with a reserved name, constructible only internally."""
 
     def __post_init__(self):
         pass
 
 
-def _rename(f: Formula, env: dict[str, str], depth: int) -> Formula:
+def _normal_term(t: Term, env: dict[str, str], free: Optional[dict[str, str]]) -> Term:
+    if isinstance(t, Var):
+        new = env.get(t.name)
+        if new is None:
+            if free is None:
+                return t
+            new = free.setdefault(t.name, f"%f{len(free)}")
+        return _ReservedVar(new)
+    if isinstance(t, Const):
+        return t
+    if isinstance(t, Sum):
+        return Sum(_normal_term(t.left, env, free), _normal_term(t.right, env, free))
+    return ConstMul(t.c, _normal_term(t.arg, env, free))
+
+
+def _normal(f: Formula, env: dict[str, str], depth: int,
+            free: Optional[dict[str, str]]) -> Formula:
+    """f with its binders named by depth and, if free is a dict, its free
+    variables named by first occurrence; free collects each old free name
+    with its new one."""
     if isinstance(f, Cmp):
-        return Cmp(f.op, _rename_term(f.left, env), _rename_term(f.right, env))
+        return Cmp(f.op, _normal_term(f.left, env, free), _normal_term(f.right, env, free))
     if isinstance(f, SeqAt):
-        return SeqAt(_rename_term(f.index, env), f.symbol)
+        return SeqAt(_normal_term(f.index, env, free), f.symbol)
     if isinstance(f, SeqEq):
-        return SeqEq(_rename_term(f.left, env), _rename_term(f.right, env))
+        return SeqEq(_normal_term(f.left, env, free), _normal_term(f.right, env, free))
     if isinstance(f, Not):
-        return Not(_rename(f.body, env, depth))
+        return Not(_normal(f.body, env, depth, free))
     if isinstance(f, And):
-        return And(tuple(_rename(p, env, depth) for p in f.parts))
+        return And(tuple(_normal(p, env, depth, free) for p in f.parts))
     if isinstance(f, Or):
-        return Or(tuple(_rename(p, env, depth) for p in f.parts))
+        return Or(tuple(_normal(p, env, depth, free) for p in f.parts))
     if isinstance(f, Implies):
-        return Implies(_rename(f.left, env, depth), _rename(f.right, env, depth))
+        return Implies(_normal(f.left, env, depth, free), _normal(f.right, env, depth, free))
     if isinstance(f, (Exists, Forall)):
         fresh = f"%b{depth}"
-        body = _rename(f.body, {**env, f.var: fresh}, depth + 1)
-        return type(f)(fresh, body)
+        return type(f)(fresh, _normal(f.body, {**env, f.var: fresh}, depth + 1, free))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -384,7 +394,7 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     return rel
 
 
-# The one compile cache.  It is keyed by the renamed subformula and by
+# The one compile cache.  It is keyed by the normalized subformula and by
 # the state cap, so a result is only served under the cap it was built
 # under, and a compile that raised BudgetExceededError is never stored.
 @lru_cache(maxsize=512)
@@ -392,23 +402,34 @@ def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa
     if isinstance(f, (Cmp, SeqAt, SeqEq)):
         return _compile_atom(f, seq, k, cap)
     if isinstance(f, Not):
-        return A.complement(_compile(f.body, seq, k, cap))
+        return A.complement(_compile_child(f.body, seq, k, cap))
     if isinstance(f, (And, Or)):
         combine = A.intersect if isinstance(f, And) else A.union
-        parts = [_compile(p, seq, k, cap) for p in f.parts]
+        parts = [_compile_child(p, seq, k, cap) for p in f.parts]
         out = parts[0]
         for p in parts[1:]:
             out = combine(out, p, cap)
         return out
     if isinstance(f, Implies):
-        left = A.complement(_compile(f.left, seq, k, cap))
-        return A.union(left, _compile(f.right, seq, k, cap), cap)
+        left = A.complement(_compile_child(f.left, seq, k, cap))
+        return A.union(left, _compile_child(f.right, seq, k, cap), cap)
     if isinstance(f, Exists):
-        body = _compile(f.body, seq, k, cap)
+        body = _compile_child(f.body, seq, k, cap)
         return A.project(body, f.var, cap) if f.var in body.var_order else body
     if isinstance(f, Forall):
-        return _compile(Not(Exists(f.var, Not(f.body))), seq, k, cap)
+        # the dual keeps f's binder and free-variable order: no renaming
+        return A.complement(_compile(Exists(f.var, Not(f.body)), seq, k, cap))
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
+    """Compile a subformula; a quantified one is compiled under its
+    normal names and its tracks renamed back."""
+    if not isinstance(f, (Exists, Forall)):
+        return _compile(f, seq, k, cap)
+    free: dict[str, str] = {}
+    a = _compile(_normal(f, {}, 0, free), seq, k, cap)
+    return A.rename_tracks(a, {new: old for old, new in free.items()})
 
 
 def compile_formula(
@@ -418,13 +439,20 @@ def compile_formula(
     limits: Optional[CompileLimits] = None,
 ) -> Dfa:
     """Compile a formula to the canonical automaton of its satisfying
-    assignments, one track per free variable in sorted order."""
+    assignments, one track per free variable in sorted order.
+
+    Binders are renamed by depth and free variables keep their names, so
+    alpha-equivalent formulas get the identical cached automaton.  Below
+    the root, quantified subformulas are cached with their free variables
+    renamed too, so one that recurs under other argument names (a
+    predicate applied to new variables) is compiled once per process.
+    """
     if k is None:
         k = seq.k if seq is not None else 2
     if seq is not None and seq.k != k:
         raise ValueError("base of the sequence disagrees with requested base")
     cap = limits.max_automaton_states if limits is not None else None
-    return _compile(_rename(f, {}, 0), seq, k, cap)
+    return _compile(_normal(f, {}, 0, None), seq, k, cap)
 
 
 def decide(

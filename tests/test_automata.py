@@ -2,6 +2,7 @@
 combinators checked for language preservation and zero closure, and the
 automaton-with-output text format round-tripped bit for bit."""
 
+import itertools
 import random
 
 import pytest
@@ -133,6 +134,22 @@ def test_product_aligns_tracks_by_name():
     assert both.var_order == ("x", "y", "z")
     rows = grid(12, 12, 12)
     assert [both.accepts(r) for r in rows] == [x < y < z for x, y, z in rows]
+
+
+def test_rename_tracks():
+    tm = load_fixture("thue-morse")
+
+    def rel(x, y, z):  # x + y = z and x[x] = x[z]: no two tracks alike
+        return A.intersect(A.add_rel(2, x, y, z), A.seq_eq_dfa(tm, x, z))
+
+    a = rel("x", "y", "z")
+    same = A.rename_tracks(a, {"x": "b", "y": "c", "z": "d"})
+    assert same.delta is a.delta
+    assert same == rel("b", "c", "d")
+    for names in itertools.permutations("bcd"):
+        assert A.rename_tracks(a, dict(zip("xyz", names))) == rel(*names)
+    with pytest.raises(ValueError, match="collides"):
+        A.rename_tracks(a, {"x": "b", "y": "b", "z": "d"})
 
 
 def test_projection_saturates_leading_zeros():

@@ -149,6 +149,29 @@ def test_shared_conjunct_costs_no_projection(monkeypatch):
     assert len(calls) == alone
 
 
+def test_renamed_free_variables_compile_once(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    L._compile.cache_clear()
+    f = or_(exists("i", seq_at(add("i", "n"), 1)), exists("j", seq_at(add("j", "m"), 1)))
+    a = compile_formula(f, seq=TM)
+    assert a == automata.true_dfa(2, ("m", "n"))
+    # one projection for the i + n helper, one for i; none for the copy
+    assert len(calls) == 2
+
+
+def test_shadowed_binder_and_outer_binder_free_inside():
+    # the inner x rebinds x; the exists over y has the outer x free in it
+    inner = exists("x", and_(lt("x", 3), eq(add("x", "y"), "n")))
+    middle = exists("y", and_(lt("y", 4), seq_at(add("x", "y"), 0), inner))
+    f = exists("x", and_(lt("x", 4), seq_at(add("x", "n"), 1), middle))
+    L._compile.cache_clear()
+    a = compile_formula(f, seq=TM)
+    assert a.var_order == ("n",)
+    got = [a.accepts((n,)) for n in range(16)]
+    assert got == [eval_formula(f, {"n": n}, TM_PREF, bound=4) for n in range(16)]
+    assert got == [1 <= n <= 5 for n in range(16)]
+
+
 # Small formulas over a few names; quantifiers carry explicit bounds so
 # the brute evaluator over range(_BOUND) is exact.
 _BOUND = 4
@@ -233,6 +256,19 @@ def test_cache_hits_agree_with_brute_evaluation(f, h):
     _assert_matches_brute(f, compile_formula(f, seq=TM))
     g = and_(h, _rename_binders(f, {}, itertools.count()))
     _assert_matches_brute(g, compile_formula(g, seq=TM))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(_FORMULAS, st.permutations(("c", "m", "y")))
+def test_renamed_free_variables_match_renamed_tracks(f, targets):
+    # targets in every order, so some renamings re-sort the tracks
+    L._compile.cache_clear()
+    a = compile_formula(f, seq=TM)
+    names = dict(zip(sorted(L.free_vars(f)), targets))
+    g = _rename_binders(f, names, itertools.count())
+    b = compile_formula(g, seq=TM)
+    assert b == automata.rename_tracks(a, names)
+    _assert_matches_brute(g, b)
 
 
 def test_shadowing_and_capture():
