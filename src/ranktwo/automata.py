@@ -254,42 +254,41 @@ def union(a: Dfa, b: Dfa, max_states=None) -> Dfa:
     return product(a, b, lambda x, y: x or y, max_states, "union")
 
 
-def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
-    """Existential projection of one track, with leading-zero saturation.
+def _reversed_rows(delta, letters):
+    """The reverse of a transition table, one packed int per state.
 
-    Dropping a track makes the automaton nondeterministic.  The projected
-    component may need more digits than the remaining tracks, so a tuple
-    can be recognised only in paddings longer than its own minimal one;
-    saturating the initial state set under all-zero columns (any digit on
-    the dropped track) restores closure under leading zeros.
-
-    Subsets of the n input states are n-bit masks.  State q's successors
-    are packed into one int: the mask reached on reduced letter l sits at
-    bit offset l*n.  The successors of a subset are the OR of its
-    members' packed ints, taken one 8-state chunk at a time: the union
-    for each (chunk, byte of the mask) pair is computed on first use and
-    kept in that chunk's dict, so a chunk's table holds at most 256
-    entries of n*L bits each (L reduced letters).
+    Every edge q -> t on letter x of delta sets bit letters[x]*n + q of
+    t's int (n states), so the predecessors of t on reduced letter l form
+    the mask at bit offset l*n.
     """
-    if var not in a.var_order:
-        raise ValueError(f"unknown track {var!r}")
-    k = a.k
-    n = a.num_states
-    new_vars = tuple(v for v in a.var_order if v != var)
-    reduced = _letter_map(k, a.var_order, new_vars)
-    shifts = range(0, letter_count(k, len(new_vars)) * n, n)
-    full = (1 << n) - 1
+    n = len(delta)
+    packed = [0] * n
+    for q, row in enumerate(delta):
+        bit = 1 << q
+        for t, ell in zip(row, letters):
+            packed[t] |= bit << (ell * n)
+    return packed
 
-    packed = []
-    for row in a.delta:
-        p = 0
-        for t, ell in zip(row, reduced):
-            p |= 1 << (ell * n + t)
-        packed.append(p)
+
+def _subsets(packed, n_letters, start, max_states):
+    """Subset construction over packed rows, from the start mask.
+
+    Subsets of the n states are n-bit masks, and packed[q] holds state
+    q's targets on letter l at bit offset l*n.  The targets of a subset
+    are the OR of its members' packed ints, taken one 8-state chunk at a
+    time: the union for each (chunk, byte of the mask) pair is computed
+    on first use and kept in that chunk's dict, so a chunk's table holds
+    at most 256 entries of n*n_letters bits each.  Returns _explore's
+    (order, delta), order[i] being the mask of subset i; more than
+    max_states subsets raise BudgetExceededError("project", max_states).
+    """
+    n = len(packed)
+    shifts = range(0, n_letters * n, n)
+    full = (1 << n) - 1
     tables = [{} for _ in range(0, n, 8)]
     n_bytes = len(tables)
 
-    def packed_union(mask):
+    def successors(mask):
         out = 0
         for j, byte in enumerate(mask.to_bytes(n_bytes, "little")):
             if byte:
@@ -302,25 +301,53 @@ def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
                             u |= packed[8 * j + i]
                     table[byte] = u
                 out |= u
-        return out
-
-    # saturate the start set under all-zero columns
-    start = 1 << a.initial
-    while True:
-        grown = start | (packed_union(start) & full)
-        if grown == start:
-            break
-        start = grown
-
-    def successors(mask):
-        out = packed_union(mask)
         return [out >> s & full for s in shifts]
 
-    order, delta = _explore(start, successors, max_states, "project")
+    return _explore(start, successors, max_states, "project")
+
+
+def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
+    """Existential projection of one track, with leading-zero saturation.
+
+    Dropping a track makes the automaton nondeterministic.  The projected
+    component may need more digits than the remaining tracks, so a tuple
+    can be recognised only in paddings longer than its own minimal one;
+    saturating the initial state set under all-zero columns (any digit on
+    the dropped track) restores closure under leading zeros.
+
+    The nondeterministic automaton is determinized twice, by Brzozowski's
+    double reversal.  The first subset construction runs on its reverse:
+    it starts from a's accepting states, and a subset is final when it
+    meets the saturated start set.  That gives a deterministic automaton
+    for the reversed language with every state reachable, so the second
+    subset construction, on the reverse of that one (starting from its
+    final states, accepting the subsets that hold its start), gives the
+    minimal complete automaton of the projection.  _explore numbers it
+    breadth-first in letter order, which is the canonical numbering, so
+    it is returned as it is, with no minimization pass.  max_states caps
+    the subsets of each of the two constructions.
+    """
+    if var not in a.var_order:
+        raise ValueError(f"unknown track {var!r}")
+    new_vars = tuple(v for v in a.var_order if v != var)
+    reduced = _letter_map(a.k, a.var_order, new_vars)
+    n_letters = letter_count(a.k, len(new_vars))
+
+    # the start set, saturated under all-zero columns
+    start = 1 << a.initial
+    frontier = [a.initial]
+    for q in frontier:
+        for t, ell in zip(a.delta[q], reduced):
+            if ell == 0 and not start >> t & 1:
+                start |= 1 << t
+                frontier.append(t)
     acc_mask = sum(1 << q for q, acc in enumerate(a.accepting) if acc)
-    acc = [bool(mask & acc_mask) for mask in order]
-    del order, tables  # minimization needs neither the subsets nor the unions
-    return canonical_dfa(k, new_vars, delta, acc, 0)
+
+    order, delta = _subsets(_reversed_rows(a.delta, reduced), n_letters, acc_mask, max_states)
+    final = sum(1 << i for i, mask in enumerate(order) if mask & start)
+    del order
+    order, delta = _subsets(_reversed_rows(delta, range(n_letters)), n_letters, final, max_states)
+    return Dfa(a.k, new_vars, tuple(map(tuple, delta)), tuple(bool(mask & 1) for mask in order), 0)
 
 
 def is_empty(a: Dfa) -> bool:
@@ -482,9 +509,10 @@ def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
     """The same relation with track v renamed names[v].
 
     When the new names sort like the old ones the letters keep their
-    meaning and the tables are shared.  Otherwise the tracks are re-sorted,
-    each row's letters permuted to match, and the result renumbered
-    breadth-first, since that order follows the letter order.
+    meaning and the tables are shared.  Otherwise the tracks are re-sorted
+    and each row's letters permuted to match.  Permuting the letters of a
+    minimal automaton leaves it minimal, so only the breadth-first
+    numbering, which follows the letter order, has to be redone.
     """
     new = tuple(names[v] for v in a.var_order)
     order = tuple(sorted(new))
@@ -493,8 +521,8 @@ def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
     if order == new:
         return Dfa(a.k, new, a.delta, a.accepting, a.initial)
     perm = _letter_map(a.k, order, new)
-    delta = [[row[ell] for ell in perm] for row in a.delta]
-    return canonical_dfa(a.k, order, delta, a.accepting, a.initial)
+    states, delta = _explore(a.initial, lambda q: [a.delta[q][ell] for ell in perm])
+    return Dfa(a.k, order, tuple(map(tuple, delta)), tuple(a.accepting[q] for q in states), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -224,15 +224,13 @@ def ref_canonical_dfa(delta, accepting, initial):
     return new_delta, tuple(bool(accepting[q]) for q in reps)
 
 
-def ref_subsets(k, tracks, pos, delta, accepting, initial, limit):
-    """Subset construction for dropping track pos, letters as base-k digit
+def ref_projection_nfa(k, tracks, pos, delta, initial):
+    """The automaton left by dropping track pos, letters as base-k digit
     columns with track 0 most significant.
 
-    One successor set per (state, reduced letter) is precomputed; a
-    subset's successor on a letter is the union of its members' sets.
-    The start set is saturated under the all-zero reduced letter.
-    Returns (delta, accepting) of the raw subset automaton, numbered
-    breadth-first, or None when it has more than limit subsets.
+    Returns (nfa, start): nfa[q][letter] is the set of successors of q
+    on a reduced letter, and start is {initial} saturated under the
+    all-zero reduced letter.
     """
     n_reduced = k ** (tracks - 1)
     nfa = [[set() for _ in range(n_reduced)] for _ in delta]
@@ -250,13 +248,33 @@ def ref_subsets(k, tracks, pos, delta, accepting, initial, limit):
         if grown == start:
             break
         start = grown
+    return nfa, start
+
+
+def ref_reverse(nfa):
+    """The same edges, each pointing the other way."""
+    rev = [[set() for _ in row] for row in nfa]
+    for q, row in enumerate(nfa):
+        for letter, targets in enumerate(row):
+            for t in targets:
+                rev[t][letter].add(q)
+    return rev
+
+
+def ref_determinize(nfa, start, final, limit):
+    """Subset construction from the start set; a subset accepts when it
+    meets final.  A subset's successor on a letter is the union of its
+    members' successor sets.  Returns (delta, accepting) of the raw
+    subset automaton, numbered breadth-first, or None when it has more
+    than limit subsets.
+    """
     start = frozenset(start)
     ids = {start: 0}
     order = [start]
     out = []
     for subset in order:
         row = []
-        for letter in range(n_reduced):
+        for letter in range(len(nfa[0])):
             t = frozenset().union(*(nfa[q][letter] for q in subset))
             if t not in ids:
                 ids[t] = len(order)
@@ -265,4 +283,33 @@ def ref_subsets(k, tracks, pos, delta, accepting, initial, limit):
                     return None
             row.append(ids[t])
         out.append(row)
-    return out, [any(accepting[q] for q in s) for s in order]
+    return out, [not s.isdisjoint(final) for s in order]
+
+
+def ref_subsets(k, tracks, pos, delta, accepting, initial, limit):
+    """The forward subset construction for dropping track pos: (delta,
+    accepting) of the raw subset automaton, or None above limit."""
+    nfa, start = ref_projection_nfa(k, tracks, pos, delta, initial)
+    return ref_determinize(nfa, start, {q for q, acc in enumerate(accepting) if acc}, limit)
+
+
+def ref_double_reversal(k, tracks, pos, delta, accepting, initial, limit):
+    """Brzozowski's two subset constructions for dropping track pos.
+
+    The first determinizes the reverse of the projection's automaton,
+    the second the reverse of the first's result.  Returns ((delta,
+    accepting) of the second, (subsets of the first, subsets of the
+    second)), or None when either pass has more than limit subsets.
+    """
+    nfa, start = ref_projection_nfa(k, tracks, pos, delta, initial)
+    finals = {q for q, acc in enumerate(accepting) if acc}
+    first = ref_determinize(ref_reverse(nfa), finals, start, limit)
+    if first is None:
+        return None
+    rev_delta, rev_acc = first
+    as_nfa = [[{t} for t in row] for row in rev_delta]
+    finals = {i for i, acc in enumerate(rev_acc) if acc}
+    second = ref_determinize(ref_reverse(as_nfa), finals, {0}, limit)
+    if second is None:
+        return None
+    return second, (len(rev_delta), len(second[0]))

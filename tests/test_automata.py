@@ -17,7 +17,13 @@ from ranktwo.errors import (
 )
 from ranktwo.fixtures import fixture_names, load_fixture
 
-from oracles import FIXTURE_ORACLES, ref_canonical_dfa, ref_minimize, ref_subsets
+from oracles import (
+    FIXTURE_ORACLES,
+    ref_canonical_dfa,
+    ref_double_reversal,
+    ref_minimize,
+    ref_subsets,
+)
 
 
 def grid(*ranges):
@@ -267,8 +273,11 @@ def test_budget_errors_name_their_stage():
 # subset masks, plus anything in between
 _SIZES = st.one_of(st.sampled_from((1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70)), st.integers(1, 70))
 _TRACKS = ("a", "b", "c")
-# raw subset count beyond which the reference gives up
+# subsets per pass beyond which the references give up
 _SUBSET_LIMIT = 3000
+# the forward construction, kept as the language oracle, meets up to
+# about 15,000 subsets on these tables
+_FORWARD_LIMIT = 50_000
 
 
 def _random_table(rng, n, n_letters, n_labels, min_classes=1):
@@ -310,34 +319,74 @@ def test_project_matches_reference(seed, k, tracks, n, pos):
     # a complete table that is not minimal, so the subset loop sees all n states
     a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting), initial)
     var = _TRACKS[pos]
-    raw = ref_subsets(k, tracks, pos, delta, accepting, initial, _SUBSET_LIMIT)
-    if raw is None:
+    passes = ref_double_reversal(k, tracks, pos, delta, accepting, initial, _SUBSET_LIMIT)
+    if passes is None:
         with pytest.raises(BudgetExceededError):
             A.project(a, var, max_states=_SUBSET_LIMIT)
         return
-    raw_delta, raw_acc = raw
-    got = A.project(a, var, max_states=len(raw_delta))
-    assert (got.delta, got.accepting) == ref_canonical_dfa(raw_delta, raw_acc, 0)
+    (ref_delta, ref_acc), counts = passes
+    cap = max(counts)
+    got = A.project(a, var, max_states=cap)
+    assert (got.delta, got.accepting) == (tuple(map(tuple, ref_delta)), tuple(ref_acc))
     assert got.var_order == tuple(v for v in _TRACKS[:tracks] if v != var)
-    if len(raw_delta) > 1:
+    # the forward subset construction, minimized, fixes the language
+    forward = ref_subsets(k, tracks, pos, delta, accepting, initial, _FORWARD_LIMIT)
+    if forward is not None:
+        assert (got.delta, got.accepting) == ref_canonical_dfa(*forward, 0)
+    if cap > 1:
         with pytest.raises(BudgetExceededError) as ei:
-            A.project(a, var, max_states=len(raw_delta) - 1)
-        assert (ei.value.stage, ei.value.cap) == ("project", len(raw_delta) - 1)
+            A.project(a, var, max_states=cap - 1)
+        assert (ei.value.stage, ei.value.cap) == ("project", cap - 1)
 
 
 def test_project_budget_counts_raw_subsets():
     # {(y, z) : exists x < y. x + y = z} = {y <= z < 2y}; dropping x from
-    # the 5-state relation meets exactly 6 subsets
+    # the 5-state relation meets 4 subsets in the reversed pass and 6 in
+    # the second, which is the minimal result
     k = 2
     a = A.intersect(A.add_rel(k, "x", "y", "z"), A.less_rel(k, "x", "y"))
-    raw_delta, _ = ref_subsets(k, 3, 0, a.delta, a.accepting, a.initial, _SUBSET_LIMIT)
-    assert (a.num_states, len(raw_delta)) == (5, 6)
+    _, counts = ref_double_reversal(k, 3, 0, a.delta, a.accepting, a.initial, _SUBSET_LIMIT)
+    assert (a.num_states, counts) == (5, (4, 6))
     got = A.project(a, "x", max_states=6)
+    assert got.num_states == 6
     rows = grid(20, 40)
     assert [got.accepts(r) for r in rows] == [y <= z < 2 * y for y, z in rows]
-    with pytest.raises(BudgetExceededError) as ei:
-        A.project(a, "x", max_states=5)
-    assert (ei.value.stage, ei.value.cap) == ("project", 5)
+    for cap in (5, 3):  # the second pass, then the first, goes over
+        with pytest.raises(BudgetExceededError) as ei:
+            A.project(a, "x", max_states=cap)
+        assert (ei.value.stage, ei.value.cap) == ("project", cap)
+
+
+def _is_canonical(a):
+    return A.canonical_dfa(a.k, a.var_order, a.delta, a.accepting, a.initial) == a
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES, st.integers(0, 2)
+)
+def test_project_and_rename_tracks_are_minimal_by_construction(seed, k, tracks, n, pos):
+    delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+    names = _TRACKS[:tracks]
+    raw = A.Dfa(k, names, tuple(map(tuple, delta)), tuple(accepting), initial)
+    try:
+        projected = A.project(raw, names[pos % tracks], max_states=_SUBSET_LIMIT)
+    except BudgetExceededError:
+        pass
+    else:
+        assert _is_canonical(projected)
+    a = A.canonical_dfa(k, names, delta, accepting, initial)
+    for new in itertools.permutations("xyz"[:tracks]):
+        got = A.rename_tracks(a, dict(zip(names, new)))
+        assert _is_canonical(got)
+        # the letter permutation followed by a full canonical_dfa pass
+        order = tuple(sorted(new))
+        perm = [
+            A.encode_letter(k, [A.decode_letter(k, tracks, x)[order.index(v)] for v in new])
+            for x in range(k ** tracks)
+        ]
+        permuted = [[row[ell] for ell in perm] for row in a.delta]
+        assert got == A.canonical_dfa(k, order, permuted, a.accepting, a.initial)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Rank pipeline: trace decision, case split, constants, and verdicts."""
 
+import ast
 import json
 import os
 import random
@@ -209,6 +210,18 @@ def test_validate_explicit_pair_cross_check_survives_optimize_flag():
     assert out.stdout.split() == ["raised", "raised"]
 
 
+def test_library_has_no_assert_statements():
+    # every check in the library must hold under python -O, where assert
+    # statements are compiled away
+    paths = sorted(Path(ranktwo.__file__).parent.glob("*.py"))
+    assert "automata.py" in [p.name for p in paths]
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_decide_with_unbounded_short_companion():
     pair = decide_with_unbounded(P2, (0,))
     assert pair == ExplicitPair((0,), (1,), pair.validated_prefix)
@@ -287,6 +300,18 @@ def test_rank2_decide_budget_breach_names_pattern_stage():
     assert v.patterns_log2 == 10 * p * p * kappa + p + 1
     assert v.patterns_log2 > 10 ** 100
     assert rep.constants["C"] == 65536
+
+
+def test_rank2_decide_small_state_budget_reaches_pattern_stage():
+    # the forward subset constructions of Step 1 meet more than 20,000
+    # subsets here; the two reversed passes stay under 2,000
+    rep = rank2_decide(
+        T3, Budget(max_automaton_states=2000, max_patterns=0), disable_fast_paths=True
+    )
+    v = rep.verdict
+    assert isinstance(v, Inconclusive)
+    assert v.stage == "Step5"
+    assert v.patterns_log2 is not None
 
 
 def test_rank2_decide_assumed_constants_run_pattern_stage():
