@@ -506,7 +506,7 @@ def language_equal(a: Dfa, b: Dfa) -> bool:
 
 
 def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
-    """The same relation with track v renamed names[v].
+    """The same relation with track v renamed names.get(v, v).
 
     When the new names sort like the old ones the letters keep their
     meaning and the tables are shared.  Otherwise the tracks are re-sorted
@@ -514,7 +514,7 @@ def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
     minimal automaton leaves it minimal, so only the breadth-first
     numbering, which follows the letter order, has to be redone.
     """
-    new = tuple(names[v] for v in a.var_order)
+    new = tuple(names.get(v, v) for v in a.var_order)
     order = tuple(sorted(new))
     if len(set(order)) != len(order):
         raise ValueError("track rename collides")
@@ -615,11 +615,13 @@ def _add_rel_aliased(k: int, x: str, y: str, z: str) -> Dfa:
     raise AssertionError("unhandled aliasing")
 
 
-def const_mul_rel(k: int, c: int, x: str, y: str) -> Dfa:
+def const_mul_rel(k: int, c: int, x: str, y: str, max_states: Optional[int] = None) -> Dfa:
     """{(x, y) : y = c * x} by a digit-wise carry construction.
 
     On valid pairs the running value t = c*X - Y stays in (-c, 0]; any
-    step leaving that window is dead.
+    step leaving that window is dead.  The construction has c + 1 raw
+    states; more than max_states raise BudgetExceededError before any
+    row is built.
     """
     if c < 0:
         raise ValueError("c must be a natural number")
@@ -631,6 +633,8 @@ def const_mul_rel(k: int, c: int, x: str, y: str) -> Dfa:
         return eq_rel(k, x, y)
     if x == y:
         return const_rel(k, x, 0)  # y = c*y with c >= 2
+    if max_states is not None and c + 1 > max_states:
+        raise BudgetExceededError("multiplication", max_states, f"c = {c}")
     vars_ = tuple(sorted((x, y)))
     xi = vars_.index(x)
     n_live = c  # t in {0, -1, ..., -(c-1)} encoded as 0..c-1; dead = c

@@ -392,8 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank2", help="full rank decision")
     common(p)
-    p.add_argument("--budget-patterns", type=int, default=4096, metavar="N")
-    p.add_argument("--budget-enumeration", type=int, default=4096, metavar="N")
+    p.add_argument(
+        "--budget-patterns",
+        type=int,
+        default=4096,
+        metavar="N",
+        help="cap on pattern prefixes the pattern search visits; 0 makes it inconclusive at once",
+    )
+    p.add_argument(
+        "--budget-enumeration",
+        type=int,
+        default=4096,
+        metavar="N",
+        help="cap on candidate lists, witness loops and run-chain rounds",
+    )
     p.add_argument("--wall-time", type=float, default=600.0, metavar="SECONDS")
     p.add_argument(
         "--assume-D",

@@ -338,7 +338,7 @@ class CompileLimits:
     max_automaton_states: Optional[int] = None
 
 
-def _lower_term(t: Term, k: int, cons: list, temps: list) -> str:
+def _lower_term(t: Term, k: int, cons: list, temps: list, cap: Optional[int]) -> str:
     """Reduce a term to a variable, emitting defining relations for the
     intermediate values; helpers are existential and projected away as
     soon as the owning atom is assembled."""
@@ -349,12 +349,12 @@ def _lower_term(t: Term, k: int, cons: list, temps: list) -> str:
     if isinstance(t, Const):
         cons.append(A.const_rel(k, name, t.value))
     elif isinstance(t, Sum):
-        la = _lower_term(t.left, k, cons, temps)
-        lb = _lower_term(t.right, k, cons, temps)
+        la = _lower_term(t.left, k, cons, temps, cap)
+        lb = _lower_term(t.right, k, cons, temps, cap)
         cons.append(A.add_rel(k, la, lb, name))
     elif isinstance(t, ConstMul):
-        la = _lower_term(t.arg, k, cons, temps)
-        cons.append(A.const_mul_rel(k, t.c, la, name))
+        la = _lower_term(t.arg, k, cons, temps, cap)
+        cons.append(A.const_mul_rel(k, t.c, la, name, cap))
     else:
         raise TypeError(f"not a term: {t!r}")
     return name
@@ -371,19 +371,19 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     cons: list[Dfa] = []
     temps: list[str] = []
     if isinstance(f, Cmp):
-        va = _lower_term(f.left, k, cons, temps)
-        vb = _lower_term(f.right, k, cons, temps)
+        va = _lower_term(f.left, k, cons, temps, cap)
+        vb = _lower_term(f.right, k, cons, temps, cap)
         rel = _CMP_BUILDERS[f.op](k, va, vb)
     elif isinstance(f, SeqAt):
         if seq is None:
             raise ValueError("formula inspects sequence values but no sequence was given")
-        va = _lower_term(f.index, k, cons, temps)
+        va = _lower_term(f.index, k, cons, temps, cap)
         rel = A.seq_at_dfa(seq, va, f.symbol)
     elif isinstance(f, SeqEq):
         if seq is None:
             raise ValueError("formula inspects sequence values but no sequence was given")
-        va = _lower_term(f.left, k, cons, temps)
-        vb = _lower_term(f.right, k, cons, temps)
+        va = _lower_term(f.left, k, cons, temps, cap)
+        vb = _lower_term(f.right, k, cons, temps, cap)
         rel = A.seq_eq_dfa(seq, va, vb)
     else:
         raise TypeError(f"not an atom: {f!r}")

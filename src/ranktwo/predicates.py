@@ -12,7 +12,6 @@ from __future__ import annotations
 from .logic import (
     Const,
     Formula,
-    Term,
     add,
     and_,
     eq,
@@ -222,99 +221,26 @@ def ultimate_period_formula(c="c", p="p") -> Formula:
     return and_(ge(p, 1), forall(t, implies(ge(t, c), seq_eq(add(t, p), t))))
 
 
-def setup_formula(i: int, d: int, L: int, N: int, r_var: str = "r") -> Formula:
-    """Free r: writing u = x[i..i+d) and v = x[0..r), asserts r >= N, u is
-    neither a prefix nor a suffix of v, and x starts with
-    v u^{e_1} v u^{e_2} ... v u^{e_L} for some exponents e_t >= 0.
-
-    The block positions are threaded through a chain of existentials
-    (P_t = P_{t-1} + r + run_t) so only a constant number of variables is
-    ever live at once; each run is pinned to u-content by d-periodicity,
-    a first-block match against position i, and divisibility by d.
-    """
-    if L < 1 or d < 1:
-        raise ValueError("need L >= 1 and d >= 1")
-    r = term(r_var)
+def block_run(base, n, i: int, d: int) -> Formula:
+    """x[base..base+n) is a run of copies of the block x[i..i+d), i and d
+    concrete: n is a multiple of d, the window has period d, and a
+    nonempty run starts with the block."""
+    base, n = term(base), term(n)
     iC, dC = Const(i), Const(d)
-
-    def run_at(base: Term, length: Term) -> Formula:
-        (q,) = _fresh((r, base, length), 1)
-        return and_(
-            exists(q, eq(length, mul(d, q))),
-            period_f(base, length, dC),
-            implies(ge(length, dC), factoreq(base, iC, dC)),
-        )
-
-    def chain(t: int, prev: Term) -> Formula:
-        # prev = start position of the t-th v block (0-based)
-        if t == L - 1:
-            (n,) = _fresh((r, prev), 1)
-            return exists(n, run_at(add(prev, r), n))
-        nxt, n = _fresh((r, prev), 2)
-        body = and_(
-            eq(add(prev, add(r, n)), nxt),
-            run_at(add(prev, r), n),
-            factoreq(Const(0), nxt, r),
-            chain(t + 1, term(nxt)),
-        )
-        return exists((nxt, n), body)
-
+    (q,) = _fresh((base, n), 1)
     return and_(
-        ge(r, N),
-        not_(prefx(iC, dC, Const(0), r)),
-        not_(suffx(iC, dC, Const(0), r)),
-        chain(0, Const(0)),
+        exists(q, eq(n, mul(d, q))),
+        period_f(base, n, dC),
+        implies(ge(n, dC), factoreq(base, iC, dC)),
     )
 
 
-def setup2_formula(pattern, p: int) -> Formula:
-    """Sentence: there exist blocks u0 = x[i..i+r), u1 = x[j..j+s), each
-    nonempty, mutually neither prefix nor suffix of one another, neither
-    occurring in x as a p-th power, such that the concatenation described
-    by the bit pattern is a prefix of x.
+def power_occurs(start, n, p: int) -> Formula:
+    """Some occurrence of x[start..start+n) begins its p-th power, p concrete.
 
-    Block t starts at a_t·r + b_t·s where a_t, b_t count the zeros and
-    ones before position t, which replaces the recursive position
-    variables of the obvious encoding with closed-form terms.
+    The period conjunct comes first, so a compile under a state cap below
+    p + 1 fails at the multiplication by p before any other work.
     """
-    bits = tuple(int(b) for b in pattern)
-    if len(bits) < 2:
-        raise ValueError("pattern needs length at least 2")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("pattern bits must be 0 or 1")
-    if p < 2:
-        raise ValueError("need p >= 2")
-
-    i, j, r, s = "i", "j", "r", "s"
-    blocks = []
-    a = b = 0
-    for bit in bits:
-        pos = add(mul(a, r), mul(b, s))
-        if bit == 0:
-            blocks.append(factoreq(i, pos, r))
-            a += 1
-        else:
-            blocks.append(factoreq(j, pos, s))
-            b += 1
-
-    def no_pth_power(start, length) -> Formula:
-        (j2,) = _fresh((term(start), term(length)), 1)
-        return not_(
-            exists(
-                j2,
-                and_(factoreq(start, j2, length), period_f(j2, mul(p, length), length)),
-            )
-        )
-
-    body = and_(
-        ge(r, 1),
-        ge(s, 1),
-        not_(prefx(i, r, j, s)),
-        not_(suffx(i, r, j, s)),
-        not_(prefx(j, s, i, r)),
-        not_(suffx(j, s, i, r)),
-        *blocks,
-        no_pth_power(i, r),
-        no_pth_power(j, s),
-    )
-    return exists((i, j, r, s), body)
+    start, n = term(start), term(n)
+    (j,) = _fresh((start, n), 1)
+    return exists(j, and_(period_f(j, mul(p, n), n), factoreq(start, j, n)))

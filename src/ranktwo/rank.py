@@ -8,6 +8,11 @@ constant-driven procedure: enumerate the factors occurring with
 unbounded exponent, try to complete each to a pair, and finally search
 two-block patterns of a computed length D.
 
+Neither late stage unrolls its constant into a formula: each compiles
+its step relations once and iterates them on automata, the run chain of
+the unbounded stage to a fixed point (run_chain) and the pattern stage
+as one depth-first search over pattern prefixes (pattern_prefixes).
+
 Resource pressure never crashes `rank2_decide`: budget breaches become
 Inconclusive verdicts that name the stage and the missing resource.
 """
@@ -19,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from . import automata as A
 from . import predicates as P
 from .analysis import (
     UNBOUNDED,
@@ -32,19 +38,18 @@ from .analysis import (
     strip_max_power_prefix,
     unbounded_primitive_factors,
 )
-from .automata import Dfao, _explore
+from .automata import Dfa, Dfao, _explore
 from .errors import BudgetExceededError, EnumerationLimitError, RankTwoError
 from .logic import (
     CompileLimits,
-    Const,
-    Exists,
+    add,
     and_,
-    decide,
+    compile_formula,
+    eq,
     exists,
+    ge,
     gt,
-    mul,
     not_,
-    term,
     witness,
 )
 from .oracle import dp_factorize, parse_reach, search_pairs
@@ -69,8 +74,12 @@ def lemma_D_constant(kappa: int, p: int) -> int:
 class Budget:
     """Resource caps for the decision pipeline.
 
-    max_patterns = 0 is allowed and makes the pattern stage an immediate
-    budget breach; the other caps must be positive.
+    max_automaton_states caps the raw states of every automaton built.
+    max_patterns caps the nodes, pattern prefixes, that the pattern
+    search visits; 0 is allowed and makes the pattern stage an immediate
+    budget breach.  max_enumeration caps candidate lists, witness loops
+    and the rounds of the run-chain iteration that find no fixed point.
+    The caps other than max_patterns must be positive.
     """
 
     max_automaton_states: int = 200_000
@@ -310,7 +319,6 @@ def decide_with_unbounded(
     budget: Optional[Budget] = None,
     *,
     p_override: Optional[int] = None,
-    L_override: Optional[int] = None,
 ) -> Optional[ExplicitPair]:
     """Find v with x in {u, v}^omega, for u primitive with unbounded powers.
 
@@ -318,12 +326,13 @@ def decide_with_unbounded(
     is a case split on the shape of v: words of the unbounded set and
     short factors first; then, after stripping the maximal u-power
     prefix, prefixes of the remainder that stay inside Fac(u^omega);
-    finally long prefixes constrained by a run-structure formula whose
-    satisfying lengths are re-checked exactly one by one.
+    finally long prefixes whose run structure holds to the depth L (see
+    run_chain), whose satisfying lengths are re-checked exactly one by
+    one.
 
-    p_override and L_override shrink the formula constants for desk-scale
-    runs; every candidate they produce is still validated exactly, so a
-    returned pair is correct regardless (only exhaustiveness is at risk).
+    p_override shrinks p, and with it L, for desk-scale runs; every
+    candidate it produces is still validated exactly, so a returned pair
+    is correct regardless (only exhaustiveness is at risk).
     """
     budget = budget or Budget()
     limits = budget.limits()
@@ -399,54 +408,96 @@ def decide_with_unbounded(
     # (iv) the remaining shape: v = tail[0..r) long, not a power residue,
     # not inside Fac(u^omega), and the tail decomposes into v-blocks
     # separated by u-runs of aligned lengths.  Satisfying r are examined
-    # in increasing order and each candidate is decided exactly.
-    L = L_override if L_override is not None else lemma_L_constant(consts.kappa, p_power)
-    if L > budget.max_enumeration:
-        raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {L}")
+    # in increasing order and each candidate is decided exactly.  The
+    # conjunct with p comes first: a structural p breaches the budget at
+    # once.
+    cap = budget.max_automaton_states
+    shape = and_(not_(P.power_occurs(0, "r", p_power)), not_(P.prefix_in_periodic_orbit("r", u)))
+    shape = compile_formula(shape, seq=tail, limits=limits)
     occ = witness(P.word_at("i", u), seq=tail, limits=limits)
     if occ is None:
         raise RankTwoError(f"{list(u)} has unbounded powers but does not occur in the tail")
-    shape = and_(
-        P.setup_formula(occ["i"], len(u), L, len(u)),
-        not_(
-            exists(
-                "j2",
-                and_(
-                    P.factoreq(Const(0), "j2", "r"),
-                    P.period_f("j2", mul(p_power, term("r")), "r"),
-                ),
-            )
-        ),
-        not_(P.prefix_in_periodic_orbit("r", u)),
-    )
-    floor = None
+    L = lemma_L_constant(consts.kappa, p_power)
+    shape = A.intersect(shape, run_chain(tail, occ["i"], len(u), L, budget), cap)
     for _ in range(budget.max_enumeration):
-        f = shape if floor is None else and_(shape, gt("r", Const(floor)))
-        got = witness(f, seq=tail, limits=limits)
+        got = A.shortest_accepted(shape)
         if got is None:
             return None
-        r = got["r"]
+        (r,) = got
         v = tuple(tail.prefix(r))
         if v != u and decide_fixed_pair(seq, u, v, budget):
             return _explicit_pair(seq, u, v)
-        floor = r
+        shape = A.intersect(shape, compile_formula(gt("r", r), k=tail.k), cap)
     raise BudgetExceededError("run-tower-witnesses", budget.max_enumeration)
 
 
-def _gray_pattern(index: int, width: int) -> tuple[int, ...]:
-    g = index ^ (index >> 1)
-    return tuple((g >> (width - 1 - t)) & 1 for t in range(width))
+def _step(rel: Dfa, step: Dfa, cap: int) -> Dfa:
+    """E q. rel(q) & step(q, q2), with q2 renamed q."""
+    return A.rename_tracks(A.project(A.intersect(rel, step, cap), "q", cap), {"q2": "q"})
 
 
-def _witness_note(seq: Dfao, sentence, budget: Budget, limits) -> str:
-    """Extract the pattern-stage witness blocks and re-check them exactly."""
-    body = sentence
-    while isinstance(body, Exists):
-        body = body.body
+def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
+    """Lengths r >= d such that u = x[i..i+d) is neither a prefix nor a
+    suffix of v = x[0..r), and x starts with v u^e1 v u^e2 ... v u^eL for
+    some exponents e_t >= 0.
+
+    C_t(q, r), a v-block at q starts blocks t..L-1 of that shape, is
+    C_{L-1}(q, r) = E n. run(q + r, n) and, for t < L - 1, C_t(q2, r) =
+    E q, n. C_{t+1}(q, r) & q = q2 + r + n & run(q2 + r, n) & v occurs at q,
+    one _step per round.  The chain only shrinks and canonical automata
+    compare structurally, so a round that changes nothing is a fixed point
+    for every larger L; max_enumeration rounds without one raise
+    BudgetExceededError("run-tower-depth").
+    """
+    if L < 1 or d < 1:
+        raise ValueError("need L >= 1 and d >= 1")
+    limits, cap = budget.limits(), budget.max_automaton_states
+    last = exists("n", P.block_run(add("q", "r"), "n", i, d))
+    run = P.block_run(add("q2", "r"), "n", i, d)
+    back = exists("n", and_(eq("q", add("q2", "r", "n")), run, P.factoreq(0, "q", "r")))
+    head = and_(eq("q", 0), ge("r", d), not_(P.prefx(i, d, 0, "r")), not_(P.suffx(i, d, 0, "r")))
+    chain, back, head = [compile_formula(f, seq=seq, limits=limits) for f in (last, back, head)]
+    for rounds in range(L - 1):
+        if rounds == budget.max_enumeration:
+            raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {L}")
+        shorter = _step(chain, back, cap)
+        if A.language_equal(shorter, chain):
+            break
+        chain = shorter
+    return A.project(A.intersect(head, chain, cap), "q", cap)
+
+
+def pattern_prefixes(seq: Dfao, p: int, budget: Budget):
+    """The relation R_w of the empty pattern and the map R_w, b -> R_wb.
+
+    R_w(i, j, r, s, q) holds when the blocks u0 = x[i..i+r) and
+    u1 = x[j..j+s) are nonempty, neither is a prefix or a suffix of the
+    other, neither occurs as a p-th power, and their concatenation along
+    the bit pattern w is x[0..q).  Extending w only adds conjuncts, so an
+    empty R_w rules out every extension of w.  An extension intersects
+    with the block's occurrence at q, then takes one _step to its end.
+    The conjuncts with p come first: a structural p breaches the budget
+    at once.
+    """
+    blocks = (i, r), (j, s) = ("i", "r"), ("j", "s")
+    root = and_(
+        not_(P.power_occurs(i, r, p)), not_(P.power_occurs(j, s, p)), ge(r, 1), ge(s, 1),
+        not_(P.prefx(i, r, j, s)), not_(P.suffx(i, r, j, s)),
+        not_(P.prefx(j, s, i, r)), not_(P.suffx(j, s, i, r)), eq("q", 0),
+    )
+    limits, cap = budget.limits(), budget.max_automaton_states
+    root = compile_formula(root, seq=seq, limits=limits)
+    # bit b appends block b: it occurs at q, and q2 is where it ends
+    occurs = [compile_formula(P.factoreq(b, "q", n), seq=seq, limits=limits) for b, n in blocks]
+    ends = [compile_formula(eq("q2", add("q", n)), seq=seq, limits=limits) for _, n in blocks]
+    return root, lambda rel, bit: _step(A.intersect(rel, occurs[bit], cap), ends[bit], cap)
+
+
+def _witness_note(seq: Dfao, found: Dfa, budget: Budget) -> str:
+    """The pattern-stage witness blocks from E q. R_w, re-checked exactly."""
     try:
-        got = witness(body, seq=seq, limits=limits)
-        if got is None:
-            return "pattern witness extraction produced no assignment"
+        blocks = A.project(found, "q", budget.max_automaton_states)
+        got = dict(zip(blocks.var_order, A.shortest_accepted(blocks)))
         pref = tuple(seq.prefix(max(got["i"] + got["r"], got["j"] + got["s"])))
         u = pref[got["i"]:got["i"] + got["r"]]
         v = pref[got["j"]:got["j"] + got["s"]]
@@ -583,26 +634,32 @@ def rank2_decide(
                 return report(RankTwo(pair))
 
         stages.append("Step4")
-        if budget.max_patterns <= 0 or D_used >= budget.max_patterns.bit_length():
-            return report(
-                Inconclusive(
-                    "Step5",
-                    f"2^{D_used} patterns exceed max_patterns = {budget.max_patterns}",
-                    patterns_log2=D_used,
-                )
-            )
+        exhausted = f"2^{D_used} patterns exceed max_patterns = {budget.max_patterns}"
+        if budget.max_patterns == 0:
+            return report(Inconclusive("Step5", exhausted, D_used))
 
         stages.append("Step5")
-        for idx in range(1 << D_used):
+        # Depth-first over pattern prefixes, pruning at an empty R_w, with
+        # children in the order (parity of w, its complement): the leaves
+        # come in reflected Gray-code order.
+        root, extend = pattern_prefixes(seq, p_used, budget)
+        stack = [((), root)]
+        visited = 0
+        while stack:
+            visited += 1
+            if visited > budget.max_patterns:
+                return report(Inconclusive("Step5", exhausted, D_used))
             if out_of_time():
-                return report(
-                    Inconclusive("Step5", "wall_time exhausted", patterns_log2=D_used)
-                )
-            patt = _gray_pattern(idx, D_used)
-            sentence = P.setup2_formula(patt, p_used)
-            if decide(sentence, seq=seq, limits=limits):
-                notes.append(_witness_note(seq, sentence, budget, limits))
-                return report(RankTwo(ExistenceByFormula(patt)))
+                return report(Inconclusive("Step5", "wall_time exhausted", D_used))
+            w, rel = stack.pop()
+            rel = extend(rel, w[-1]) if w else rel
+            if A.is_empty(rel):
+                continue
+            if len(w) == D_used:
+                notes.append(_witness_note(seq, rel, budget))
+                return report(RankTwo(ExistenceByFormula(w)))
+            parity = sum(w) & 1
+            stack += [(w + (1 - parity,), rel), (w + (parity,), rel)]
         return report(RankAtLeastThree())
     except (BudgetExceededError, EnumerationLimitError) as exc:
         stage = stages[-1] if stages else "Step0"

@@ -295,9 +295,21 @@ def _random_table(rng, n, n_letters, n_labels, min_classes=1):
 
 
 def _random_dfa(seed, k, tracks, n):
+    """A complete table on n states in m copied classes, as _random_table
+    draws them, of a sparse relation: class 0 is a rejecting sink, and
+    each other class leaves it on a letter with probability 1/10.  Dense
+    random tables almost always project to the empty or the full
+    relation; these keep structure (test_random_relations_have_structure)."""
     rng = random.Random(seed)
-    delta, labels, initial = _random_table(rng, n, k ** tracks, 2)
-    return delta, [bool(x) for x in labels], initial
+    m = rng.randint(1, n)
+    members = [list(range(c, n, m)) for c in range(m)]
+    core = [
+        [rng.randrange(m) if c and rng.random() < 0.1 else 0 for _ in range(k ** tracks)]
+        for c in range(m)
+    ]
+    accepting = [False] + [rng.random() < 0.5 for _ in range(1, m)]
+    delta = [[rng.choice(members[c]) for c in core[q % m]] for q in range(n)]
+    return delta, [accepting[q % m] for q in range(n)], rng.randrange(n)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -337,6 +349,25 @@ def test_project_matches_reference(seed, k, tracks, n, pos):
         with pytest.raises(BudgetExceededError) as ei:
             A.project(a, var, max_states=cap - 1)
         assert (ei.value.stage, ei.value.cap) == ("project", cap - 1)
+
+
+def test_random_relations_have_structure():
+    # 200 seeded draws over two and three tracks: every projection agrees
+    # with the reference, and 121 of them have two or more states
+    rng = random.Random(1)
+    structured = 0
+    for seed in range(200):
+        k, tracks, n = rng.choice((2, 3)), rng.choice((2, 3)), rng.randint(1, 70)
+        pos = rng.randrange(tracks)
+        delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+        (ref_delta, ref_acc), counts = ref_double_reversal(
+            k, tracks, pos, delta, accepting, initial, _SUBSET_LIMIT
+        )
+        a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting), initial)
+        got = A.project(a, _TRACKS[pos], max_states=max(counts))
+        assert (got.delta, got.accepting) == (tuple(map(tuple, ref_delta)), tuple(ref_acc))
+        structured += got.num_states >= 2
+    assert structured == 121
 
 
 def test_project_budget_counts_raw_subsets():

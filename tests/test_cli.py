@@ -260,6 +260,23 @@ def test_decide_command_truth_values(capsys):
     assert json.loads(out)["value"] is True
 
 
+def test_decide_command_budget_holds_inside_multiplication(capsys):
+    # 10^10 + 1 carry states would be built row by row without the check
+    code, out, err = run(
+        capsys,
+        [
+            "decide",
+            "--fixture",
+            "thue-morse",
+            "--budget-states",
+            "1000",
+            "E y. y = 10000000000*y",
+        ],
+    )
+    assert code == 2 and out == ""
+    assert err == "error: budget exceeded at multiplication (cap 1000): c = 10000000000\n"
+
+
 def test_decide_command_rejects_bad_input(capsys):
     code, _, err = run(capsys, ["decide", "--fixture", "thue-morse", "E i. x[i] <"])
     assert code == 2 and "column" in err

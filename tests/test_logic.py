@@ -35,8 +35,9 @@ from ranktwo.logic import (
     witness,
 )
 from ranktwo import predicates as P
+from ranktwo.rank import Budget, pattern_prefixes, run_chain
 
-from oracles import FIXTURE_ORACLES, eval_formula
+from oracles import FIXTURE_ORACLES, eval_formula, setup2_formula, setup_formula
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -456,22 +457,26 @@ def test_setup_formula_matches_brute_scan():
         return rec(r, blocks - 1)
 
     for blocks in (1, 2, 3):
-        a = compile_formula(P.setup_formula(i=1, d=1, L=blocks, N=1), seq=P2)
-        got = [r for r in range(1, 30) if a.accepts((r,))]
-        assert got == [r for r in range(1, 30) if brute(r, blocks)]
+        want = [r for r in range(1, 30) if brute(r, blocks)]
+        unrolled = compile_formula(setup_formula(i=1, d=1, L=blocks, N=1), seq=P2)
+        iterated = run_chain(P2, 1, 1, blocks, Budget())
+        for a in (unrolled, iterated):
+            assert [r for r in range(1, 30) if a.accepts((r,))] == want
 
 
 def test_setup2_witness_is_genuine():
     """Satisfiability plus a hand check of one satisfying assignment."""
     pattern, p = (0, 1), 3
-    sent = P.setup2_formula(pattern, p)
-    assert not is_empty(compile_formula(sent, seq=T3))
-    # strip the outer block of existentials and extract a witness
-    body = sent
+    root, extend = pattern_prefixes(T3, p, Budget())
+    rel = extend(extend(root, 0), 1)
+    assert not is_empty(rel)
+    # E q. R_w is the body of the unrolled sentence
+    blocks = automata.project(rel, "q")
+    body = setup2_formula(pattern, p)
     while isinstance(body, L.Exists):
         body = body.body
-    vals = witness(body, seq=T3)
-    assert vals is not None
+    assert language_equal(blocks, compile_formula(body, seq=T3))
+    vals = dict(zip(blocks.var_order, shortest_accepted(blocks)))
     i, j, r, s = vals["i"], vals["j"], vals["r"], vals["s"]
     assert r >= 1 and s >= 1
     u0, u1 = T3_PREF[i:i + r], T3_PREF[j:j + s]
@@ -479,6 +484,20 @@ def test_setup2_witness_is_genuine():
     # neither block is a prefix or a suffix of the other
     assert not (r <= s and (u1[:r] == u0 or u1[s - r:] == u0))
     assert not (s <= r and (u0[:s] == u1 or u0[r - s:] == u1))
+
+
+def test_multiplication_budget_is_enforced():
+    # the carry construction for c has c + 1 raw states, and a cap below
+    # that is refused before any row is built
+    f = exists("y", eq("y", mul(10 ** 10, "y")))
+    with pytest.raises(BudgetExceededError) as ei:
+        decide(f, seq=TM, limits=CompileLimits(max_automaton_states=1000))
+    assert ei.value.stage == "multiplication" and ei.value.cap == 1000
+    assert str(ei.value) == "budget exceeded at multiplication (cap 1000): c = 10000000000"
+    rel = automata.const_mul_rel(2, 999, "x", "y", max_states=1000)
+    assert rel.accepts((3, 2997)) and not rel.accepts((3, 2996))
+    with pytest.raises(BudgetExceededError):
+        automata.const_mul_rel(2, 999, "x", "y", max_states=999)
 
 
 def test_budget_is_enforced():

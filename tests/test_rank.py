@@ -1,6 +1,7 @@
 """Rank pipeline: trace decision, case split, constants, and verdicts."""
 
 import ast
+import itertools
 import json
 import os
 import random
@@ -12,10 +13,13 @@ from pathlib import Path
 import pytest
 
 import ranktwo
-from ranktwo.analysis import constants, unbounded_primitive_factors
+from ranktwo import automata as A
+from ranktwo import predicates as P
+from ranktwo.analysis import constants, strip_max_power_prefix, unbounded_primitive_factors
 from ranktwo.automata import Dfao
 from ranktwo.errors import BudgetExceededError
 from ranktwo.fixtures import load_fixture
+from ranktwo.logic import Exists, compile_formula, witness
 from ranktwo.oracle import dp_factorize, parse_reach
 from ranktwo.rank import (
     Budget,
@@ -30,9 +34,13 @@ from ranktwo.rank import (
     lemma_D_constant,
     lemma_L_constant,
     pair_omega_membership,
+    pattern_prefixes,
     rank2_decide,
+    run_chain,
     validate_explicit_pair,
 )
+
+from oracles import setup2_formula, setup_formula
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -250,16 +258,69 @@ def test_decide_with_unbounded_preconditions():
 
 def test_decide_with_unbounded_run_tower_finds_pair():
     consts = constants(TWELVE)
-    pair = decide_with_unbounded(TWELVE, (0,), consts, L_override=4, p_override=3)
+    # the run chain reaches its fixed point long before this depth
+    assert lemma_L_constant(consts.kappa, 3) == 25_690_161
+    pair = decide_with_unbounded(TWELVE, (0,), consts, p_override=3)
     assert pair == ExplicitPair((0,), (1, 2), 2 ** 14 + 2)
-    # the shrunken constants only shrink the search: the pair is exact
+    # the shrunken p only shrinks the search: the pair is exact
     assert decide_fixed_pair(TWELVE, pair.u, pair.v) is True
 
 
 def test_decide_with_unbounded_run_tower_exhausts():
     consts = constants(POW23)
-    pair = decide_with_unbounded(POW23, (0,), consts, L_override=6, p_override=3)
+    assert lemma_L_constant(consts.kappa, 3) == 50_225
+    pair = decide_with_unbounded(POW23, (0,), consts, p_override=3)
     assert pair is None
+
+
+def _stripped_tail(seq, u):
+    _, tail = strip_max_power_prefix(seq, u)
+    return tail, witness(P.word_at("i", u), seq=tail)["i"]
+
+
+@pytest.mark.parametrize("name", ["TWELVE", "POW23", "pow2-char"])
+def test_run_chain_matches_unrolled_sentence(name):
+    seq = {"TWELVE": TWELVE, "POW23": POW23, "pow2-char": P2}[name]
+    tail, i = _stripped_tail(seq, (0,))
+    for L in range(1, 25):
+        unrolled = compile_formula(setup_formula(i, 1, L, 1), seq=tail)
+        assert A.language_equal(run_chain(tail, i, 1, L, Budget()), unrolled), L
+
+
+def test_run_chain_rounds_without_fixed_point_are_capped():
+    # TWELVE's chain shrinks in two rounds, and the third changes nothing
+    tail, i = _stripped_tail(TWELVE, (0,))
+    deep = run_chain(tail, i, 1, 25_690_161, Budget())
+    assert run_chain(tail, i, 1, 25_690_161, Budget(max_enumeration=3)) == deep
+    with pytest.raises(BudgetExceededError) as ei:
+        run_chain(tail, i, 1, 25_690_161, Budget(max_enumeration=2))
+    assert str(ei.value) == "budget exceeded at run-tower-depth (cap 2): L = 25690161"
+    # at depth 3 the two rounds are all there is to do
+    assert run_chain(tail, i, 1, 3, Budget(max_enumeration=2)) == run_chain(tail, i, 1, 3, Budget())
+    with pytest.raises(ValueError):
+        run_chain(tail, i, 1, 0, Budget())
+
+
+@pytest.mark.parametrize("name", ["mod3", "thue-morse", "pow2-char", "ternary-tm", "POW23", "TWELVE"])
+def test_pattern_prefixes_match_unrolled_sentences(name):
+    # E q. R_w has the language of the unrolled sentence's body, for
+    # every pattern w of length 2 and 3
+    seq = {"mod3": M3, "thue-morse": TM, "pow2-char": P2, "ternary-tm": T3,
+           "POW23": POW23, "TWELVE": TWELVE}[name]
+    root, extend = pattern_prefixes(seq, 3, Budget())
+    rel = {(): root}
+    for n in (1, 2, 3):
+        for w in itertools.product((0, 1), repeat=n):
+            rel[w] = extend(rel[w[:-1]], w[-1])
+            if n == 1:
+                continue
+            body = setup2_formula(w, 3)
+            while isinstance(body, Exists):
+                body = body.body
+            assert A.language_equal(A.project(rel[w], "q"), compile_formula(body, seq=seq)), w
+    viable = [w for w in rel if len(w) == 3 and not A.is_empty(rel[w])]
+    assert viable == ([(0, 1, 0), (1, 0, 1)] if name in ("mod3", "POW23") else
+                      [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)])
 
 
 def test_rank2_decide_fixture_verdicts():
@@ -280,12 +341,19 @@ def test_rank2_decide_crafted_sequences():
     rep = rank2_decide(TWELVE)
     cert = rep.verdict.certificate
     assert (cert.u, cert.v) == ((0,), (1, 2))
-    # without fast paths the run-tower depth for POW23 is over budget, so
-    # the honest answer is Inconclusive at the unbounded stage
+    # at the assumed p = 3 the run chain of the zeros has a fixed point
+    # with no companion, and no pattern survives past depth 3
     rep = rank2_decide(POW23, assume_D=4)
-    assert isinstance(rep.verdict, Inconclusive)
-    assert rep.verdict.stage == "Step3"
-    assert "run-tower-depth" in rep.verdict.required
+    assert rep.verdict == RankAtLeastThree()
+    assert rep.soundness_flags["unsound"] is True
+    assert rep.budget_report["stages_run"][-1] == "Step5"
+    # at the computed p the multiplication by p is over budget, so the
+    # honest answer is Inconclusive at the unbounded stage
+    rep = rank2_decide(POW23)
+    assert rep.verdict == Inconclusive(
+        "Step3",
+        "budget exceeded at multiplication (cap 200000): c = 85070591730234615865843651857942052864",
+    )
 
 
 def test_rank2_decide_budget_breach_names_pattern_stage():
@@ -322,6 +390,15 @@ def test_rank2_decide_assumed_constants_run_pattern_stage():
     assert any("D = 4" in a for a in flags["assumptions"])
     assert any("p = 3" in a for a in flags["assumptions"])
     assert any("re-validated exactly" in n for n in flags["notes"])
+    assert rep.budget_report["stages_run"][-1] == "Step5"
+
+
+def test_pattern_search_counts_nodes_against_max_patterns():
+    # the search visits (), 0, 00 (empty, pruned), 01, 011 and 0110
+    rep = rank2_decide(T3, Budget(max_patterns=6), disable_fast_paths=True, assume_D=4)
+    assert rep.verdict == RankTwo(ExistenceByFormula((0, 1, 1, 0)))
+    rep = rank2_decide(T3, Budget(max_patterns=5), disable_fast_paths=True, assume_D=4)
+    assert rep.verdict == Inconclusive("Step5", "2^4 patterns exceed max_patterns = 5", 4)
     assert rep.budget_report["stages_run"][-1] == "Step5"
 
 
