@@ -17,6 +17,7 @@ comparison.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -528,130 +529,40 @@ def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
 # ---------------------------------------------------------------------------
 # arithmetic relation builders
 
-def eq_rel(k: int, x: str, y: str) -> Dfa:
-    """{(x, y) : x = y}."""
-    if x == y:
-        return true_dfa(k, (x,))
-    vars_ = tuple(sorted((x, y)))
-    delta, acc = [], []
-    for q in range(2):  # 0 equal so far, 1 dead
-        row = []
-        for ell in range(k * k):
-            dx, dy = decode_letter(k, 2, ell)
-            row.append(0 if q == 0 and dx == dy else 1)
-        delta.append(row)
-        acc.append(q == 0)
-    return canonical_dfa(k, vars_, delta, acc, 0)
+_COMPARE = {"=": operator.eq, "<=": operator.le, "<": operator.lt}
 
 
-def _cmp_rel(k: int, x: str, y: str, accept_eq: bool) -> Dfa:
-    # state 0: equal so far; 1: x < y decided; 2: x > y decided
-    if x == y:
-        return true_dfa(k, (x,)) if accept_eq else false_dfa(k, (x,))
-    vars_ = tuple(sorted((x, y)))
-    xi = vars_.index(x)
-    delta, acc = [], []
-    for q in range(3):
-        row = []
-        for ell in range(k * k):
-            digits = decode_letter(k, 2, ell)
-            dx, dy = digits[xi], digits[1 - xi]
-            if q == 0:
-                row.append(0 if dx == dy else (1 if dx < dy else 2))
-            else:
-                row.append(q)
-        delta.append(row)
-    acc = [accept_eq, True, False]
-    return canonical_dfa(k, vars_, delta, acc, 0)
+def linear_rel(k: int, coeffs: Mapping[str, int], op: str,
+               max_states: Optional[int] = None) -> Dfa:
+    """{v : sum of coeffs[x] * v_x op 0} for op in '=', '<=', '<'.
 
-
-def less_rel(k: int, x: str, y: str) -> Dfa:
-    """{(x, y) : x < y}."""
-    return _cmp_rel(k, x, y, accept_eq=False)
-
-
-def leq_rel(k: int, x: str, y: str) -> Dfa:
-    """{(x, y) : x <= y}."""
-    return _cmp_rel(k, x, y, accept_eq=True)
-
-
-def add_rel(k: int, x: str, y: str, z: str) -> Dfa:
-    """{(x, y, z) : x + y = z}, digits most significant first.
-
-    The state tracks t = (x + y - z) restricted to the prefixes read so
-    far; only t in {0, -1} can still reach t = 0, everything else is dead.
+    One track per name in coeffs, a zero coefficient included.  Digits
+    are read most significant first; the state is g, the weighted value
+    of the prefixes read so far, and a column of digits d takes g to
+    k*g + sum of coeffs[x] * d_x.  With P the sum of the positive
+    coefficients and N that of the magnitudes of the negative ones, a g
+    >= max(1, N) never comes back down and a g <= min(-1, -P) never
+    comes back up, so each side is one sink; a state accepts iff g op 0,
+    and for '=', where both sinks reject, they are one dead state.  So
+    x = y has 2 raw states, x < y and x + y = z have 3, and y = c*x has
+    c + 1; more than max_states raise BudgetExceededError at "linear".
     """
-    names = (x, y, z)
-    if len(set(names)) != 3:
-        # degenerate aliases reduce to linear facts; build via generic path
-        return _add_rel_aliased(k, x, y, z)
-    vars_ = tuple(sorted(names))
-    pix, piy, piz = (vars_.index(n) for n in names)
-    tvals = {0: 0, -1: 1}
-    delta, acc = [], []
-    for q in range(3):  # 0 -> t=0, 1 -> t=-1, 2 dead
-        row = []
-        for ell in range(k ** 3):
-            digits = decode_letter(k, 3, ell)
-            if q == 2:
-                row.append(2)
-                continue
-            t = (0 if q == 0 else -1) * k + digits[pix] + digits[piy] - digits[piz]
-            row.append(tvals.get(t, 2))
-        delta.append(row)
-        acc.append(q == 0)
-    return canonical_dfa(k, vars_, delta, acc, 0)
+    compare = _COMPARE[op]
+    names = tuple(sorted(coeffs))
+    a = [coeffs[x] for x in names]
+    hi = max(1, -sum(c for c in a if c < 0))
+    lo = min(-1, -sum(c for c in a if c > 0))
+    below = hi if op == "=" else lo
+    steps = [
+        sum(c * d for c, d in zip(a, decode_letter(k, len(names), ell)))
+        for ell in range(letter_count(k, len(names)))
+    ]
 
+    def successors(g):
+        return [min(hi, t) if t > lo else below for t in [k * g + s for s in steps]]
 
-def _add_rel_aliased(k: int, x: str, y: str, z: str) -> Dfa:
-    if x == y and y == z:
-        return const_rel(k, x, 0)  # n + n = n
-    if x == y:
-        return const_mul_rel(k, 2, x, z)  # 2x = z
-    if z == x:  # x + y = x  ->  y = 0, x free
-        return intersect(const_rel(k, y, 0), true_dfa(k, (x,)))
-    if z == y:
-        return intersect(const_rel(k, x, 0), true_dfa(k, (y,)))
-    raise AssertionError("unhandled aliasing")
-
-
-def const_mul_rel(k: int, c: int, x: str, y: str, max_states: Optional[int] = None) -> Dfa:
-    """{(x, y) : y = c * x} by a digit-wise carry construction.
-
-    On valid pairs the running value t = c*X - Y stays in (-c, 0]; any
-    step leaving that window is dead.  The construction has c + 1 raw
-    states; more than max_states raise BudgetExceededError before any
-    row is built.
-    """
-    if c < 0:
-        raise ValueError("c must be a natural number")
-    if c == 0:
-        if x == y:
-            return const_rel(k, x, 0)
-        return intersect(const_rel(k, y, 0), true_dfa(k, (x,)))
-    if c == 1:
-        return eq_rel(k, x, y)
-    if x == y:
-        return const_rel(k, x, 0)  # y = c*y with c >= 2
-    if max_states is not None and c + 1 > max_states:
-        raise BudgetExceededError("multiplication", max_states, f"c = {c}")
-    vars_ = tuple(sorted((x, y)))
-    xi = vars_.index(x)
-    n_live = c  # t in {0, -1, ..., -(c-1)} encoded as 0..c-1; dead = c
-    delta, acc = [], []
-    for q in range(n_live + 1):
-        row = []
-        for ell in range(k * k):
-            digits = decode_letter(k, 2, ell)
-            dx, dy = digits[xi], digits[1 - xi]
-            if q == n_live:
-                row.append(n_live)
-                continue
-            t = -q * k + c * dx - dy
-            row.append(-t if -(c - 1) <= t <= 0 else n_live)
-        delta.append(row)
-        acc.append(q == 0)
-    return canonical_dfa(k, vars_, delta, acc, 0)
+    order, delta = _explore(0, successors, max_states, "linear")
+    return canonical_dfa(k, names, delta, [compare(g, 0) for g in order], 0)
 
 
 def const_rel(k: int, x: str, c: int) -> Dfa:
@@ -724,6 +635,8 @@ class Dfao:
         zero self-loop, so state_of(k*m + d) = delta[state_of(m)][d] holds
         for every m >= 0.
         """
+        if n < 0:
+            raise ValueError("prefix lengths are naturals")
         c = self.canonical()
         states = [0] * max(n, 1)
         states[0] = c.initial

@@ -4,7 +4,10 @@ to automata.
 Terms are built from variables, constants, addition, and multiplication
 by constants.  Atoms compare two terms or look a term up in an automatic
 sequence (x[t] = symbol, or x[s] = x[t]).  Formulas combine atoms with
-the usual connectives and quantifiers over the naturals.
+the usual connectives and quantifiers over the naturals.  Every term is
+linear, so a comparison compiles to one automaton for the linear
+constraint on the difference of its sides, and a sequence index that is
+not a plain variable to one such automaton on a helper track.
 
 Compiling a formula yields a canonical Dfa over one digit track per free
 variable, reading base-k digit columns most significant first: the
@@ -24,6 +27,7 @@ from typing import Optional, Union
 
 from . import automata as A
 from .automata import Dfa, Dfao
+from .errors import BudgetExceededError
 
 
 # ---------------------------------------------------------------------------
@@ -337,60 +341,75 @@ class CompileLimits:
 
     max_automaton_states: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        if self.max_automaton_states is not None and self.max_automaton_states < 1:
+            raise ValueError("max_automaton_states must be positive")
 
-def _lower_term(t: Term, k: int, cons: list, temps: list, cap: Optional[int]) -> str:
-    """Reduce a term to a variable, emitting defining relations for the
-    intermediate values; helpers are existential and projected away as
-    soon as the owning atom is assembled."""
+
+def _linear(t: Term, cap: Optional[int], scale: int, coeffs: dict[str, int]) -> int:
+    """Fold scale * t into coeffs, one coefficient per variable, and
+    return its constant.  A variable keeps its entry when its
+    coefficient is 0.  A multiplication by c needs c + 1 states, so one
+    with c + 1 > cap is refused before any automaton is built."""
     if isinstance(t, Var):
-        return t.name
-    name = f"%a{len(temps)}"
-    temps.append(name)
+        coeffs[t.name] = coeffs.get(t.name, 0) + scale
+        return 0
     if isinstance(t, Const):
-        cons.append(A.const_rel(k, name, t.value))
-    elif isinstance(t, Sum):
-        la = _lower_term(t.left, k, cons, temps, cap)
-        lb = _lower_term(t.right, k, cons, temps, cap)
-        cons.append(A.add_rel(k, la, lb, name))
-    elif isinstance(t, ConstMul):
-        la = _lower_term(t.arg, k, cons, temps, cap)
-        cons.append(A.const_mul_rel(k, t.c, la, name, cap))
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return name
+        return scale * t.value
+    if isinstance(t, Sum):
+        return _linear(t.left, cap, scale, coeffs) + _linear(t.right, cap, scale, coeffs)
+    if isinstance(t, ConstMul):
+        if cap is not None and t.c + 1 > cap:
+            raise BudgetExceededError("multiplication", cap, f"c = {t.c}")
+        return _linear(t.arg, cap, scale * t.c, coeffs)
+    raise TypeError(f"not a term: {t!r}")
 
 
-_CMP_BUILDERS = {
-    CmpOp.EQ: A.eq_rel,
-    CmpOp.LE: A.leq_rel,
-    CmpOp.LT: A.less_rel,
-}
+def _linear_atom(coeffs: dict[str, int], const: int, op: str, k: int,
+                 cap: Optional[int]) -> Dfa:
+    """{v : sum of coeffs[x] * v_x + const op 0}.  A constant c needs
+    O(c) states inside a linear relation but O(log c) in const_rel, so a
+    nonzero one rides on a helper track %c, bound to |c| by const_rel
+    and projected away."""
+    if const == 0:
+        return A.linear_rel(k, coeffs, op, cap)
+    rel = A.linear_rel(k, {**coeffs, "%c": 1 if const > 0 else -1}, op, cap)
+    return A.project(A.intersect(rel, A.const_rel(k, "%c", abs(const)), cap), "%c", cap)
 
 
 def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
-    cons: list[Dfa] = []
-    temps: list[str] = []
+    """A comparison is one linear relation of left - right.  A sequence
+    index that does not fold to a lone variable becomes a helper track
+    %a<i> = index, intersected in and projected away."""
     if isinstance(f, Cmp):
-        va = _lower_term(f.left, k, cons, temps, cap)
-        vb = _lower_term(f.right, k, cons, temps, cap)
-        rel = _CMP_BUILDERS[f.op](k, va, vb)
-    elif isinstance(f, SeqAt):
-        if seq is None:
-            raise ValueError("formula inspects sequence values but no sequence was given")
-        va = _lower_term(f.index, k, cons, temps, cap)
-        rel = A.seq_at_dfa(seq, va, f.symbol)
+        coeffs: dict[str, int] = {}
+        const = _linear(f.left, cap, 1, coeffs) + _linear(f.right, cap, -1, coeffs)
+        return _linear_atom(coeffs, const, f.op.value, k, cap)
+    if seq is None:
+        raise ValueError("formula inspects sequence values but no sequence was given")
+    if isinstance(f, SeqAt):
+        indices = (f.index,)
     elif isinstance(f, SeqEq):
-        if seq is None:
-            raise ValueError("formula inspects sequence values but no sequence was given")
-        va = _lower_term(f.left, k, cons, temps, cap)
-        vb = _lower_term(f.right, k, cons, temps, cap)
-        rel = A.seq_eq_dfa(seq, va, vb)
+        indices = (f.left, f.right)
     else:
         raise TypeError(f"not an atom: {f!r}")
-    for c in cons:
-        rel = A.intersect(rel, c, cap)
-    for name in reversed(temps):
-        rel = A.project(rel, name, cap)
+    names, helpers = [], []
+    for t in indices:
+        coeffs = {}
+        const = _linear(t, cap, 1, coeffs)
+        if const == 0 and list(coeffs.values()) == [1]:
+            (name,) = coeffs
+        else:
+            name = f"%a{len(helpers)}"
+            coeffs[name] = -1
+            helpers.append((name, _linear_atom(coeffs, const, "=", k, cap)))
+        names.append(name)
+    if isinstance(f, SeqAt):
+        rel = A.seq_at_dfa(seq, names[0], f.symbol)
+    else:
+        rel = A.seq_eq_dfa(seq, *names)
+    for name, h in helpers:
+        rel = A.project(A.intersect(rel, h, cap), name, cap)
     return rel
 
 

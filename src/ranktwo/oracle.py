@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from typing import Optional
 
 from .automata import Dfao
@@ -96,15 +96,21 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
     with |u| + |v| <= max_total and u != v.  A pair qualifies when block
     parses reach a cut whose residual is shorter than the longer block
     and is a prefix of one of the blocks, so the word could be a prefix
-    of an infinite u/v product.  Pairs come out sorted by total length.
+    of an infinite u/v product.  The search stops after limit pairs, if
+    given; the pairs found come out sorted by total length.
     """
-    word = tuple(word)
+    if limit is not None and limit < 0:
+        raise ValueError("pair limits are naturals")
+    found = islice(_tiling_pairs(tuple(word), max_total), limit)
+    return sorted(found, key=lambda p: (len(p[0]) + len(p[1]), p))
+
+
+def _tiling_pairs(word, max_total: int):
     n = len(word)
     factors = set()
     for ln in range(1, max_total):
         for s in range(n - ln + 1):
             factors.add(word[s:s + ln])
-    out = []
     for lu in range(1, min(max_total, n + 1)):
         u = word[:lu]
         for v in sorted(f for f in factors if len(f) <= max_total - lu):
@@ -115,14 +121,13 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
             if len(rest) < max(len(u), len(v)) and (
                 rest == u[:len(rest)] or rest == v[:len(rest)]
             ):
-                out.append((u, v))
-                if limit is not None and len(out) >= limit:
-                    return sorted(out, key=lambda p: (len(p[0]) + len(p[1]), p))
-    return sorted(out, key=lambda p: (len(p[0]) + len(p[1]), p))
+                yield u, v
 
 
 def brute_appearance(word, n: int) -> int:
     """Least m such that every length-n factor of word starts before m - n."""
+    if n < 0:
+        raise ValueError("factor lengths are naturals")
     if n == 0:
         return 0
     word = tuple(word)

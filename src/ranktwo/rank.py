@@ -88,8 +88,7 @@ class Budget:
     wall_time: float = 600.0
 
     def __post_init__(self) -> None:
-        if self.max_automaton_states < 1:
-            raise ValueError("max_automaton_states must be positive")
+        self.limits()  # checks max_automaton_states
         if self.max_patterns < 0:
             raise ValueError("max_patterns must be nonnegative")
         if self.max_enumeration < 1:
@@ -514,32 +513,26 @@ def rank2_decide(
     *,
     disable_fast_paths: bool = False,
     assume_D: Optional[int] = None,
-    assume_p: Optional[int] = None,
 ) -> RankReport:
     """Decide Rank1 / RankTwo / RankAtLeastThree, or report Inconclusive.
 
-    assume_D and assume_p override the computed constants so the later
-    stages become exercisable at desk scale.  Every report of a run with
-    either hook is flagged unsound, whichever stage produced the verdict
-    and even when the recovered witness re-validates, because
-    exhaustiveness of the search is no longer guaranteed at the shrunken
-    constants.
+    assume_D overrides the computed pattern length, and with it assumes
+    p = 3, so the later stages become exercisable at desk scale.  Every
+    report of a run with the hook is flagged unsound, whichever stage
+    produced the verdict and even when the recovered witness
+    re-validates, because exhaustiveness of the search is no longer
+    guaranteed at the shrunken constants.
     """
     budget = budget or Budget()
     limits = budget.limits()
     started = time.monotonic()
-    if assume_D is not None:
-        if assume_D < 2:
-            raise ValueError("assume_D must be at least 2")
-        if assume_p is None:
-            assume_p = 3
-    if assume_p is not None and assume_p < 1:
-        raise ValueError("assume_p must be at least 1")
-    hooked = assume_D is not None or assume_p is not None
+    hooked = assume_D is not None
+    if hooked and assume_D < 2:
+        raise ValueError("assume_D must be at least 2")
+    p_assumed = 3 if hooked else None
     assumptions = []
-    if assume_p is not None:
-        assumptions.append(f"p = {assume_p} assumed, not computed")
-    if assume_D is not None:
+    if hooked:
+        assumptions.append(f"p = {p_assumed} assumed, not computed")
         assumptions.append(f"D = {assume_D} assumed, not computed")
     if disable_fast_paths:
         assumptions.append("fast paths disabled")
@@ -606,9 +599,9 @@ def rank2_decide(
 
         stages.append("Step1")
         consts = sequence_constants(seq, limits)
-        p_used = assume_p if assume_p is not None else consts.p
+        p_used = p_assumed if hooked else consts.p
         L_used = lemma_L_constant(consts.kappa, p_used)
-        D_used = assume_D if assume_D is not None else lemma_D_constant(consts.kappa, p_used)
+        D_used = assume_D if hooked else lemma_D_constant(consts.kappa, p_used)
         consts_view = {
             "C": consts.C,
             "kappa": consts.kappa,
@@ -627,7 +620,7 @@ def rank2_decide(
         for _, _, w in members:
             if out_of_time():
                 return report(Inconclusive("Step3", "wall_time exhausted"))
-            pair = decide_with_unbounded(seq, w, consts, budget, p_override=assume_p)
+            pair = decide_with_unbounded(seq, w, consts, budget, p_override=p_assumed)
             if pair is not None:
                 if hooked:
                     notes.append("unbounded-stage pair re-validated exactly")

@@ -35,9 +35,14 @@ def grid(*ranges):
 # ---------------------------------------------------------------------------
 # arithmetic relations vs arithmetic itself
 
+def lin(k, op, **coeffs):
+    """{v : sum of coeffs[x] * v_x op 0}."""
+    return A.linear_rel(k, coeffs, op)
+
+
 def test_eq_rel():
     for k in (2, 3):
-        eq = A.eq_rel(k, "x", "y")
+        eq = lin(k, "=", x=1, y=-1)
         assert eq.num_states == 2
         assert A.is_zero_closed(eq)
         rows = grid(40, 40)
@@ -47,20 +52,21 @@ def test_eq_rel():
 
 def test_order_rels():
     for k in (2, 3):
-        lt = A.less_rel(k, "x", "y")
-        le = A.leq_rel(k, "x", "y")
+        lt = lin(k, "<", x=1, y=-1)
+        le = lin(k, "<=", x=1, y=-1)
         assert lt.num_states == 3 and le.num_states == 3
         rows = grid(40, 40)
         assert [lt.accepts(r) for r in rows] == [x < y for x, y in rows]
         assert [le.accepts(r) for r in rows] == [x <= y for x, y in rows]
         # the three orderings partition pairs
-        gt = A.intersect(A.complement(lt), A.complement(A.eq_rel(k, "x", "y")))
+        gt = A.intersect(A.complement(lt), A.complement(lin(k, "=", x=1, y=-1)))
         assert [gt.accepts(r) for r in rows] == [x > y for x, y in rows]
+        assert gt == lin(k, "<", x=-1, y=1)
 
 
 def test_add_rel():
     for k in (2, 3, 4):
-        add = A.add_rel(k, "x", "y", "z")
+        add = lin(k, "=", x=1, y=1, z=-1)
         assert add.var_order == ("x", "y", "z")
         assert A.is_zero_closed(add)
         rows = grid(18, 18, 36)
@@ -68,19 +74,21 @@ def test_add_rel():
 
 
 def test_add_rel_aliased():
+    # x + x = z, x + y = x and x + x = x, with like terms collected
     k = 2
-    double = A.add_rel(k, "x", "x", "z")
+    double = lin(k, "=", x=2, z=-1)
     assert [double.accepts(r) for r in grid(20, 40)] == [2 * x == z for x, z in grid(20, 40)]
-    zero_y = A.add_rel(k, "x", "y", "x")
+    zero_y = lin(k, "=", x=0, y=1)
+    assert zero_y.var_order == ("x", "y")
     assert [zero_y.accepts(r) for r in grid(20, 20)] == [y == 0 for x, y in grid(20, 20)]
-    zero_x = A.add_rel(k, "x", "x", "x")
+    zero_x = lin(k, "=", x=1)
     assert [zero_x.accepts(r) for r in grid(20)] == [x == 0 for (x,) in grid(20)]
 
 
 def test_const_mul_rel():
     for k in (2, 3):
         for c in (0, 1, 2, 3, 5, 7):
-            rel = A.const_mul_rel(k, c, "x", "y")
+            rel = lin(k, "=", x=c, y=-1)
             rows = grid(30, 30 * max(c, 1) + 5)
             assert [rel.accepts(r) for r in rows] == [c * x == y for x, y in rows], (k, c)
             assert A.is_zero_closed(rel)
@@ -91,9 +99,28 @@ def test_const_mul_rel_random(seeded_rng=random.Random(21)):
         k = seeded_rng.randint(2, 5)
         c = seeded_rng.randint(1, 9)
         x = seeded_rng.randint(0, 10**6)
-        rel = A.const_mul_rel(k, c, "x", "y")
+        rel = lin(k, "=", x=c, y=-1)
         assert rel.accepts([x, c * x])
         assert not rel.accepts([x, c * x + seeded_rng.randint(1, 3)])
+
+
+_OPS = {"=": lambda g: g == 0, "<=": lambda g: g <= 0, "<": lambda g: g < 0}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+    st.sampled_from((2, 3)),
+    st.sampled_from(sorted(_OPS)),
+)
+def test_linear_rel_matches_arithmetic(coeffs, k, op):
+    names = "xyz"[:len(coeffs)]
+    rel = A.linear_rel(k, dict(zip(names, coeffs)), op)
+    assert rel.var_order == tuple(names)
+    assert A.is_zero_closed(rel)
+    rows = grid(*[{1: 60, 2: 24, 3: 10}[len(coeffs)]] * len(coeffs))
+    want = [_OPS[op](sum(c * v for c, v in zip(coeffs, r))) for r in rows]
+    assert [rel.accepts(r) for r in rows] == want
 
 
 def test_const_rel():
@@ -109,9 +136,9 @@ def test_const_rel():
 
 def test_boolean_ops_language_level():
     k = 2
-    lt = A.less_rel(k, "x", "y")
-    eq = A.eq_rel(k, "x", "y")
-    le = A.leq_rel(k, "x", "y")
+    lt = lin(k, "<", x=1, y=-1)
+    eq = lin(k, "=", x=1, y=-1)
+    le = lin(k, "<=", x=1, y=-1)
     assert A.language_equal(le, A.union(lt, eq))
     assert A.is_empty(A.intersect(lt, eq))
     assert A.language_equal(lt, A.complement(A.complement(lt)))
@@ -134,8 +161,8 @@ def test_canonical_dfa_ignores_unreachable_states():
 
 def test_product_aligns_tracks_by_name():
     k = 2
-    lt_xy = A.less_rel(k, "x", "y")
-    lt_yz = A.less_rel(k, "y", "z")
+    lt_xy = lin(k, "<", x=1, y=-1)
+    lt_yz = lin(k, "<", y=1, z=-1)
     both = A.intersect(lt_xy, lt_yz)
     assert both.var_order == ("x", "y", "z")
     rows = grid(12, 12, 12)
@@ -146,7 +173,7 @@ def test_rename_tracks():
     tm = load_fixture("thue-morse")
 
     def rel(x, y, z):  # x + y = z and x[x] = x[z]: no two tracks alike
-        return A.intersect(A.add_rel(2, x, y, z), A.seq_eq_dfa(tm, x, z))
+        return A.intersect(A.linear_rel(2, {x: 1, y: 1, z: -1}, "="), A.seq_eq_dfa(tm, x, z))
 
     a = rel("x", "y", "z")
     same = A.rename_tracks(a, {"x": "b", "y": "c", "z": "d"})
@@ -162,7 +189,7 @@ def test_projection_saturates_leading_zeros():
     # y = 3x needs more digits on the y track; after dropping it the
     # remaining encoding must still be accepted in its minimal width.
     k = 2
-    rel = A.const_mul_rel(k, 3, "x", "y")
+    rel = lin(k, "=", x=3, y=-1)
     ex_y = A.project(rel, "y")
     assert A.language_equal(ex_y, A.true_dfa(k, ("x",)))
     ex_x = A.project(rel, "x")
@@ -171,7 +198,7 @@ def test_projection_saturates_leading_zeros():
 
 def test_projection_matches_brute_quantifier():
     k = 2
-    add = A.add_rel(k, "x", "y", "z")
+    add = lin(k, "=", x=1, y=1, z=-1)
     c = A.const_rel(k, "z", 9)
     ex = A.project(A.project(A.intersect(add, c), "z"), "y")
     assert [n for n in range(20) if ex.accepts([n])] == list(range(10))
@@ -179,11 +206,11 @@ def test_projection_matches_brute_quantifier():
 
 def test_sentence_decision():
     k = 2
-    lt = A.less_rel(k, "x", "y")
+    lt = lin(k, "<", x=1, y=-1)
     sat = A.project(A.project(lt, "x"), "y")
     assert sat.var_order == ()
     assert sat.accepts([])
-    unsat = A.project(A.project(A.intersect(lt, A.eq_rel(k, "x", "y")), "x"), "y")
+    unsat = A.project(A.project(A.intersect(lt, lin(k, "=", x=1, y=-1)), "x"), "y")
     assert not unsat.accepts([])
 
 
@@ -191,10 +218,10 @@ def test_zero_closure_preserved_by_pipeline():
     rng = random.Random(22)
     k = 2
     pool = [
-        A.less_rel(k, "x", "y"),
-        A.eq_rel(k, "y", "z"),
-        A.add_rel(k, "x", "y", "z"),
-        A.const_mul_rel(k, 3, "x", "z"),
+        lin(k, "<", x=1, y=-1),
+        lin(k, "=", y=1, z=-1),
+        lin(k, "=", x=1, y=1, z=-1),
+        lin(k, "=", x=3, z=-1),
         A.const_rel(k, "y", 6),
     ]
     for _ in range(40):
@@ -212,7 +239,7 @@ def test_zero_closure_preserved_by_pipeline():
 def test_padding_invariance_random():
     rng = random.Random(23)
     k = 2
-    rel = A.intersect(A.add_rel(k, "x", "y", "z"), A.less_rel(k, "x", "z"))
+    rel = A.intersect(lin(k, "=", x=1, y=1, z=-1), lin(k, "<", x=1, z=-1))
     for _ in range(200):
         vals = [rng.randint(0, 400) for _ in range(3)]
         enc = A.encode_tuple(k, vals)
@@ -226,16 +253,16 @@ def test_shortest_accepted():
     assert A.shortest_accepted(A.false_dfa(k, ("x",))) is None
     assert A.shortest_accepted(A.true_dfa(k, ("x", "y"))) == (0, 0)
     # least string witness of x + y = 5 by column encoding
-    w = A.shortest_accepted(A.intersect(A.add_rel(k, "x", "y", "z"), A.const_rel(k, "z", 5)))
+    w = A.shortest_accepted(A.intersect(lin(k, "=", x=1, y=1, z=-1), A.const_rel(k, "z", 5)))
     assert w is not None and w[0] + w[1] == 5 and w[2] == 5
 
 
 def test_shortest_accepted_is_least_single_track():
     k = 2
     # multiples of 3 that are at least 5: least is 6
-    rel = A.project(A.const_mul_rel(k, 3, "x", "y"), "x")
+    rel = A.project(lin(k, "=", x=3, y=-1), "x")
     five = A.project(
-        A.intersect(A.leq_rel(k, "c", "y"), A.const_rel(k, "c", 5)), "c"
+        A.intersect(lin(k, "<=", c=1, y=-1), A.const_rel(k, "c", 5)), "c"
     )
     assert A.shortest_accepted(A.intersect(rel, five)) == (6,)
 
@@ -243,7 +270,7 @@ def test_shortest_accepted_is_least_single_track():
 def test_enumerate_accepted():
     k = 2
     le9 = A.project(
-        A.intersect(A.leq_rel(k, "x", "c"), A.const_rel(k, "c", 9)), "c"
+        A.intersect(lin(k, "<=", x=1, c=-1), A.const_rel(k, "c", 9)), "c"
     )
     assert A.enumerate_accepted(le9, 20) == [(n,) for n in range(10)]
     with pytest.raises(EnumerationLimitError):
@@ -251,18 +278,18 @@ def test_enumerate_accepted():
     with pytest.raises(InfiniteLanguageError):
         A.enumerate_accepted(A.true_dfa(k, ("x",)), 10)
     with pytest.raises(InfiniteLanguageError):
-        A.enumerate_accepted(A.less_rel(k, "x", "y"), 10)
+        A.enumerate_accepted(lin(k, "<", x=1, y=-1), 10)
 
 
 def test_budget_errors_name_their_stage():
     k = 2
-    a = A.add_rel(k, "x", "y", "z")
-    b = A.add_rel(k, "u", "v", "w")
+    a = lin(k, "=", x=1, y=1, z=-1)
+    b = lin(k, "=", u=1, v=1, w=-1)
     with pytest.raises(BudgetExceededError) as ei:
         A.intersect(a, b, max_states=4)
     assert ei.value.stage == "intersect" and ei.value.cap == 4
     with pytest.raises(BudgetExceededError) as ei:
-        A.project(A.const_mul_rel(k, 7, "x", "y"), "x", max_states=2)
+        A.project(lin(k, "=", x=7, y=-1), "x", max_states=2)
     assert ei.value.stage == "project"
 
 
@@ -375,7 +402,7 @@ def test_project_budget_counts_raw_subsets():
     # the 5-state relation meets 4 subsets in the reversed pass and 6 in
     # the second, which is the minimal result
     k = 2
-    a = A.intersect(A.add_rel(k, "x", "y", "z"), A.less_rel(k, "x", "y"))
+    a = A.intersect(lin(k, "=", x=1, y=1, z=-1), lin(k, "<", x=1, y=-1))
     _, counts = ref_double_reversal(k, 3, 0, a.delta, a.accepting, a.initial, _SUBSET_LIMIT)
     assert (a.num_states, counts) == (5, (4, 6))
     got = A.project(a, "x", max_states=6)

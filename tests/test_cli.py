@@ -375,3 +375,45 @@ def test_bad_word_and_position_arguments(capsys):
         capsys, ["oracle", "comb-search", "--max-pair-total", "2", "--alphabet", "0"]
     )
     assert code == 2 and "two distinct letters" in err
+
+
+@pytest.mark.parametrize("command", ["decide", "analyze", "rank2"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_state_budget_below_one_is_rejected(capsys, command, cap):
+    argv = [command, "--fixture", "thue-morse", "--budget-states", cap]
+    if command == "decide":
+        argv.append("E i. x[i] = 1")
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == "error: max_automaton_states must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["appearance", "--n", "-1"],
+        ["appearance", "--n", "3", "--prefix-len", "-1"],
+        ["dp", "--u", "0", "--v", "1", "--prefix-len", "-4"],
+        ["pairs", "--limit", "-1"],
+        ["pairs", "--prefix-len", "-2"],
+    ],
+)
+def test_oracle_rejects_negative_numbers(capsys, argv):
+    code, out, err = run(capsys, ["oracle", argv[0], "--fixture", "thue-morse", *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(" are naturals\n")
+
+
+def test_oracle_pairs_limit_caps_the_pairs(capsys):
+    found = {}
+    for limit in ("0", "1", "2", None):
+        code, out, _ = run(
+            capsys,
+            ["oracle", "pairs", "--fixture", "mod3", "--prefix-len", "64", "--format", "json"]
+            + (["--limit", limit] if limit else []),
+        )
+        assert code == 0
+        found[limit] = json.loads(out)["pairs"]
+    assert len(found[None]) == 18
+    assert [len(found[limit]) for limit in ("0", "1", "2")] == [0, 1, 2]
+    assert all(pair in found[None] for pair in found["2"])

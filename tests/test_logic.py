@@ -160,6 +160,36 @@ def test_renamed_free_variables_compile_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_linear_atoms_match_brute_evaluation():
+    cases = [
+        eq(add(mul(2, "i"), 3), add("i", "j", 1)),
+        lt(add("i", "i"), 3),
+        seq_eq(add("i", "j", 1), mul(2, "j")),
+        eq("j", "j"),
+    ]
+    for f in cases:
+        a = compile_formula(f, seq=TM)
+        names = sorted(L.free_vars(f))
+        assert a.var_order == tuple(names)
+        for vals in itertools.product(range(30), repeat=len(names)):
+            env = dict(zip(names, vals))
+            assert a.accepts(vals) == eval_formula(f, env, TM_PREF, 0), (f, env)
+    # a coefficient that cancels keeps its track
+    assert compile_formula(eq("j", "j"), k=2) == automata.true_dfa(2, ("j",))
+    assert compile_formula(lt(add("j", 1), "j"), k=2) == automata.false_dfa(2, ("j",))
+
+
+def test_sum_of_variables_needs_no_helper(monkeypatch):
+    calls = _count_projections(monkeypatch)
+    L._compile.cache_clear()
+    a = compile_formula(eq("q", add("q2", "r", "n")), k=2)
+    assert calls == []
+    assert a == automata.linear_rel(2, {"q": 1, "q2": -1, "r": -1, "n": -1}, "=")
+    # an index with a constant: one helper for the index, one for the constant
+    compile_formula(seq_at(add("i", "j", 1), 1), seq=TM)
+    assert sorted(calls) == ["%a0", "%c"]
+
+
 def test_shadowed_binder_and_outer_binder_free_inside():
     # the inner x rebinds x; the exists over y has the outer x free in it
     inner = exists("x", and_(lt("x", 3), eq(add("x", "y"), "n")))
@@ -487,17 +517,23 @@ def test_setup2_witness_is_genuine():
 
 
 def test_multiplication_budget_is_enforced():
-    # the carry construction for c has c + 1 raw states, and a cap below
-    # that is refused before any row is built
+    # y = c x has c + 1 raw states, and a cap below that is refused
+    # before any automaton is built
     f = exists("y", eq("y", mul(10 ** 10, "y")))
     with pytest.raises(BudgetExceededError) as ei:
         decide(f, seq=TM, limits=CompileLimits(max_automaton_states=1000))
     assert ei.value.stage == "multiplication" and ei.value.cap == 1000
     assert str(ei.value) == "budget exceeded at multiplication (cap 1000): c = 10000000000"
-    rel = automata.const_mul_rel(2, 999, "x", "y", max_states=1000)
+    rel = automata.linear_rel(2, {"x": 999, "y": -1}, "=", max_states=1000)
     assert rel.accepts((3, 2997)) and not rel.accepts((3, 2996))
-    with pytest.raises(BudgetExceededError):
-        automata.const_mul_rel(2, 999, "x", "y", max_states=999)
+    with pytest.raises(BudgetExceededError) as ei:
+        automata.linear_rel(2, {"x": 999, "y": -1}, "=", max_states=999)
+    assert ei.value.stage == "linear"
+    g = exists("x", eq("y", mul(999, "x")))
+    assert compile_formula(g, k=2, limits=CompileLimits(max_automaton_states=1000)).accepts((2997,))
+    with pytest.raises(BudgetExceededError) as ei:
+        compile_formula(g, k=2, limits=CompileLimits(max_automaton_states=999))
+    assert ei.value.stage == "multiplication"
 
 
 def test_budget_is_enforced():

@@ -415,8 +415,6 @@ def test_rank2_decide_formula_certificate_can_outrun_its_witness():
 def test_rank2_decide_assume_hooks_validate():
     with pytest.raises(ValueError):
         rank2_decide(TM, assume_D=1)
-    with pytest.raises(ValueError):
-        rank2_decide(TM, assume_p=0)
 
 
 def test_rank2_decide_assumed_constants_taint_every_verdict():
