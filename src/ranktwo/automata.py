@@ -629,26 +629,23 @@ class Dfao:
         return self.outputs[q]
 
     def prefix(self, n: int) -> list[int]:
-        """First n symbols, filled in one pass via x[k*m + d] = step(x[m], d).
+        """First n symbols, one gather per base-k digit level.
 
         Uses the canonical form, whose initial state carries a genuine
         zero self-loop, so state_of(k*m + d) = delta[state_of(m)][d] holds
-        for every m >= 0.
+        for every m >= 0: the states of positions 0..k^(j+1) - 1 are the
+        rows delta[state_of(m)] for m < k^j, laid end to end.  Only the
+        positions whose children fall below n are expanded; one gather of
+        the outputs then gives the symbols.
         """
         if n < 0:
             raise ValueError("prefix lengths are naturals")
         c = self.canonical()
-        states = [0] * max(n, 1)
-        states[0] = c.initial
-        for m in range(n):
-            base = self.k * m
-            if base >= n and m > 0:
-                break
-            for d in range(self.k):
-                i = base + d
-                if 0 < i < n:
-                    states[i] = c.delta[states[m]][d]
-        return [c.outputs[q] for q in states[:n]]
+        delta = np.array(c.delta, dtype=np.intp)
+        states = np.array([c.initial], dtype=np.intp)
+        while len(states) < n:
+            states = delta.take(states[:-(-n // self.k)], axis=0).reshape(-1)
+        return np.array(c.outputs, dtype=object)[states[:n]].tolist()
 
     def canonical(self) -> "Dfao":
         return _canonical_dfao(self)

@@ -1,10 +1,14 @@
-"""Brute-force reference computations on materialised prefixes.
+"""Word computations on materialised prefixes.
 
 Everything in this module works on concrete finite words and makes no
 use of the formula engine, so its answers can be compared against the
-automaton-based ones.  The counterexample searches at the bottom look
-for violations of the combinatorial facts the rank decision relies on;
-they are expected to come back empty.
+automaton-based ones.  rank2_decide finds and certifies explicit pairs
+here (Steps 0b to 0d): search_pairs proposes them, parse_reach finds
+the furthest factorization cut and dp_factorize cross-checks it.  These
+run over block-occurrence masks computed once per word with numpy.  The
+counterexample searches at the bottom look for violations of the
+combinatorial facts the rank decision relies on; they are expected to
+come back empty.
 """
 
 from __future__ import annotations
@@ -14,38 +18,66 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Optional
 
-from .automata import Dfao
+import numpy as np
 
 
-class PrefixView:
-    """A growable window onto the letters of a sequence."""
+def _codes(word, letters) -> tuple[np.ndarray, dict]:
+    """word as an index array over the sorted letters, with the index.
 
-    def __init__(self, seq: Dfao, initial: int = 1024):
-        self._seq = seq
-        self._buf = seq.prefix(max(1, initial))
-
-    def take(self, n: int) -> tuple[int, ...]:
-        if n > len(self._buf):
-            self._buf = self._seq.prefix(max(n, 2 * len(self._buf)))
-        return tuple(self._buf[:n])
-
-    def __getitem__(self, i: int) -> int:
-        if i >= len(self._buf):
-            self.take(i + 1)
-        return self._buf[i]
+    The relabelling keeps every mask exact for naturals of any size and
+    keeps the lexicographic order of words.
+    """
+    index = {s: c for c, s in enumerate(sorted(letters))}
+    return np.fromiter(map(index.__getitem__, word), np.intp, len(word)), index
 
 
-def _feasible_suffixes(word, u, v) -> list[bool]:
-    """feasible[i] is true when word[i:] splits into u/v blocks exactly."""
-    n = len(word)
-    lu, lv = len(u), len(v)
-    feasible = [False] * (n + 1)
-    feasible[n] = True
+def _masks(word, *blocks) -> list[bytes]:
+    """Occurrence mask of each block in word: byte i, for each cut
+    0..len(word), is 1 when the block starts at i.  An empty block never
+    occurs."""
+    a, index = _codes(word, set(word).union(*blocks))
+    n = len(a)
+    masks = []
+    for b in blocks:
+        m = len(b)
+        if not 0 < m <= n:
+            masks.append(bytes(n + 1))
+            continue
+        hit = a[:n - m + 1] == index[b[0]]
+        for j in range(1, m):
+            hit &= a[j:n - m + 1 + j] == index[b[j]]
+        masks.append(hit.tobytes() + bytes(m))
+    return masks
+
+
+def _reach(n: int, lu: int, mu: bytes, lv: int, mv: bytes) -> bytearray:
+    """Byte i is 1 when the first i letters split into u/v blocks.
+
+    The scan stops one block length past the furthest cut found, since
+    no block can bridge that gap.
+    """
+    reach = bytearray(n + 1)
+    reach[0] = 1
+    last, span = 0, max(lu, lv)
+    for i in range(n + 1):
+        if reach[i]:
+            last = i
+            if mu[i]:
+                reach[i + lu] = 1
+            if mv[i]:
+                reach[i + lv] = 1
+        elif i - last >= span:
+            break
+    return reach
+
+
+def _feasible_suffixes(n: int, lu: int, mu: bytes, lv: int, mv: bytes) -> bytearray:
+    """Byte i is 1 when the letters from i on split into u/v blocks exactly."""
+    feasible = bytearray(n + 1)
+    feasible[n] = 1
     for i in range(n - 1, -1, -1):
-        if i + lu <= n and feasible[i + lu] and word[i:i + lu] == u:
-            feasible[i] = True
-        elif i + lv <= n and feasible[i + lv] and word[i:i + lv] == v:
-            feasible[i] = True
+        if (mu[i] and feasible[i + lu]) or (mv[i] and feasible[i + lv]):
+            feasible[i] = 1
     return feasible
 
 
@@ -54,39 +86,39 @@ def dp_factorize(word, u, v) -> Optional[list[int]]:
 
     Returns [0, ..., len(word)] or None when no factorization exists.
     Among all factorizations this picks the one preferring a u block at
-    every cut, scanning left to right.
+    every cut.  A backward pass over the blocks' occurrence masks marks
+    the positions whose suffix factorizes; a greedy forward scan then
+    takes a u block wherever the rest stays feasible.  It shares only
+    the masks with parse_reach, whose cuts it cross-checks.
     """
     word, u, v = tuple(word), tuple(u), tuple(v)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
-    feasible = _feasible_suffixes(word, u, v)
+    n, lu, lv = len(word), len(u), len(v)
+    mu, mv = _masks(word, u, v)
+    feasible = _feasible_suffixes(n, lu, mu, lv, mv)
     if not feasible[0]:
         return None
     cuts = [0]
     i = 0
-    n = len(word)
     while i < n:
-        if word[i:i + len(u)] == u and feasible[i + len(u)]:
-            i += len(u)
-        else:
-            i += len(v)
+        i += lu if mu[i] and feasible[i + lu] else lv
         cuts.append(i)
     return cuts
 
 
 def parse_reach(word, u, v) -> list[int]:
-    """All cut positions reachable by u/v block parses from the left."""
+    """All cut positions reachable by u/v block parses from the left,
+    in ascending order; the last is the furthest cut.
+
+    One forward scan over the blocks' occurrence masks, which stops
+    once no block can reach past the furthest cut found.  Empty blocks
+    are ignored.
+    """
     word, u, v = tuple(word), tuple(u), tuple(v)
-    n = len(word)
-    reach = [False] * (n + 1)
-    reach[0] = True
-    for i in range(n):
-        if not reach[i]:
-            continue
-        for b in (u, v):
-            if b and word[i:i + len(b)] == b:
-                reach[i + len(b)] = True
-    return [i for i in range(n + 1) if reach[i]]
+    mu, mv = _masks(word, u, v)
+    reach = _reach(len(word), len(u), mu, len(v), mv)
+    return np.flatnonzero(np.frombuffer(reach, dtype=np.uint8)).tolist()
 
 
 def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -96,32 +128,44 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
     with |u| + |v| <= max_total and u != v.  A pair qualifies when block
     parses reach a cut whose residual is shorter than the longer block
     and is a prefix of one of the blocks, so the word could be a prefix
-    of an infinite u/v product.  The search stops after limit pairs, if
-    given; the pairs found come out sorted by total length.
+    of an infinite u/v product.  Candidates are tried in (|u| + |v|, u,
+    v) order, so the limit pairs kept, if limit is given, are the
+    shortest; each distinct factor's occurrence mask is computed once
+    and shared by every candidate.
     """
+    if max_total < 0:
+        raise ValueError("pair totals are naturals")
     if limit is not None and limit < 0:
         raise ValueError("pair limits are naturals")
-    found = islice(_tiling_pairs(tuple(word), max_total), limit)
-    return sorted(found, key=lambda p: (len(p[0]) + len(p[1]), p))
+    return list(islice(_tiling_pairs(tuple(word), max_total), limit))
 
 
 def _tiling_pairs(word, max_total: int):
     n = len(word)
-    factors = set()
-    for ln in range(1, max_total):
-        for s in range(n - ln + 1):
-            factors.add(word[s:s + ln])
-    for lu in range(1, min(max_total, n + 1)):
-        u = word[:lu]
-        for v in sorted(f for f in factors if len(f) <= max_total - lu):
-            if v == u:
-                continue
-            best = parse_reach(word, u, v)[-1]
-            rest = word[best:]
-            if len(rest) < max(len(u), len(v)) and (
-                rest == u[:len(rest)] or rest == v[:len(rest)]
-            ):
-                yield u, v
+    a, index = _codes(word, set(word))
+    # factors[l]: the distinct factors of length l in lexicographic order,
+    # each with its occurrence mask; prefix_mask[l]: the mask of word[:l].
+    # ids ranks the length-l factor at each start, built from the
+    # length-(l - 1) ranks and the next letter, so ranks stay below n.
+    factors, prefix_mask = {}, {}
+    ids = np.zeros(n + 1, dtype=np.intp)
+    for ln in range(1, min(max_total - 1, n) + 1):
+        _, first, ids = np.unique(
+            ids[:n - ln + 1] * len(index) + a[ln - 1:], return_index=True, return_inverse=True
+        )
+        masks = [(ids == f).tobytes() + bytes(ln) for f in range(len(first))]
+        factors[ln] = [(word[s:s + ln], m) for s, m in zip(first.tolist(), masks)]
+        prefix_mask[ln] = masks[ids[0]]
+    for total in range(2, min(max_total, 2 * n) + 1):
+        for lu in range(max(1, total - n), min(total - 1, n) + 1):
+            u, mu, lv = word[:lu], prefix_mask[lu], total - lu
+            for v, mv in factors[lv]:
+                if v == u:
+                    continue
+                best = _reach(n, lu, mu, lv, mv).rfind(1)
+                rest = word[best:]
+                if len(rest) < max(lu, lv) and (rest == u[:len(rest)] or rest == v[:len(rest)]):
+                    yield u, v
 
 
 def brute_appearance(word, n: int) -> int:
@@ -262,6 +306,8 @@ def search_comb_counterexample(
     the concatenation sigma(w) z should never be a factor of an
     infinite u/v product.  Returns the first violating tuple, or None.
     """
+    if min(max_pair_total, max_w_len, min_xy) < 0:
+        raise ValueError("search bounds are naturals")
     for u, v in minimal_pairs(alphabet, max_pair_total):
         m = max(len(u), len(v))
         letters = sorted(set(u) | set(v))
@@ -349,6 +395,8 @@ def search_depsilon_counterexample(
     a replayable witness), so callers should treat an empty result as
     evidence at the searched bounds rather than a general fact.
     """
+    if min(max_pair_total, max_w_len) < 0:
+        raise ValueError("search bounds are naturals")
     for u, v in minimal_pairs(alphabet, max_pair_total):
         m = max(len(u), len(v))
         wprimes = []

@@ -293,10 +293,9 @@ def validate_explicit_pair(seq: Dfao, u: WordLike, v: WordLike, min_prefix: int 
     if not u or not v:
         raise ValueError("blocks must be nonempty")
     w = tuple(seq.prefix(min_prefix + max(len(u), len(v))))
-    cuts = [c for c in parse_reach(w, u, v) if c >= min_prefix]
-    if not cuts:
+    best = parse_reach(w, u, v)[-1]
+    if best < min_prefix:
         return None
-    best = max(cuts)
     if dp_factorize(w[:best], u, v) is None:
         raise RankTwoError(f"cut {best} of u = {list(u)}, v = {list(v)} fails the DP cross-check")
     return best

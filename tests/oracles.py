@@ -132,6 +132,86 @@ FIXTURE_ORACLES = {
 
 
 # ---------------------------------------------------------------------------
+# word checks by slicing tuples at every position: the loops that
+# ranktwo.oracle replaced with block-occurrence masks
+
+
+def ref_parse_reach(word, u, v):
+    """All cut positions reachable by u/v block parses from the left."""
+    word, u, v = tuple(word), tuple(u), tuple(v)
+    n = len(word)
+    reach = [False] * (n + 1)
+    reach[0] = True
+    for i in range(n):
+        if not reach[i]:
+            continue
+        for b in (u, v):
+            if b and word[i:i + len(b)] == b:
+                reach[i + len(b)] = True
+    return [i for i in range(n + 1) if reach[i]]
+
+
+def ref_feasible_suffixes(word, u, v):
+    """feasible[i] is true when word[i:] splits into u/v blocks exactly."""
+    n = len(word)
+    lu, lv = len(u), len(v)
+    feasible = [False] * (n + 1)
+    feasible[n] = True
+    for i in range(n - 1, -1, -1):
+        if i + lu <= n and feasible[i + lu] and word[i:i + lu] == u:
+            feasible[i] = True
+        elif i + lv <= n and feasible[i + lv] and word[i:i + lv] == v:
+            feasible[i] = True
+    return feasible
+
+
+def ref_dp_factorize(word, u, v):
+    """Cuts of the factorization preferring a u block at every cut."""
+    word, u, v = tuple(word), tuple(u), tuple(v)
+    if not u or not v:
+        raise ValueError("blocks must be nonempty")
+    feasible = ref_feasible_suffixes(word, u, v)
+    if not feasible[0]:
+        return None
+    cuts = [0]
+    i = 0
+    n = len(word)
+    while i < n:
+        if word[i:i + len(u)] == u and feasible[i + len(u)]:
+            i += len(u)
+        else:
+            i += len(v)
+        cuts.append(i)
+    return cuts
+
+
+def ref_tiling_pairs(word, max_total):
+    """Every pair search_pairs qualifies, ordered by |u|, then v."""
+    word = tuple(word)
+    n = len(word)
+    factors = set()
+    for ln in range(1, max_total):
+        for s in range(n - ln + 1):
+            factors.add(word[s:s + ln])
+    for lu in range(1, min(max_total, n + 1)):
+        u = word[:lu]
+        for v in sorted(f for f in factors if len(f) <= max_total - lu):
+            if v == u:
+                continue
+            best = ref_parse_reach(word, u, v)[-1]
+            rest = word[best:]
+            if len(rest) < max(len(u), len(v)) and (
+                rest == u[:len(rest)] or rest == v[:len(rest)]
+            ):
+                yield u, v
+
+
+def ref_prefix(seq, n):
+    """First n symbols of a Dfao, one eval per position."""
+    return [seq.eval(i) for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
 # brute-force first-order evaluation over a materialised prefix
 
 def eval_term(t, env):

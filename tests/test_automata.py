@@ -4,6 +4,7 @@ automaton-with-output text format round-tripped bit for bit."""
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from oracles import (
     ref_canonical_dfa,
     ref_double_reversal,
     ref_minimize,
+    ref_prefix,
     ref_subsets,
 )
 
@@ -464,6 +466,30 @@ def test_fixture_prefixes_frozen():
     assert load_fixture("ternary-tm").prefix(16) == [0, 1, 2, 0, 2, 0, 0, 1, 2, 0, 0, 1, 0, 1, 2, 0]
     assert load_fixture("mod3").prefix(7) == [0, 1, 2, 0, 1, 2, 0]
     assert [n for n in range(70) if load_fixture("pow2-char").eval(n)] == [1, 2, 4, 8, 16, 32, 64]
+
+
+def test_prefix_matches_eval_at_level_boundaries():
+    """prefix(n) gathers one base-k level at a time; check it around
+    every level boundary against one eval per position."""
+    golden = Path(__file__).parent / "golden"
+    seqs = [load_fixture(name) for name in fixture_names()]
+    seqs += [A.loads_dfao((golden / f"{name}.dfao").read_text()) for name in ("TWELVE", "POW23")]
+    # k = 3: the digit sum mod 3, with outputs no fixed-width integer
+    # holds, started from a copy of the zero state so that the canonical
+    # form differs from the input
+    seqs.append(A.Dfao(
+        3,
+        (300, 2 ** 70, 2 ** 80),
+        (300, 2 ** 70, 2 ** 80, 300),
+        ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2)),
+        3,
+    ))
+    for m in seqs:
+        levels = [m.k ** j for j in range(12) if m.k ** j <= 2 ** 11]
+        sizes = {0, 1} | {p + d for p in levels for d in (-1, 0, 1)}
+        want = ref_prefix(m, max(sizes))
+        for n in sorted(sizes):
+            assert m.prefix(n) == want[:n], (m.k, n)
 
 
 def test_canonical_dfao_has_zero_self_loop():

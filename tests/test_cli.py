@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface and the formula grammar."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -396,12 +397,37 @@ def test_state_budget_below_one_is_rejected(capsys, command, cap):
         ["dp", "--u", "0", "--v", "1", "--prefix-len", "-4"],
         ["pairs", "--limit", "-1"],
         ["pairs", "--prefix-len", "-2"],
+        ["pairs", "--max-total", "-3"],
     ],
 )
 def test_oracle_rejects_negative_numbers(capsys, argv):
     code, out, err = run(capsys, ["oracle", argv[0], "--fixture", "thue-morse", *argv[1:]])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.endswith(" are naturals\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["comb-search", "--max-pair-total", "-1"],
+        ["comb-search", "--max-w-len", "-1"],
+        ["comb-search", "--min-xy", "-1"],
+        ["depsilon-search", "--max-pair-total", "-1"],
+        ["depsilon-search", "--max-w-len", "-2"],
+    ],
+)
+def test_oracle_searches_reject_negative_bounds(capsys, argv):
+    code, out, err = run(capsys, ["oracle", *argv])
+    assert (code, out, err) == (2, "", "error: search bounds are naturals\n")
+
+
+def test_oracle_pairs_limit_keeps_the_shortest(capsys):
+    code, out, _ = run(
+        capsys,
+        ["oracle", "pairs", "--dfao", str(Path(__file__).parent / "golden" / "TWELVE.dfao"),
+         "--prefix-len", "4096", "--limit", "2"],
+    )
+    assert (code, out) == (0, "0 12\n0 012\n")
 
 
 def test_oracle_pairs_limit_caps_the_pairs(capsys):

@@ -4,11 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ranktwo.analysis import max_exponent
 from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
-    PrefixView,
     brute_appearance,
     brute_max_exponent,
     dp_factorize,
@@ -23,18 +23,18 @@ from ranktwo.oracle import (
 )
 from ranktwo.words import is_prefix_code_pair
 
-from oracles import FIXTURE_ORACLES, brute_appearance_value, random_word, regex_member
+from oracles import (
+    FIXTURE_ORACLES,
+    brute_appearance_value,
+    random_word,
+    ref_dp_factorize,
+    ref_parse_reach,
+    ref_tiling_pairs,
+    regex_member,
+)
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
-
-
-def test_prefix_view_grows_on_demand():
-    view = PrefixView(TM, initial=4)
-    want = tuple(FIXTURE_ORACLES["thue-morse"](2000))
-    assert view.take(2000) == want
-    assert view[4095] == FIXTURE_ORACLES["thue-morse"](4096)[4095]
-    assert view.take(16) == want[:16]
 
 
 def test_dp_factorize_examples():
@@ -93,6 +93,51 @@ def test_dp_factorize_agrees_with_greedy_parse():
 def test_parse_reach_tracks_every_cut():
     assert parse_reach((0, 1, 0, 1), (0,), (0, 1)) == [0, 1, 2, 3, 4]
     assert parse_reach((1, 1), (0,), (0, 1)) == [0]
+
+
+# letters of the random words: small ones, and naturals too large for
+# any fixed-width integer
+_LETTERS = ((0, 1, 2), (300, 2 ** 70, 0))
+
+
+@st.composite
+def _words_and_blocks(draw):
+    """(w, u, v) over 1 to 3 letters.  Half the time v extends u, so the
+    pair is not a prefix code; half the time w is a u/v product with a
+    short tail, so parses run long."""
+    letter = st.sampled_from(draw(st.sampled_from(_LETTERS))[:draw(st.integers(1, 3))])
+    u = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        v = u + tuple(draw(st.lists(letter, max_size=3)))
+    else:
+        v = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+    if draw(st.booleans()):
+        picks = draw(st.lists(st.booleans(), max_size=16))
+        w = sum(((v if b else u) for b in picks), ()) + tuple(draw(st.lists(letter, max_size=3)))
+    else:
+        w = tuple(draw(st.lists(letter, max_size=40)))
+    return w, u, v
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_words_and_blocks())
+def test_mask_scans_match_slice_loops(wuv):
+    w, u, v = wuv
+    assert parse_reach(w, u, v) == ref_parse_reach(w, u, v)
+    assert dp_factorize(w, u, v) == ref_dp_factorize(w, u, v)
+    assert parse_reach(w[:0], u, v) == [0] and dp_factorize(w[:0], u, v) == [0]
+    # an empty block never occurs
+    for a, b in ((u, ()), ((), v), ((), ())):
+        assert parse_reach(w, a, b) == ref_parse_reach(w, a, b)
+        assert in_pair_star(w, a, b) == (ref_parse_reach(w, a, b)[-1] == len(w))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_words_and_blocks(), st.integers(0, 6), st.one_of(st.none(), st.integers(0, 4)))
+def test_search_pairs_matches_slice_loop(wuv, max_total, limit):
+    w = wuv[0]
+    want = sorted(ref_tiling_pairs(w, max_total), key=lambda p: (len(p[0]) + len(p[1]), p))
+    assert search_pairs(w, max_total, limit=limit) == want[:limit]
 
 
 def test_search_pairs_thue_morse():
