@@ -24,7 +24,6 @@ from .logic import (
     decide,
     exists,
     forall,
-    gt,
     not_,
     seq_at,
     witness,
@@ -149,35 +148,25 @@ def max_exponent(seq: Dfao, z: Sequence[int], limits: Optional[CompileLimits] = 
 
     Fractional powers count in the usual way: z^(m+r)/r is any window of
     length m + r with period r = |z| whose first r letters are z.
+
+    The m with such a window are downward closed (a prefix of an
+    r-periodic window is r-periodic), so an unbounded exponent, "for
+    every m a longer window", is "every m".  Otherwise the least m
+    without a window follows the largest; it is 0 when z is no factor.
     """
     z = tuple(int(a) for a in z)
     if not z:
         raise ValueError("the empty word has no exponent")
     r = len(z)
-
-    occurs = compile_formula(P.word_at("j", z), seq=seq, limits=limits)
-    if is_empty(occurs):
-        return NOT_A_FACTOR
-
-    # x[j..j+m) = x[j+r..j+r+m) says the window of length m + r at j has
-    # period r; with z at j, that window is a power of z
-    j, n, m = "j", "n", "m"
-
-    def window(length):
-        return P.factoreq(j, add(j, r), length)
-
-    unbounded = forall(
-        m, exists((j, n), and_(gt(n, m), P.word_at(j, z), window(n)))
-    )
-    if decide(unbounded, seq=seq, limits=limits):
+    # x[j..j+m) = x[j+r..j+r+m): the window of length m + r at j has period r
+    phi = exists("j", and_(P.word_at("j", z), P.factoreq("j", add("j", r), "m")))
+    if decide(forall("m", phi), seq=seq, limits=limits):
         return UNBOUNDED
-
-    # the accepted m are downward closed; the least rejected one is the
-    # successor of the maximum
-    phi = exists(j, and_(P.word_at(j, z), window(m)))
     blocked = witness(not_(phi), seq=seq, limits=limits)
-    if blocked is None or blocked["m"] == 0:
+    if blocked is None:
         raise RankTwoError(f"bounded exponents of {list(z)} have no maximal window")
+    if blocked["m"] == 0:
+        return NOT_A_FACTOR
     return Fraction(blocked["m"] - 1 + r, r)
 
 

@@ -229,21 +229,24 @@ def complement(a: Dfa) -> Dfa:
 
 def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
             max_states: Optional[int] = None, stage: str = "product") -> Dfa:
-    """Boolean combination of two recognisers, tracks aligned by name."""
+    """Boolean combination of two recognisers, tracks aligned by name;
+    the pair (qa, qb) is numbered qa * nb + qb."""
     if a.k != b.k:
         raise ValueError("base mismatch")
     k = a.k
     merged = tuple(sorted(set(a.var_order) | set(b.var_order)))
     amap = _letter_map(k, merged, a.var_order)
     bmap = _letter_map(k, merged, b.var_order)
-    letter_pairs = list(zip(amap, bmap))
+    nb = b.num_states
+    arows = [[row[x] * nb for x in amap] for row in a.delta]
+    brows = [[row[y] for y in bmap] for row in b.delta]
 
     def successors(pair):
-        da, db = a.delta[pair[0]], b.delta[pair[1]]
-        return [(da[x], db[y]) for x, y in letter_pairs]
+        qa, qb = divmod(pair, nb)
+        return list(map(operator.add, arows[qa], brows[qb]))
 
-    order, delta = _explore((a.initial, b.initial), successors, max_states, stage)
-    acc = [op(a.accepting[qa], b.accepting[qb]) for qa, qb in order]
+    order, delta = _explore(a.initial * nb + b.initial, successors, max_states, stage)
+    acc = [op(a.accepting[s // nb], b.accepting[s % nb]) for s in order]
     return canonical_dfa(k, merged, delta, acc, 0)
 
 

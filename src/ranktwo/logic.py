@@ -225,10 +225,6 @@ def implies(a: Formula, b: Formula) -> Formula:
     return Implies(a, b)
 
 
-def iff(a: Formula, b: Formula) -> Formula:
-    return And((Implies(a, b), Implies(b, a)))
-
-
 def _varnames(vs) -> tuple[str, ...]:
     if isinstance(vs, str):
         return (vs,)
@@ -413,9 +409,9 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     return rel
 
 
-# The one compile cache.  It is keyed by the normalized subformula and by
-# the state cap, so a result is only served under the cap it was built
-# under, and a compile that raised BudgetExceededError is never stored.
+# The one compile cache, keyed by the normalized subformula, the sequence (None
+# for a comparison, which reads none) and the state cap; a compile that raised
+# BudgetExceededError is never stored, and no result is served under another cap.
 @lru_cache(maxsize=512)
 def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     if isinstance(f, (Cmp, SeqAt, SeqEq)):
@@ -442,8 +438,10 @@ def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa
 
 
 def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
-    """Compile a subformula; a quantified one is compiled under its
-    normal names and its tracks renamed back."""
+    """Compile a subformula; a comparison is compiled with no sequence,
+    and a quantified one under its normal names, its tracks renamed back."""
+    if isinstance(f, Cmp):
+        return _compile(f, None, k, cap)
     if not isinstance(f, (Exists, Forall)):
         return _compile(f, seq, k, cap)
     free: dict[str, str] = {}

@@ -3,8 +3,8 @@
 Everything in this module works on concrete finite words and makes no
 use of the formula engine, so its answers can be compared against the
 automaton-based ones.  rank2_decide finds and certifies explicit pairs
-here (Steps 0b to 0d): search_pairs proposes them, parse_reach finds
-the furthest factorization cut and dp_factorize cross-checks it.  These
+here (Steps 0b to 0d): search_pairs proposes them, certified_cut finds
+the furthest factorization cut and checks it with dp_factorize's DP.  These
 run over block-occurrence masks computed once per word with numpy.  The
 counterexample searches at the bottom look for violations of the
 combinatorial facts the rank decision relies on; they are expected to
@@ -19,6 +19,8 @@ from itertools import islice, product
 from typing import Optional
 
 import numpy as np
+
+from .errors import RankTwoError
 
 
 def _codes(word, letters) -> tuple[np.ndarray, dict]:
@@ -72,8 +74,9 @@ def _reach(n: int, lu: int, mu: bytes, lv: int, mv: bytes) -> bytearray:
 
 
 def _feasible_suffixes(n: int, lu: int, mu: bytes, lv: int, mv: bytes) -> bytearray:
-    """Byte i is 1 when the letters from i on split into u/v blocks exactly."""
-    feasible = bytearray(n + 1)
+    """Byte i is 1 when the letters from i to n split into u/v blocks
+    exactly; the masks may run past n, but no block ending past n is taken."""
+    feasible = bytearray(n + max(lu, lv) + 1)
     feasible[n] = 1
     for i in range(n - 1, -1, -1):
         if (mu[i] and feasible[i + lu]) or (mv[i] and feasible[i + lv]):
@@ -88,8 +91,8 @@ def dp_factorize(word, u, v) -> Optional[list[int]]:
     Among all factorizations this picks the one preferring a u block at
     every cut.  A backward pass over the blocks' occurrence masks marks
     the positions whose suffix factorizes; a greedy forward scan then
-    takes a u block wherever the rest stays feasible.  It shares only
-    the masks with parse_reach, whose cuts it cross-checks.
+    takes a u block wherever the rest stays feasible.  The backward pass
+    shares only the masks with parse_reach; certified_cut runs it alone.
     """
     word, u, v = tuple(word), tuple(u), tuple(v)
     if not u or not v:
@@ -119,6 +122,19 @@ def parse_reach(word, u, v) -> list[int]:
     mu, mv = _masks(word, u, v)
     reach = _reach(len(word), len(u), mu, len(v), mv)
     return np.flatnonzero(np.frombuffer(reach, dtype=np.uint8)).tolist()
+
+
+def certified_cut(word, u, v, min_cut: int) -> Optional[int]:
+    """The furthest cut parse_reach finds, or None below min_cut, checked
+    by dp_factorize's backward pass up to it on the same masks: a cut the
+    DP cannot factorize raises RankTwoError."""
+    mu, mv = _masks(word, u, v)
+    best = _reach(len(word), len(u), mu, len(v), mv).rfind(1)
+    if best < min_cut:
+        return None
+    if not _feasible_suffixes(best, len(u), mu, len(v), mv)[0]:
+        raise RankTwoError(f"cut {best} of u = {list(u)}, v = {list(v)} fails the DP cross-check")
+    return best
 
 
 def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -211,7 +227,11 @@ def brute_max_exponent(word, z) -> Optional[Fraction]:
 # combinatorial counterexample searches
 
 def in_pair_star(word, a, b) -> bool:
-    """word splits exactly into a/b blocks (empty blocks are ignored)."""
+    """word splits exactly into a/b blocks (empty blocks are ignored);
+    only a word that starts and ends with a block is parsed."""
+    word, blocks = tuple(word), [tuple(x) for x in (a, b) if x]
+    if word and not (any(word[:len(x)] == x for x in blocks) and any(word[-len(x):] == x for x in blocks)):
+        return False
     return parse_reach(word, a, b)[-1] == len(word)
 
 

@@ -160,7 +160,8 @@ def u_power_prefix(m, letters) -> Formula:
 
 def unbounded_powers_formula(i, n, p) -> Formula:
     """Some block equal to x[i..i+p) (with i its first occurrence) has a
-    p-periodic continuation of window length n; p = 0 is excluded."""
+    p-periodic continuation of window length n; p = 0 is excluded.
+    Downward closed in n: a prefix of a p-periodic window is p-periodic."""
     i, n, p = term(i), term(n), term(p)
     (j,) = _fresh((i, n, p), 1)
     return and_(
@@ -171,20 +172,14 @@ def unbounded_powers_formula(i, n, p) -> Formula:
 
 def unbounded_primitive_factors_formula(i="i", p="p") -> Formula:
     """Free (i, p): x[i..i+p) is primitive, first occurs at i, and occurs
-    with unbounded exponent."""
+    with unbounded exponent.
+
+    "For every m a window n > m" is "every window n", the window relation
+    being downward closed in n; its ∃j part is then the relation
+    analysis.constants compiled, served by the compile cache."""
     i, p = term(i), term(p)
-    m, j, n = _fresh((i, p), 3)
-    return and_(
-        ge(p, 1),
-        prim(i, p),
-        forall(
-            m,
-            exists(
-                (j, n),
-                and_(gt(n, m), earliestfac(i, j, p), period_f(j, n, p)),
-            ),
-        ),
-    )
+    (n,) = _fresh((i, p), 1)
+    return and_(prim(i, p), forall(n, unbounded_powers_formula(i, n, p)))
 
 
 def covered(n, m) -> Formula:

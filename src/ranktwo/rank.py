@@ -52,7 +52,7 @@ from .logic import (
     not_,
     witness,
 )
-from .oracle import dp_factorize, parse_reach, search_pairs
+from .oracle import certified_cut, search_pairs
 from .words import Pair, Word, WordLike, commutes, free_reduce, is_prefix_code_pair, primitive_root, word
 
 
@@ -292,13 +292,7 @@ def validate_explicit_pair(seq: Dfao, u: WordLike, v: WordLike, min_prefix: int 
     u, v = word(u), word(v)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
-    w = tuple(seq.prefix(min_prefix + max(len(u), len(v))))
-    best = parse_reach(w, u, v)[-1]
-    if best < min_prefix:
-        return None
-    if dp_factorize(w[:best], u, v) is None:
-        raise RankTwoError(f"cut {best} of u = {list(u)}, v = {list(v)} fails the DP cross-check")
-    return best
+    return certified_cut(seq.prefix(min_prefix + max(len(u), len(v))), u, v, min_prefix)
 
 
 def _explicit_pair(seq: Dfao, u: Word, v: Word) -> ExplicitPair:

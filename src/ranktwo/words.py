@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .oracle import parse_reach
+from .oracle import in_pair_star
 
 Word = tuple[int, ...]
 
@@ -170,7 +170,7 @@ def free_reduce(u: WordLike, v: WordLike) -> FreeReduction:
                 break
             if a == b or a[: len(b)] == b or b[: len(a)] == a:
                 continue
-            if parse_reach(u, a, b)[-1] == len(u) and parse_reach(v, a, b)[-1] == len(v):
+            if in_pair_star(u, a, b) and in_pair_star(v, a, b):
                 cand = tuple(sorted((a, b), key=key))
                 total = len(a) + len(b)
                 if total < best_total or (total == best_total and cand < best):

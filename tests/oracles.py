@@ -499,3 +499,35 @@ def setup2_formula(pattern, p: int):
         no_pth_power(j, s),
     )
     return exists((i, j, r, s), body)
+
+
+# ---------------------------------------------------------------------------
+# "unbounded" as first written, "for every m a window longer than m": the
+# sentences that downward closure in the window length turns into "every
+# window"
+
+def unbounded_primitive_factors_sentence(i="i", p="p"):
+    """Free (i, p): p >= 1, x[i..i+p) is primitive, and for every m some
+    j with earliestfac(i, j, p) has a p-periodic window of length n > m."""
+    from ranktwo.logic import and_, exists, forall, ge, gt, term
+    from ranktwo.predicates import _fresh, earliestfac, period_f, prim
+
+    i, p = term(i), term(p)
+    m, j, n = _fresh((i, p), 3)
+    return and_(
+        ge(p, 1),
+        prim(i, p),
+        forall(m, exists((j, n), and_(gt(n, m), earliestfac(i, j, p), period_f(j, n, p)))),
+    )
+
+
+def unbounded_exponent_sentence(z):
+    """Sentence: for every m the concrete word z starts an |z|-periodic
+    window of length n + |z| for some n > m."""
+    from ranktwo.logic import add, and_, exists, forall, gt
+    from ranktwo.predicates import factoreq, word_at
+
+    r = len(z)
+    return forall("m", exists(("j", "n"), and_(
+        gt("n", "m"), word_at("j", z), factoreq("j", add("j", r), "n"),
+    )))

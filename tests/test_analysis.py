@@ -1,8 +1,14 @@
 """Sequence-level quantities against brute force and frozen values."""
 
+import itertools
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from ranktwo import automata as A, logic as L, predicates as P
 
 from ranktwo.analysis import (
     NOT_A_FACTOR,
@@ -20,8 +26,14 @@ from ranktwo.analysis import (
 )
 from ranktwo.automata import Dfao, loads_dfao
 from ranktwo.fixtures import load_fixture
+from ranktwo.logic import compile_formula, decide
 
-from oracles import FIXTURE_ORACLES, brute_max_run_exponent
+from oracles import (
+    FIXTURE_ORACLES,
+    brute_max_run_exponent,
+    unbounded_exponent_sentence,
+    unbounded_primitive_factors_sentence,
+)
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -136,6 +148,63 @@ def test_unbounded_primitive_factor_sets():
         (1, 3, (1, 2, 0)),
         (2, 3, (2, 0, 1)),
     ]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+WITH_CRAFTED = {**ALL, **{name: loads_dfao((GOLDEN / f"{name}.dfao").read_text()) for name in ("POW23", "TWELVE")}}
+
+
+def _assert_every_window_matches_every_bound(seq, words):
+    # Step 2's relation, and max_exponent's unbounded test on each word,
+    # against the sentences that quantify "for every m, some n > m"
+    old = compile_formula(unbounded_primitive_factors_sentence("i", "p"), seq=seq)
+    new = compile_formula(P.unbounded_primitive_factors_formula("i", "p"), seq=seq)
+    assert A.language_equal(old, new)
+    for z in words:
+        if max_exponent(seq, z) is not NOT_A_FACTOR:
+            want = decide(unbounded_exponent_sentence(z), seq=seq)
+            assert (max_exponent(seq, z) is UNBOUNDED) == want, z
+
+
+@pytest.mark.parametrize("name", sorted(WITH_CRAFTED))
+def test_every_window_matches_every_bound(name):
+    seq = WITH_CRAFTED[name]
+    letters = sorted(set(seq.alphabet))
+    words = [z for ln in (1, 2) for z in itertools.product(letters, repeat=ln)]
+    words += sorted({tuple(seq.prefix(64)[s:s + 3]) for s in range(62)})
+    _assert_every_window_matches_every_bound(seq, words)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3))
+def test_every_window_matches_every_bound_on_random_sequences(seed, k, n):
+    rng = random.Random(seed)
+    delta = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    delta[0][0] = 0  # leading zeros leave the initial state
+    outputs = tuple(rng.randrange(2) for _ in range(n))
+    seq = Dfao(k, (0, 1), outputs, tuple(map(tuple, delta)), 0)
+    _assert_every_window_matches_every_bound(seq, [(0,), (1,), (0, 1), (1, 0), (0, 0, 1)])
+
+
+def test_step2_after_constants_builds_no_five_track_automaton(monkeypatch):
+    # Step 2's window relation is the one constants compiled; what is left
+    # works on (i, n, p) and the primitivity tracks
+    for seq in ALL.values():
+        L._compile.cache_clear()
+        constants(seq)
+        widths = []
+        for name in ("product", "project"):
+            real = getattr(A, name)
+
+            def spy(a, *args, _real=real, **kwargs):
+                out = _real(a, *args, **kwargs)
+                widths.append(max(len(a.var_order), len(out.var_order)))
+                return out
+
+            monkeypatch.setattr(A, name, spy)
+        unbounded_primitive_factors(seq)
+        monkeypatch.undo()
+        assert widths and max(widths) < 5
 
 
 def test_shift_sequence_matches_reindexing():

@@ -14,6 +14,7 @@ import pytest
 
 import ranktwo
 from ranktwo import automata as A
+from ranktwo import logic as L
 from ranktwo import predicates as P
 from ranktwo.analysis import constants, strip_max_power_prefix, unbounded_primitive_factors
 from ranktwo.automata import Dfao
@@ -195,11 +196,12 @@ def test_validate_explicit_pair_cross_check_survives_optimize_flag():
     # query that finds nothing where one must exist, must still raise
     script = "\n".join([
         "import ranktwo.analysis as An",
+        "import ranktwo.oracle as O",
         "import ranktwo.rank as R",
         "from ranktwo.errors import RankTwoError",
         "from ranktwo.fixtures import load_fixture",
         "assert False, 'asserts must be stripped'",
-        "R.dp_factorize = lambda *args: None",
+        "O._feasible_suffixes = lambda *args: bytearray(1)",
         "try:",
         "    R.validate_explicit_pair(load_fixture('ternary-tm'), '01', '20')",
         "except RankTwoError:",
@@ -354,6 +356,30 @@ def test_rank2_decide_crafted_sequences():
         "Step3",
         "budget exceeded at multiplication (cap 200000): c = 85070591730234615865843651857942052864",
     )
+
+
+def test_step2_serves_step1_window_relation_from_cache(monkeypatch):
+    # the ∃j relation of unbounded_powers_formula, spelled as the compile
+    # cache keys it; each lookup is a miss exactly when it counts one
+    exists_j = P.unbounded_powers_formula("i", "n", "p").parts[1]
+    key = L._normal(exists_j, {}, 0, {})
+    real = L._compile
+    missed = []
+
+    def spy(f, *args):
+        if f != key:
+            return real(f, *args)
+        before = real.cache_info().misses
+        out = real(f, *args)
+        missed.append(real.cache_info().misses > before)
+        return out
+
+    monkeypatch.setattr(L, "_compile", spy)
+    real.cache_clear()
+    rep = rank2_decide(P2, disable_fast_paths=True)
+    assert "Step2" in rep.budget_report["stages_run"]
+    # built by Step 1's constants, then found by Step 2
+    assert missed == [True, False]
 
 
 def test_rank2_decide_budget_breach_names_pattern_stage():
