@@ -9,6 +9,7 @@ integers and never materialised as unary objects.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -32,6 +33,16 @@ from . import predicates as P
 from .words import primitive_root
 
 
+_PRINTABLE = 10 ** 1000
+
+
+def bounded_form(n: int):
+    """n itself below 10^1000, else the text "~2^e" with e = log2(n)
+    rounded, so that a constant prints (as JSON or text) without the
+    cost or the digit limit of a decimal conversion."""
+    return n if n < _PRINTABLE else f"~2^{round(math.log2(n))}"
+
+
 @dataclass(frozen=True)
 class AnalysisConstants:
     """Computable constants attached to a sequence.
@@ -39,7 +50,8 @@ class AnalysisConstants:
     C bounds where every length-n factor first appears (within C*n
     positions), kappa = C + 1 is the recurrence constant, B is the power
     bound: any factor occurring with exponent >= B occurs with unbounded
-    exponent.  p is the exponent threshold used downstream and equals B.
+    exponent.  p = B is the exponent threshold of the rank decision's
+    lemma constants L and D; it enters no formula.
     """
 
     C: int

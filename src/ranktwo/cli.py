@@ -14,6 +14,7 @@ import sys
 from .analysis import (
     NOT_A_FACTOR,
     UNBOUNDED,
+    bounded_form,
     constants,
     is_purely_periodic,
     is_ultimately_periodic,
@@ -125,11 +126,12 @@ def _cmd_analyze(args) -> int:
     seq = _load_sequence(args)
     limits = CompileLimits(max_automaton_states=args.budget_states)
     c = constants(seq, limits)
+    C, kappa = bounded_form(c.C), bounded_form(c.kappa)
     human = "\n".join(
         [
-            f"appearance constant C = {c.C}",
-            f"recurrence constant kappa = {c.kappa}",
-            f"power bound B = {seq.k}^{c.power_states} * {c.C}",
+            f"appearance constant C = {C}",
+            f"recurrence constant kappa = {kappa}",
+            f"power bound B = {seq.k}^{c.power_states} * {C}",
             "exponent threshold p = B",
         ]
     )
@@ -137,10 +139,10 @@ def _cmd_analyze(args) -> int:
         args,
         human,
         {
-            "C": c.C,
-            "kappa": c.kappa,
-            "B": c.B,
-            "p": c.p,
+            "C": C,
+            "kappa": kappa,
+            "B": bounded_form(c.B),
+            "p": bounded_form(c.p),
             "appearance_states": c.appearance_states,
             "power_states": c.power_states,
         },

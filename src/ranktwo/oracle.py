@@ -156,19 +156,30 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
     return list(islice(_tiling_pairs(tuple(word), max_total), limit))
 
 
-def _tiling_pairs(word, max_total: int):
+def _factor_ranks(word, max_len: int):
+    """For ln = 1..max_len, (ln, first, ids): ids ranks the length-ln
+    factor at each start of word in lexicographic order, and first[c] is
+    the first start of the factor ranked c.
+
+    Each length's ranks come from the length-(ln - 1) ranks and the next
+    letter by one np.unique, so ranks stay below len(word).
+    """
     n = len(word)
     a, index = _codes(word, set(word))
-    # factors[l]: the distinct factors of length l in lexicographic order,
-    # each with its occurrence mask; prefix_mask[l]: the mask of word[:l].
-    # ids ranks the length-l factor at each start, built from the
-    # length-(l - 1) ranks and the next letter, so ranks stay below n.
-    factors, prefix_mask = {}, {}
     ids = np.zeros(n + 1, dtype=np.intp)
-    for ln in range(1, min(max_total - 1, n) + 1):
+    for ln in range(1, max_len + 1):
         _, first, ids = np.unique(
             ids[:n - ln + 1] * len(index) + a[ln - 1:], return_index=True, return_inverse=True
         )
+        yield ln, first, ids
+
+
+def _tiling_pairs(word, max_total: int):
+    n = len(word)
+    # factors[l]: the distinct factors of length l in lexicographic order,
+    # each with its occurrence mask; prefix_mask[l]: the mask of word[:l].
+    factors, prefix_mask = {}, {}
+    for ln, first, ids in _factor_ranks(word, min(max_total - 1, n)):
         masks = [(ids == f).tobytes() + bytes(ln) for f in range(len(first))]
         factors[ln] = [(word[s:s + ln], m) for s, m in zip(first.tolist(), masks)]
         prefix_mask[ln] = masks[ids[0]]
@@ -184,20 +195,23 @@ def _tiling_pairs(word, max_total: int):
                     yield u, v
 
 
+def appearance_values(word, max_n: int) -> list[int]:
+    """[brute_appearance(word, n) for n = 1..max_n], in one ranking pass:
+    the value for n is the largest first start of a length-n factor,
+    plus n."""
+    word = tuple(word)
+    if max_n > len(word):
+        raise ValueError("word too short to cover its own factors")
+    return [int(first.max()) + ln for ln, first, _ in _factor_ranks(word, max_n)]
+
+
 def brute_appearance(word, n: int) -> int:
     """Least m such that every length-n factor of word starts before m - n."""
     if n < 0:
         raise ValueError("factor lengths are naturals")
     if n == 0:
         return 0
-    word = tuple(word)
-    facs = {word[s:s + n] for s in range(len(word) - n + 1)}
-    seen = set()
-    for j in range(len(word) - n + 1):
-        seen.add(word[j:j + n])
-        if seen >= facs:
-            return j + n
-    raise ValueError("word too short to cover its own factors")
+    return appearance_values(word, n)[-1]
 
 
 def brute_max_exponent(word, z) -> Optional[Fraction]:

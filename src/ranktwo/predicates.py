@@ -126,16 +126,16 @@ def congruent(t, c: int, ell: int) -> Formula:
     return exists(q, eq(t, add(mul(ell, q), Const(c % ell))))
 
 
-def agrees_with_rotation(t_upper, letters, phase: int) -> Formula:
-    """x[t] = w[(t + phase) mod |w|] for all t < t_upper, w concrete."""
+def agrees_with_rotation(t_upper, letters, phase: int, start=0) -> Formula:
+    """x[start + t] = w[(t + phase) mod |w|] for all t < t_upper, w concrete."""
     letters = tuple(int(a) for a in letters)
     ell = len(letters)
     if ell == 0:
         raise ValueError("empty word")
-    t_upper = term(t_upper)
-    (t,) = _fresh((t_upper,), 1)
+    t_upper, start = term(t_upper), term(start)
+    (t,) = _fresh((t_upper, start), 1)
     cases = [
-        implies(congruent(t, c, ell), seq_at(t, letters[(c + phase) % ell]))
+        implies(congruent(t, c, ell), seq_at(add(start, t), letters[(c + phase) % ell]))
         for c in range(ell)
     ]
     return forall(t, implies(lt(t, t_upper), and_(*cases)))
@@ -230,12 +230,24 @@ def block_run(base, n, i: int, d: int) -> Formula:
     )
 
 
-def power_occurs(start, n, p: int) -> Formula:
-    """Some occurrence of x[start..start+n) begins its p-th power, p concrete.
+def power_occurs(start, n, words) -> Formula:
+    """x[start..start+n) is a power rho^(n/|rho|) of a word rho in words.
 
-    The period conjunct comes first, so a compile under a state cap below
-    p + 1 fails at the multiplication by p before any other work.
+    Given for words the list of unbounded_primitive_factors (Step 2),
+    this says "x[start..start+n) occurs as a B-th power", with no
+    multiplication by B.  B's defining property (analysis.constants)
+    makes "occurs with exponent B" the same as "occurs with unbounded
+    exponent".  A word has unbounded exponent exactly when its primitive
+    root does, and Step 2's list holds exactly the primitive words with
+    unbounded exponent: each occurs, so each has a first occurrence.
+    That list is closed under rotation, so "the root is some rho in the
+    list" needs no rotation of its own.  An empty list gives a false
+    relation that still has the start and n tracks.
     """
     start, n = term(start), term(n)
-    (j,) = _fresh((start, n), 1)
-    return exists(j, and_(period_f(j, mul(p, n), n), factoreq(start, j, n)))
+    parts = [
+        and_(congruent(n, 0, len(w)), agrees_with_rotation(n, w, 0, start)) for w in words
+    ]
+    if not parts:
+        return lt(add(start, n), add(start, n))
+    return and_(ge(n, 1), or_(*parts))

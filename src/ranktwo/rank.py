@@ -6,12 +6,16 @@ and rank at least three otherwise.  The decider layers exact fast checks
 (pure and ultimate periodicity, tiny explicit pairs) over the
 constant-driven procedure: enumerate the factors occurring with
 unbounded exponent, try to complete each to a pair, and finally search
-two-block patterns of a computed length D.
+two-block patterns of a computed length D.  The pattern search returns
+rank two through an explicit pair that it reads off a surviving pattern
+and decides exactly, so it needs no D to answer rank two; rank at least
+three needs every pattern to die.
 
-Neither late stage unrolls its constant into a formula: each compiles
-its step relations once and iterates them on automata, the run chain of
-the unbounded stage to a fixed point (run_chain) and the pattern stage
-as one depth-first search over pattern prefixes (pattern_prefixes).
+No constant enters a formula: "occurs as a p-th power" is "is a power
+of a word with unbounded exponent", and each late stage compiles its
+step relations once and iterates them on automata, the run chain of the
+unbounded stage to a fixed point (run_chain) and the pattern stage as
+one depth-first search over pattern prefixes (pattern_prefixes).
 
 Resource pressure never crashes `rank2_decide`: budget breaches become
 Inconclusive verdicts that name the stage and the missing resource.
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from . import automata as A
@@ -29,6 +33,7 @@ from . import predicates as P
 from .analysis import (
     UNBOUNDED,
     AnalysisConstants,
+    bounded_form,
     constants as sequence_constants,
     is_purely_periodic,
     is_ultimately_periodic,
@@ -77,8 +82,9 @@ class Budget:
     max_automaton_states caps the raw states of every automaton built.
     max_patterns caps the nodes, pattern prefixes, that the pattern
     search visits; 0 is allowed and makes the pattern stage an immediate
-    budget breach.  max_enumeration caps candidate lists, witness loops
-    and the rounds of the run-chain iteration that find no fixed point.
+    budget breach.  max_enumeration caps candidate lists, witness loops,
+    the rounds of the run-chain iteration that find no fixed point and
+    the explicit pairs that the pattern search tries.
     The caps other than max_patterns must be positive.
     """
 
@@ -160,7 +166,10 @@ class RankReport:
 
     def to_dict(self) -> dict:
         out = _verdict_dict(self.verdict)
-        out["constants"] = dict(self.constants) if self.constants is not None else None
+        out["constants"] = (
+            {k: bounded_form(c) for k, c in self.constants.items()}
+            if self.constants is not None else None
+        )
         out["budget_report"] = dict(self.budget_report)
         out["soundness_flags"] = dict(self.soundness_flags)
         return out
@@ -190,7 +199,7 @@ def _verdict_dict(v: RankVerdict) -> dict:
         "verdict": "inconclusive",
         "stage": v.stage,
         "required": v.required,
-        "patterns_log2": v.patterns_log2,
+        "patterns_log2": None if v.patterns_log2 is None else bounded_form(v.patterns_log2),
     }
 
 
@@ -309,8 +318,6 @@ def decide_with_unbounded(
     u: WordLike,
     consts: Optional[AnalysisConstants] = None,
     budget: Optional[Budget] = None,
-    *,
-    p_override: Optional[int] = None,
 ) -> Optional[ExplicitPair]:
     """Find v with x in {u, v}^omega, for u primitive with unbounded powers.
 
@@ -321,10 +328,6 @@ def decide_with_unbounded(
     finally long prefixes whose run structure holds to the depth L (see
     run_chain), whose satisfying lengths are re-checked exactly one by
     one.
-
-    p_override shrinks p, and with it L, for desk-scale runs; every
-    candidate it produces is still validated exactly, so a returned pair
-    is correct regardless (only exhaustiveness is at risk).
     """
     budget = budget or Budget()
     limits = budget.limits()
@@ -338,7 +341,6 @@ def decide_with_unbounded(
         raise ValueError("u must occur with unbounded exponent")
     if consts is None:
         consts = sequence_constants(seq, limits)
-    p_power = p_override if p_override is not None else consts.p
 
     up = is_ultimately_periodic(seq, limits)
     if up is not None:
@@ -357,10 +359,11 @@ def decide_with_unbounded(
 
     # (i) v is itself a word with unbounded powers, or no longer than u.
     # Factors of length <= |u| all appear within the appearance window.
-    members = unbounded_primitive_factors(seq, limits, max_results=budget.max_enumeration)
+    unbounded = [w for _, _, w in unbounded_primitive_factors(
+        seq, limits, max_results=budget.max_enumeration)]
     candidates = []
     seen = {u}
-    for _, _, w in members:
+    for w in unbounded:
         if w not in seen:
             seen.add(w)
             candidates.append(w)
@@ -400,16 +403,15 @@ def decide_with_unbounded(
     # (iv) the remaining shape: v = tail[0..r) long, not a power residue,
     # not inside Fac(u^omega), and the tail decomposes into v-blocks
     # separated by u-runs of aligned lengths.  Satisfying r are examined
-    # in increasing order and each candidate is decided exactly.  The
-    # conjunct with p comes first: a structural p breaches the budget at
-    # once.
+    # in increasing order and each candidate is decided exactly.  A word
+    # has unbounded exponent in the tail exactly when it has in x.
     cap = budget.max_automaton_states
-    shape = and_(not_(P.power_occurs(0, "r", p_power)), not_(P.prefix_in_periodic_orbit("r", u)))
+    shape = and_(not_(P.power_occurs(0, "r", unbounded)), not_(P.prefix_in_periodic_orbit("r", u)))
     shape = compile_formula(shape, seq=tail, limits=limits)
     occ = witness(P.word_at("i", u), seq=tail, limits=limits)
     if occ is None:
         raise RankTwoError(f"{list(u)} has unbounded powers but does not occur in the tail")
-    L = lemma_L_constant(consts.kappa, p_power)
+    L = lemma_L_constant(consts.kappa, consts.p)
     shape = A.intersect(shape, run_chain(tail, occ["i"], len(u), L, budget), cap)
     for _ in range(budget.max_enumeration):
         got = A.shortest_accepted(shape)
@@ -434,7 +436,8 @@ def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
     some exponents e_t >= 0.
 
     C_t(q, r), a v-block at q starts blocks t..L-1 of that shape, is
-    C_{L-1}(q, r) = E n. run(q + r, n) and, for t < L - 1, C_t(q2, r) =
+    C_{L-1}(q, r) = E n. run(q + r, n), which n = 0 makes true everywhere,
+    and, for t < L - 1, C_t(q2, r) =
     E q, n. C_{t+1}(q, r) & q = q2 + r + n & run(q2 + r, n) & v occurs at q,
     one _step per round.  The chain only shrinks and canonical automata
     compare structurally, so a round that changes nothing is a fixed point
@@ -444,14 +447,15 @@ def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
     if L < 1 or d < 1:
         raise ValueError("need L >= 1 and d >= 1")
     limits, cap = budget.limits(), budget.max_automaton_states
-    last = exists("n", P.block_run(add("q", "r"), "n", i, d))
-    run = P.block_run(add("q2", "r"), "n", i, d)
-    back = exists("n", and_(eq("q", add("q2", "r", "n")), run, P.factoreq(0, "q", "r")))
+    # the run starts at b, where the v-block at q2 ends
+    run = and_(eq("b", add("q2", "r")), eq("q", add("b", "n")), P.block_run("b", "n", i, d))
+    back = exists(("b", "n"), and_(run, P.factoreq(0, "q", "r")))
     head = and_(eq("q", 0), ge("r", d), not_(P.prefx(i, d, 0, "r")), not_(P.suffx(i, d, 0, "r")))
-    chain, back, head = [compile_formula(f, seq=seq, limits=limits) for f in (last, back, head)]
+    back, head = [compile_formula(f, seq=seq, limits=limits) for f in (back, head)]
+    chain = A.true_dfa(seq.k, ("q", "r"))
     for rounds in range(L - 1):
         if rounds == budget.max_enumeration:
-            raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {L}")
+            raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {bounded_form(L)}")
         shorter = _step(chain, back, cap)
         if A.language_equal(shorter, chain):
             break
@@ -459,45 +463,59 @@ def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
     return A.project(A.intersect(head, chain, cap), "q", cap)
 
 
-def pattern_prefixes(seq: Dfao, p: int, budget: Budget):
-    """The relation R_w of the empty pattern and the map R_w, b -> R_wb.
+def pattern_prefixes(seq: Dfao, unbounded, budget: Budget):
+    """The relation R_w of the pattern (0,) and the map R_w, b -> R_wb,
+    for patterns w that start with 0.
 
-    R_w(i, j, r, s, q) holds when the blocks u0 = x[i..i+r) and
-    u1 = x[j..j+s) are nonempty, neither is a prefix or a suffix of the
-    other, neither occurs as a p-th power, and their concatenation along
-    the bit pattern w is x[0..q).  Extending w only adds conjuncts, so an
-    empty R_w rules out every extension of w.  An extension intersects
-    with the block's occurrence at q, then takes one _step to its end.
-    The conjuncts with p come first: a structural p breaches the budget
-    at once.
+    R_w(j, q, r, s) holds when the blocks u0 = x[0..r) and u1 = x[j..j+s)
+    are nonempty, neither is a prefix or a suffix of the other, neither
+    occurs as a B-th power (P.power_occurs over the list unbounded of
+    Step 2), and their concatenation along the bit pattern w is x[0..q).
+    Extending w only adds conjuncts, so an empty R_w rules out every
+    extension of w.  An extension intersects with the block's occurrence
+    at q, then takes one _step to its end.
+
+    Patterns that start with 0 lose nothing.  With the first block free,
+    at x[i..i+r), the relation is symmetric: swapping (i, r) with (j, s)
+    maps the relation of w onto that of its complement, so a pattern
+    survives exactly when its complement does.  In a pattern that starts
+    with 0 the first block is x[0..r) itself, and every conjunct depends
+    only on the two words, so i = 0 loses nothing either.
     """
-    blocks = (i, r), (j, s) = ("i", "r"), ("j", "s")
+    (r, s), j = ("r", "s"), "j"
     root = and_(
-        not_(P.power_occurs(i, r, p)), not_(P.power_occurs(j, s, p)), ge(r, 1), ge(s, 1),
-        not_(P.prefx(i, r, j, s)), not_(P.suffx(i, r, j, s)),
-        not_(P.prefx(j, s, i, r)), not_(P.suffx(j, s, i, r)), eq("q", 0),
+        not_(P.power_occurs(0, r, unbounded)), not_(P.power_occurs(j, s, unbounded)),
+        ge(r, 1), ge(s, 1),
+        not_(P.prefx(0, r, j, s)), not_(P.suffx(0, r, j, s)),
+        not_(P.prefx(j, s, 0, r)), not_(P.suffx(j, s, 0, r)), eq("q", r),
     )
     limits, cap = budget.limits(), budget.max_automaton_states
     root = compile_formula(root, seq=seq, limits=limits)
-    # bit b appends block b: it occurs at q, and q2 is where it ends
-    occurs = [compile_formula(P.factoreq(b, "q", n), seq=seq, limits=limits) for b, n in blocks]
+    # bit b appends block b: it is nonempty and occurs at q, and q2 is
+    # where it ends.  As a conjunct, factoreq is compiled under its normal
+    # names, so the compile cache serves the relation earlier stages built.
+    blocks = (0, r), (j, s)
+    occurs = [
+        compile_formula(and_(ge(n, 1), P.factoreq(b, "q", n)), seq=seq, limits=limits)
+        for b, n in blocks
+    ]
     ends = [compile_formula(eq("q2", add("q", n)), seq=seq, limits=limits) for _, n in blocks]
     return root, lambda rel, bit: _step(A.intersect(rel, occurs[bit], cap), ends[bit], cap)
 
 
-def _witness_note(seq: Dfao, found: Dfa, budget: Budget) -> str:
-    """The pattern-stage witness blocks from E q. R_w, re-checked exactly."""
+def _pattern_pair(seq: Dfao, found: Dfa, budget: Budget) -> tuple[Optional[tuple[Word, Word]], str]:
+    """The shortest blocks u = x[0..r), v = x[j..j+s) of E q. R_w when
+    x is in {u, v}^omega, decided exactly; else None, with the reason."""
     try:
         blocks = A.project(found, "q", budget.max_automaton_states)
         got = dict(zip(blocks.var_order, A.shortest_accepted(blocks)))
-        pref = tuple(seq.prefix(max(got["i"] + got["r"], got["j"] + got["s"])))
-        u = pref[got["i"]:got["i"] + got["r"]]
-        v = pref[got["j"]:got["j"] + got["s"]]
-        ok = decide_fixed_pair(seq, u, v, budget)
+        pref = tuple(seq.prefix(max(got["r"], got["j"] + got["s"])))
+        u, v = pref[:got["r"]], pref[got["j"]:got["j"] + got["s"]]
+        if decide_fixed_pair(seq, u, v, budget):
+            return (u, v), ""
     except (BudgetExceededError, EnumerationLimitError) as exc:
-        return f"pattern witness re-validation stopped early: {exc}"
-    tag = f"pattern witness u = {list(u)}, v = {list(v)}"
-    return tag + (" re-validated exactly" if ok else " failed exact re-validation")
+        return None, f"pattern witness re-validation stopped early: {exc}"
+    return None, f"pattern witness u = {list(u)}, v = {list(v)} failed exact re-validation"
 
 
 def rank2_decide(
@@ -510,11 +528,12 @@ def rank2_decide(
     """Decide Rank1 / RankTwo / RankAtLeastThree, or report Inconclusive.
 
     assume_D overrides the computed pattern length, and with it assumes
-    p = 3, so the later stages become exercisable at desk scale.  Every
-    report of a run with the hook is flagged unsound, whichever stage
-    produced the verdict and even when the recovered witness
-    re-validates, because exhaustiveness of the search is no longer
-    guaranteed at the shrunken constants.
+    p = 3, which enters only L, the round cap of the run chain, so the
+    pattern stage becomes exercisable at desk scale.  Every report of a
+    run with the hook is flagged unsound, whichever stage produced the
+    verdict and even when the recovered witness re-validates, because
+    exhaustiveness of the search is no longer guaranteed at the shrunken
+    constants.
     """
     budget = budget or Budget()
     limits = budget.limits()
@@ -522,10 +541,9 @@ def rank2_decide(
     hooked = assume_D is not None
     if hooked and assume_D < 2:
         raise ValueError("assume_D must be at least 2")
-    p_assumed = 3 if hooked else None
     assumptions = []
     if hooked:
-        assumptions.append(f"p = {p_assumed} assumed, not computed")
+        assumptions.append("p = 3 assumed, not computed")
         assumptions.append(f"D = {assume_D} assumed, not computed")
     if disable_fast_paths:
         assumptions.append("fast paths disabled")
@@ -592,45 +610,46 @@ def rank2_decide(
 
         stages.append("Step1")
         consts = sequence_constants(seq, limits)
-        p_used = p_assumed if hooked else consts.p
-        L_used = lemma_L_constant(consts.kappa, p_used)
-        D_used = assume_D if hooked else lemma_D_constant(consts.kappa, p_used)
+        if hooked:
+            consts = replace(consts, p=3)
+        D_used = assume_D if hooked else lemma_D_constant(consts.kappa, consts.p)
         consts_view = {
             "C": consts.C,
             "kappa": consts.kappa,
-            "p": p_used,
+            "p": consts.p,
             "B": consts.B,
             "D": D_used,
-            "L": L_used,
+            "L": lemma_L_constant(consts.kappa, consts.p),
         }
 
         stages.append("Step2")
-        members = unbounded_primitive_factors(
-            seq, limits, max_results=budget.max_enumeration
-        )
+        unbounded = [w for _, _, w in unbounded_primitive_factors(
+            seq, limits, max_results=budget.max_enumeration)]
 
         stages.append("Step3")
-        for _, _, w in members:
+        for w in unbounded:
             if out_of_time():
                 return report(Inconclusive("Step3", "wall_time exhausted"))
-            pair = decide_with_unbounded(seq, w, consts, budget, p_override=p_assumed)
+            pair = decide_with_unbounded(seq, w, consts, budget)
             if pair is not None:
                 if hooked:
                     notes.append("unbounded-stage pair re-validated exactly")
                 return report(RankTwo(pair))
 
         stages.append("Step4")
-        exhausted = f"2^{D_used} patterns exceed max_patterns = {budget.max_patterns}"
+        exhausted = f"2^{bounded_form(D_used)} patterns exceed max_patterns = {budget.max_patterns}"
         if budget.max_patterns == 0:
             return report(Inconclusive("Step5", exhausted, D_used))
 
         stages.append("Step5")
-        # Depth-first over pattern prefixes, pruning at an empty R_w, with
-        # children in the order (parity of w, its complement): the leaves
-        # come in reflected Gray-code order.
-        root, extend = pattern_prefixes(seq, p_used, budget)
-        stack = [((), root)]
-        visited = 0
+        # Depth-first over the pattern prefixes that start with 0, pruning
+        # at an empty R_w, with children in the order (parity of w, its
+        # complement): the leaves come in reflected Gray-code order.  At
+        # depths 1, 2, 4, 8, ... and D, the shortest blocks of R_w are
+        # tried as an explicit pair, at most max_enumeration times.
+        root, extend = pattern_prefixes(seq, unbounded, budget)
+        stack = [((0,), root)]
+        visited = tries = 0
         while stack:
             visited += 1
             if visited > budget.max_patterns:
@@ -638,12 +657,20 @@ def rank2_decide(
             if out_of_time():
                 return report(Inconclusive("Step5", "wall_time exhausted", D_used))
             w, rel = stack.pop()
-            rel = extend(rel, w[-1]) if w else rel
+            depth = len(w)
+            rel = extend(rel, w[-1]) if depth > 1 else rel
             if A.is_empty(rel):
                 continue
-            if len(w) == D_used:
-                notes.append(_witness_note(seq, rel, budget))
-                return report(RankTwo(ExistenceByFormula(w)))
+            if depth == D_used or (depth & (depth - 1) == 0 and tries < budget.max_enumeration):
+                tries += 1
+                pair, note = _pattern_pair(seq, rel, budget)
+                if pair is not None:
+                    if hooked:
+                        notes.append("pattern-stage pair re-validated exactly")
+                    return report(RankTwo(_explicit_pair(seq, *pair)))
+                if depth == D_used:
+                    notes.append(note)
+                    return report(RankTwo(ExistenceByFormula(w)))
             parity = sum(w) & 1
             stack += [(w + (1 - parity,), rel), (w + (parity,), rel)]
         return report(RankAtLeastThree())

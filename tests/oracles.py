@@ -446,27 +446,27 @@ def setup_formula(i: int, d: int, L: int, N: int, r_var: str = "r"):
     )
 
 
-def setup2_formula(pattern, p: int):
+def setup2_formula(pattern, pin_first: bool = True):
     """Sentence: there exist blocks u0 = x[i..i+r), u1 = x[j..j+s), each
     nonempty, mutually neither prefix nor suffix of one another, neither
-    occurring in x as a p-th power, such that the concatenation described
-    by the bit pattern is a prefix of x.
+    occurring in x with unbounded exponent (unbounded_power_sentence),
+    such that the concatenation described by the bit pattern is a prefix
+    of x.  pin_first fixes i = 0, which the rank decider's pattern search
+    does for patterns that start with 0; otherwise i is quantified too.
 
     Block t starts at a_t·r + b_t·s where a_t, b_t count the zeros and
     ones before position t.
     """
-    from ranktwo.logic import add, and_, exists, ge, mul, not_, term
-    from ranktwo.predicates import _fresh, factoreq, period_f, prefx, suffx
+    from ranktwo.logic import Const, add, and_, exists, ge, mul, not_
+    from ranktwo.predicates import factoreq, prefx, suffx
 
     bits = tuple(int(b) for b in pattern)
     if len(bits) < 2:
         raise ValueError("pattern needs length at least 2")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("pattern bits must be 0 or 1")
-    if p < 2:
-        raise ValueError("need p >= 2")
 
-    i, j, r, s = "i", "j", "r", "s"
+    i, j, r, s = (Const(0) if pin_first else "i"), "j", "r", "s"
     blocks = []
     a = b = 0
     for bit in bits:
@@ -478,15 +478,6 @@ def setup2_formula(pattern, p: int):
             blocks.append(factoreq(j, pos, s))
             b += 1
 
-    def no_pth_power(start, length):
-        (j2,) = _fresh((term(start), term(length)), 1)
-        return not_(
-            exists(
-                j2,
-                and_(factoreq(start, j2, length), period_f(j2, mul(p, length), length)),
-            )
-        )
-
     body = and_(
         ge(r, 1),
         ge(s, 1),
@@ -495,10 +486,33 @@ def setup2_formula(pattern, p: int):
         not_(prefx(j, s, i, r)),
         not_(suffx(j, s, i, r)),
         *blocks,
-        no_pth_power(i, r),
-        no_pth_power(j, s),
+        not_(unbounded_power_sentence(i, r)),
+        not_(unbounded_power_sentence(j, s)),
     )
-    return exists((i, j, r, s), body)
+    return exists((j, r, s) if pin_first else (i, j, r, s), body)
+
+
+def unbounded_power_sentence(start, n):
+    """x[start..start+n) is nonempty and occurs with unbounded exponent:
+    for every m some occurrence j starts an n-periodic window of length
+    m."""
+    from ranktwo.logic import and_, exists, forall, ge, term
+    from ranktwo.predicates import _fresh, factoreq, period_f
+
+    start, n = term(start), term(n)
+    m, j = _fresh((start, n), 2)
+    return and_(ge(n, 1), forall(m, exists(j, and_(factoreq(start, j, n), period_f(j, m, n)))))
+
+
+def mul_power_occurs(start, n, p: int):
+    """Some occurrence of x[start..start+n) begins its p-th power, p
+    concrete, written with a multiplication by p."""
+    from ranktwo.logic import and_, exists, mul, term
+    from ranktwo.predicates import _fresh, factoreq, period_f
+
+    start, n = term(start), term(n)
+    (j,) = _fresh((start, n), 1)
+    return exists(j, and_(period_f(j, mul(p, n), n), factoreq(start, j, n)))
 
 
 # ---------------------------------------------------------------------------

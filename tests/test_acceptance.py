@@ -56,7 +56,7 @@ from ranktwo.logic import (
     term,
 )
 from ranktwo.oracle import (
-    brute_appearance,
+    appearance_values,
     dp_factorize,
     search_comb_counterexample,
     search_depsilon_counterexample,
@@ -320,9 +320,9 @@ def test_criterion_4_constants():
         B, r = power_bound(seq)
         C = appearance_constant(seq)
         assert B == seq.k ** r * C
-        pref = tuple(seq.prefix(2 ** 15))
+        values = appearance_values(seq.prefix(2 ** 15), 128)
         for n in range(1, 129):
-            assert brute_appearance(pref, n) <= C * n, (name, n)
+            assert values[n - 1] <= C * n, (name, n)
 
 
 # =====================================================================
@@ -492,6 +492,8 @@ def test_criterion_8_budget_behavior(capsys):
     assert code == 0
     data = json.loads(out)
     assert data["verdict"] == "rank_two"
-    assert data["certificate"] == {"kind": "existence_by_formula", "pattern": [0, 1, 1, 0]}
+    assert data["certificate"] == {
+        "kind": "explicit_pair", "u": [0, 1], "v": [2, 0], "validated_prefix": 2 ** 14 + 2,
+    }
     assert data["soundness_flags"]["unsound"] is True
     assert "Step5" in data["budget_report"]["stages_run"]

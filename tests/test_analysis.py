@@ -14,6 +14,7 @@ from ranktwo.analysis import (
     NOT_A_FACTOR,
     UNBOUNDED,
     appearance_constant,
+    bounded_form,
     constants,
     is_purely_periodic,
     is_ultimately_periodic,
@@ -26,12 +27,14 @@ from ranktwo.analysis import (
 )
 from ranktwo.automata import Dfao, loads_dfao
 from ranktwo.fixtures import load_fixture
-from ranktwo.logic import compile_formula, decide
+from ranktwo.logic import and_, compile_formula, decide, ge
 
 from oracles import (
     FIXTURE_ORACLES,
     brute_max_run_exponent,
+    mul_power_occurs,
     unbounded_exponent_sentence,
+    unbounded_power_sentence,
     unbounded_primitive_factors_sentence,
 )
 
@@ -87,6 +90,13 @@ def test_appearance_bound_holds_on_prefixes():
         pref = seq.prefix(1 << 13)
         for n in range(1, 65):
             assert brute_appearance_from(pref, n) <= C * n, (name, n)
+
+
+def test_bounded_form_keeps_printable_constants():
+    assert bounded_form(10 ** 999) == 10 ** 999
+    assert bounded_form(2 ** 4000) == "~2^4000"
+    assert bounded_form(10 ** 5000) == "~2^16610"
+    assert bounded_form(0) == 0
 
 
 def test_periodicity_classification():
@@ -152,6 +162,7 @@ def test_unbounded_primitive_factor_sets():
 
 GOLDEN = Path(__file__).parent / "golden"
 WITH_CRAFTED = {**ALL, **{name: loads_dfao((GOLDEN / f"{name}.dfao").read_text()) for name in ("POW23", "TWELVE")}}
+SEVEN = {**WITH_CRAFTED, "vtm": loads_dfao((GOLDEN / "vtm.dfao").read_text())}
 
 
 def _assert_every_window_matches_every_bound(seq, words):
@@ -184,6 +195,45 @@ def test_every_window_matches_every_bound_on_random_sequences(seed, k, n):
     outputs = tuple(rng.randrange(2) for _ in range(n))
     seq = Dfao(k, (0, 1), outputs, tuple(map(tuple, delta)), 0)
     _assert_every_window_matches_every_bound(seq, [(0,), (1,), (0, 1), (1, 0), (0, 0, 1)])
+
+
+def _assert_power_occurs_is_unbounded_exponent(seq):
+    # the predicate over Step 2's list against "for every m, a window of
+    # length m"
+    words = [w for _, _, w in unbounded_primitive_factors(seq)]
+    new = compile_formula(P.power_occurs("i", "n", words), seq=seq)
+    assert new.var_order == ("i", "n")
+    assert A.language_equal(new, compile_formula(unbounded_power_sentence("i", "n"), seq=seq))
+    return new
+
+
+@pytest.mark.parametrize("name", sorted(SEVEN))
+def test_power_occurs_is_unbounded_exponent(name):
+    seq = SEVEN[name]
+    new = _assert_power_occurs_is_unbounded_exponent(seq)
+    # on these sequences every cube already has unbounded exponent, so
+    # the multiplication by p = 3 gives the same relation
+    old = compile_formula(and_(ge("n", 1), mul_power_occurs("i", "n", 3)), seq=seq)
+    assert A.language_equal(old, new)
+    assert A.language_equal(
+        compile_formula(P.power_occurs(0, "n", [w for _, _, w in unbounded_primitive_factors(seq)]), seq=seq),
+        compile_formula(unbounded_power_sentence(0, "n"), seq=seq),
+    )
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3))
+def test_power_occurs_is_unbounded_exponent_on_random_sequences(seed, k, n):
+    rng = random.Random(seed)
+    delta = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    delta[0][0] = 0  # leading zeros leave the initial state
+    outputs = tuple(rng.randrange(2) for _ in range(n))
+    _assert_power_occurs_is_unbounded_exponent(Dfao(k, (0, 1), outputs, tuple(map(tuple, delta)), 0))
+
+
+def test_power_occurs_of_no_words_keeps_its_tracks():
+    rel = compile_formula(P.power_occurs("i", "n", []), k=2)
+    assert rel.var_order == ("i", "n") and A.is_empty(rel)
 
 
 def test_step2_after_constants_builds_no_five_track_automaton(monkeypatch):

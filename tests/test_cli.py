@@ -243,6 +243,56 @@ def test_rank2_pattern_budget_breach_is_a_verdict(capsys):
     assert "2^" in data["required"]
 
 
+# k = 3 and five states, with B of 7,260 bits and D of 14,610: more
+# decimal digits than Python converts by default
+HUGE_CONSTANTS = """k 3
+alphabet 0 1
+states 5
+initial 0
+output 0 0
+output 1 1
+output 2 0
+output 3 0
+output 4 0
+trans 0 0 0
+trans 0 1 0
+trans 0 2 4
+trans 1 0 0
+trans 1 1 2
+trans 1 2 4
+trans 2 0 0
+trans 2 1 4
+trans 2 2 1
+trans 3 0 0
+trans 3 1 0
+trans 3 2 3
+trans 4 0 3
+trans 4 1 0
+trans 4 2 1
+"""
+
+
+def test_huge_constants_print_in_bounded_form(capsys, tmp_path):
+    path = tmp_path / "huge.dfao"
+    path.write_text(HUGE_CONSTANTS)
+    common = ["--dfao", str(path), "--budget-states", "12000"]
+    code, out, err = run(capsys, [
+        "rank2", *common, "--disable-fast-paths", "--budget-patterns", "0", "--format", "json",
+    ])
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["verdict"] == "inconclusive" and data["stage"] == "Step5"
+    assert data["constants"]["D"] == data["patterns_log2"] == "~2^14609"
+    assert data["constants"]["B"] == data["constants"]["p"] == "~2^7259"
+    assert data["required"] == "2^~2^14609 patterns exceed max_patterns = 0"
+    code, out, err = run(capsys, ["analyze", *common, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["B"] == "~2^7259"
+    code, out, err = run(capsys, ["analyze", *common])
+    assert code == 0, err
+    assert "power bound B = 3^" in out
+
+
 # ---------------------------------------------------------------- decide
 
 

@@ -26,6 +26,7 @@ SCENARIOS = {
     "ternary-tm": ["--fixture", "ternary-tm"],
     "TWELVE": ["--dfao", str(GOLDEN / "TWELVE.dfao")],
     "POW23": ["--dfao", str(GOLDEN / "POW23.dfao")],
+    "vtm": ["--dfao", str(GOLDEN / "vtm.dfao")],
     "ternary-tm-patterns-0": [
         "--fixture", "ternary-tm", "--disable-fast-paths", "--budget-patterns", "0",
     ],

@@ -496,20 +496,20 @@ def test_setup_formula_matches_brute_scan():
 
 def test_setup2_witness_is_genuine():
     """Satisfiability plus a hand check of one satisfying assignment."""
-    pattern, p = (0, 1), 3
-    root, extend = pattern_prefixes(T3, p, Budget())
-    rel = extend(extend(root, 0), 1)
+    pattern = (0, 1)
+    root, extend = pattern_prefixes(T3, [], Budget())
+    rel = extend(root, 1)
     assert not is_empty(rel)
-    # E q. R_w is the body of the unrolled sentence
+    # E q. R_w is the body of the unrolled sentence, the first block at 0
     blocks = automata.project(rel, "q")
-    body = setup2_formula(pattern, p)
+    body = setup2_formula(pattern)
     while isinstance(body, L.Exists):
         body = body.body
     assert language_equal(blocks, compile_formula(body, seq=T3))
     vals = dict(zip(blocks.var_order, shortest_accepted(blocks)))
-    i, j, r, s = vals["i"], vals["j"], vals["r"], vals["s"]
+    j, r, s = vals["j"], vals["r"], vals["s"]
     assert r >= 1 and s >= 1
-    u0, u1 = T3_PREF[i:i + r], T3_PREF[j:j + s]
+    u0, u1 = T3_PREF[:r], T3_PREF[j:j + s]
     assert T3_PREF[:r + s] == u0 + u1
     # neither block is a prefix or a suffix of the other
     assert not (r <= s and (u1[:r] == u0 or u1[s - r:] == u0))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ranktwo.analysis import max_exponent
 from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
+    appearance_values,
     brute_appearance,
     brute_max_exponent,
     dp_factorize,
@@ -171,6 +172,18 @@ def test_brute_appearance_values():
     tm = FIXTURE_ORACLES["thue-morse"](2 ** 12)
     for n in range(1, 9):
         assert brute_appearance(tm, n) == brute_appearance_value(tm, n)
+    with pytest.raises(ValueError):
+        brute_appearance((1, 2), 3)
+    assert brute_appearance((1, 2, 3), 3) == 3
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_ORACLES))
+def test_appearance_values_match_factor_sets(name):
+    # the one ranking pass against the tuple sets of each length
+    pref = FIXTURE_ORACLES[name](2 ** 11)
+    assert appearance_values(pref, 24) == [brute_appearance_value(pref, n) for n in range(1, 25)]
+    assert appearance_values(pref[:5], 5) == [brute_appearance_value(pref[:5], n) for n in range(1, 6)]
+    assert appearance_values((), 0) == []
 
 
 def test_brute_max_exponent_on_thue_morse():

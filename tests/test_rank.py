@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import ranktwo
+import ranktwo.rank as rank_module
 from ranktwo import automata as A
 from ranktwo import logic as L
 from ranktwo import predicates as P
@@ -20,7 +21,7 @@ from ranktwo.analysis import constants, strip_max_power_prefix, unbounded_primit
 from ranktwo.automata import Dfao
 from ranktwo.errors import BudgetExceededError
 from ranktwo.fixtures import load_fixture
-from ranktwo.logic import Exists, compile_formula, witness
+from ranktwo.logic import Exists, compile_formula, decide, witness
 from ranktwo.oracle import dp_factorize, parse_reach
 from ranktwo.rank import (
     Budget,
@@ -65,6 +66,15 @@ TWELVE = Dfao(
     alphabet=(0, 1, 2),
     outputs=(0, 0, 0, 1, 2, 0),
     delta=((0, 1), (2, 5), (3, 4), (3, 4), (5, 5), (5, 5)),
+    initial=0,
+)
+
+# x[n] = t(n+1) - t(n) + 1 over Thue-Morse t: square-free on three letters
+VTM = Dfao(
+    k=2,
+    alphabet=(0, 1, 2),
+    outputs=(2, 1, 0, 1),
+    delta=((0, 3), (0, 2), (2, 1), (2, 0)),
     initial=0,
 )
 
@@ -261,17 +271,16 @@ def test_decide_with_unbounded_preconditions():
 def test_decide_with_unbounded_run_tower_finds_pair():
     consts = constants(TWELVE)
     # the run chain reaches its fixed point long before this depth
-    assert lemma_L_constant(consts.kappa, 3) == 25_690_161
-    pair = decide_with_unbounded(TWELVE, (0,), consts, p_override=3)
+    assert lemma_L_constant(consts.kappa, consts.p) > 10 ** 40
+    pair = decide_with_unbounded(TWELVE, (0,), consts)
     assert pair == ExplicitPair((0,), (1, 2), 2 ** 14 + 2)
-    # the shrunken p only shrinks the search: the pair is exact
     assert decide_fixed_pair(TWELVE, pair.u, pair.v) is True
 
 
 def test_decide_with_unbounded_run_tower_exhausts():
     consts = constants(POW23)
-    assert lemma_L_constant(consts.kappa, 3) == 50_225
-    pair = decide_with_unbounded(POW23, (0,), consts, p_override=3)
+    assert lemma_L_constant(consts.kappa, consts.p) > 10 ** 40
+    pair = decide_with_unbounded(POW23, (0,), consts)
     assert pair is None
 
 
@@ -303,26 +312,39 @@ def test_run_chain_rounds_without_fixed_point_are_capped():
         run_chain(tail, i, 1, 0, Budget())
 
 
-@pytest.mark.parametrize("name", ["mod3", "thue-morse", "pow2-char", "ternary-tm", "POW23", "TWELVE"])
+@pytest.mark.parametrize("name", ["mod3", "thue-morse", "pow2-char", "ternary-tm", "POW23", "TWELVE", "vtm"])
 def test_pattern_prefixes_match_unrolled_sentences(name):
-    # E q. R_w has the language of the unrolled sentence's body, for
-    # every pattern w of length 2 and 3
+    # E q. R_w has the language of the unrolled sentence's body, with the
+    # first block pinned at 0, for every pattern w of length 2 and 3 that
+    # starts with 0
     seq = {"mod3": M3, "thue-morse": TM, "pow2-char": P2, "ternary-tm": T3,
-           "POW23": POW23, "TWELVE": TWELVE}[name]
-    root, extend = pattern_prefixes(seq, 3, Budget())
-    rel = {(): root}
-    for n in (1, 2, 3):
-        for w in itertools.product((0, 1), repeat=n):
+           "POW23": POW23, "TWELVE": TWELVE, "vtm": VTM}[name]
+    unbounded = [w for _, _, w in unbounded_primitive_factors(seq)]
+    root, extend = pattern_prefixes(seq, unbounded, Budget())
+    assert root.var_order == ("j", "q", "r", "s")
+    rel = {(0,): root}
+    for n in (2, 3):
+        for w in itertools.product((0, 1), repeat=n - 1):
+            w = (0,) + w
             rel[w] = extend(rel[w[:-1]], w[-1])
-            if n == 1:
-                continue
-            body = setup2_formula(w, 3)
+            body = setup2_formula(w)
             while isinstance(body, Exists):
                 body = body.body
             assert A.language_equal(A.project(rel[w], "q"), compile_formula(body, seq=seq)), w
     viable = [w for w in rel if len(w) == 3 and not A.is_empty(rel[w])]
-    assert viable == ([(0, 1, 0), (1, 0, 1)] if name in ("mod3", "POW23") else
-                      [(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)])
+    assert viable == ([(0, 1, 0)] if name in ("mod3", "POW23", "vtm") else [(0, 1, 0), (0, 1, 1)])
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "POW23"])
+def test_pattern_symmetry_pins_the_first_block(name):
+    # a pattern survives exactly when its complement does, and pinning
+    # the first block of a pattern that starts with 0 loses nothing
+    seq = {"thue-morse": TM, "POW23": POW23}[name]
+    for w in itertools.product((0, 1), repeat=3):
+        free = decide(setup2_formula(w, pin_first=False), seq=seq)
+        assert free == decide(setup2_formula(tuple(1 - b for b in w), pin_first=False), seq=seq), w
+        if w[0] == 0:
+            assert free == decide(setup2_formula(w), seq=seq), w
 
 
 def test_rank2_decide_fixture_verdicts():
@@ -343,19 +365,33 @@ def test_rank2_decide_crafted_sequences():
     rep = rank2_decide(TWELVE)
     cert = rep.verdict.certificate
     assert (cert.u, cert.v) == ((0,), (1, 2))
-    # at the assumed p = 3 the run chain of the zeros has a fixed point
-    # with no companion, and no pattern survives past depth 3
+    # the run chain of the zeros has a fixed point with no companion,
+    # and no pattern survives past depth 3
     rep = rank2_decide(POW23, assume_D=4)
     assert rep.verdict == RankAtLeastThree()
     assert rep.soundness_flags["unsound"] is True
     assert rep.budget_report["stages_run"][-1] == "Step5"
-    # at the computed p the multiplication by p is over budget, so the
-    # honest answer is Inconclusive at the unbounded stage
+    # no constant enters a formula, so the computed ones decide it too
     rep = rank2_decide(POW23)
-    assert rep.verdict == Inconclusive(
-        "Step3",
-        "budget exceeded at multiplication (cap 200000): c = 85070591730234615865843651857942052864",
-    )
+    assert rep.verdict == RankAtLeastThree()
+    assert rep.soundness_flags["unsound"] is False
+    assert rep.budget_report["stages_run"][-1] == "Step5"
+
+
+def test_vtm_is_rank_at_least_three_because_it_is_square_free():
+    def tm(n):
+        return bin(n).count("1") & 1
+
+    assert VTM.prefix(2 ** 14) == [tm(n + 1) - tm(n) + 1 for n in range(2 ** 14)]
+    # every binary word of length 4 holds a square, so the first four
+    # blocks of a product over {u, v} would put a square into x
+    for w in itertools.product((0, 1), repeat=4):
+        assert any(w[i:i + h] == w[i + h:i + 2 * h] for h in (1, 2) for i in range(5 - 2 * h)), w
+    square = L.exists(("i", "n"), L.and_(L.ge("n", 1), P.factoreq("i", L.add("i", "n"), "n")))
+    assert not decide(square, seq=VTM)
+    for off in (False, True):
+        rep = rank2_decide(VTM, disable_fast_paths=off)
+        assert rep.verdict == RankAtLeastThree() and not rep.soundness_flags["unsound"]
 
 
 def test_step2_serves_step1_window_relation_from_cache(monkeypatch):
@@ -409,23 +445,62 @@ def test_rank2_decide_small_state_budget_reaches_pattern_stage():
 
 
 def test_rank2_decide_assumed_constants_run_pattern_stage():
+    # the blocks of 0110 are the first pair that proves itself
     rep = rank2_decide(T3, disable_fast_paths=True, assume_D=4)
-    assert rep.verdict == RankTwo(ExistenceByFormula((0, 1, 1, 0)))
+    assert rep.verdict == RankTwo(ExplicitPair((0, 1), (2, 0), 2 ** 14 + 2))
     flags = rep.soundness_flags
     assert flags["unsound"] is True
     assert any("D = 4" in a for a in flags["assumptions"])
     assert any("p = 3" in a for a in flags["assumptions"])
-    assert any("re-validated exactly" in n for n in flags["notes"])
+    assert flags["notes"] == ["pattern-stage pair re-validated exactly"]
     assert rep.budget_report["stages_run"][-1] == "Step5"
 
 
 def test_pattern_search_counts_nodes_against_max_patterns():
-    # the search visits (), 0, 00 (empty, pruned), 01, 011 and 0110
-    rep = rank2_decide(T3, Budget(max_patterns=6), disable_fast_paths=True, assume_D=4)
-    assert rep.verdict == RankTwo(ExistenceByFormula((0, 1, 1, 0)))
+    # the search visits 0, 00 (empty, pruned), 01, 011 and 0110
     rep = rank2_decide(T3, Budget(max_patterns=5), disable_fast_paths=True, assume_D=4)
-    assert rep.verdict == Inconclusive("Step5", "2^4 patterns exceed max_patterns = 5", 4)
+    assert rep.verdict == RankTwo(ExplicitPair((0, 1), (2, 0), 2 ** 14 + 2))
+    rep = rank2_decide(T3, Budget(max_patterns=4), disable_fast_paths=True, assume_D=4)
+    assert rep.verdict == Inconclusive("Step5", "2^4 patterns exceed max_patterns = 4", 4)
     assert rep.budget_report["stages_run"][-1] == "Step5"
+
+
+@pytest.mark.parametrize("seq", [TM, T3, TWELVE, P2], ids=["thue-morse", "ternary-tm", "TWELVE", "pow2-char"])
+def test_pattern_search_pairs_are_exact_without_hooks(seq, monkeypatch):
+    # with no assumed constant, Step 5 proves rank two only through an
+    # explicit pair, and every pair it returns holds exactly
+    tried = []
+    real = rank_module._pattern_pair
+
+    def spy(*args):
+        out = real(*args)
+        tried.append(out)
+        return out
+
+    monkeypatch.setattr(rank_module, "_pattern_pair", spy)
+    rep = rank2_decide(seq, disable_fast_paths=True)
+    cert = rep.verdict.certificate
+    assert isinstance(cert, ExplicitPair) and not rep.soundness_flags["unsound"]
+    assert decide_fixed_pair(seq, cert.u, cert.v) is True
+    if rep.budget_report["stages_run"][-1] == "Step5":
+        assert tried[-1] == ((cert.u, cert.v), "")
+        assert all(pair is None for pair, _ in tried[:-1])
+
+
+def test_pattern_search_witness_tries_are_capped(monkeypatch):
+    # ternary-tm's pair comes from depth 4, the third try: with two tries
+    # the search runs on to its node cap
+    calls = []
+    real = rank_module._pattern_pair
+    monkeypatch.setattr(rank_module, "_pattern_pair", lambda *args: calls.append(1) or real(*args))
+    rep = rank2_decide(T3, Budget(max_patterns=50, max_enumeration=2), disable_fast_paths=True)
+    assert isinstance(rep.verdict, Inconclusive) and rep.verdict.stage == "Step5"
+    assert rep.verdict.required.endswith("patterns exceed max_patterns = 50")
+    assert len(calls) == 2
+    calls.clear()
+    rep = rank2_decide(T3, Budget(max_patterns=50, max_enumeration=3), disable_fast_paths=True)
+    assert rep.verdict == RankTwo(ExplicitPair((0, 1), (2, 0), 2 ** 14 + 2))
+    assert len(calls) == 3
 
 
 def test_rank2_decide_formula_certificate_can_outrun_its_witness():
