@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .automata import Dfao, _explore, enumerate_accepted, is_empty
+from .automata import Dfao, _explore, _Windows, enumerate_accepted, is_empty
 from .errors import RankTwoError
 from .logic import (
     CompileLimits,
@@ -23,6 +23,7 @@ from .logic import (
     and_,
     compile_formula,
     decide,
+    eq,
     exists,
     forall,
     not_,
@@ -89,6 +90,16 @@ def constants(seq: Dfao, limits: Optional[CompileLimits] = None) -> AnalysisCons
         appearance_states=ap.num_states,
         power_states=pw.num_states,
     )
+
+
+def appearance_value(seq: Dfao, n: int, limits: Optional[CompileLimits] = None) -> int:
+    """A(n), the least m such that every length-n factor occurs inside
+    x[0..m): one witness of the appearance relation, which constants
+    compiles too, with n fixed."""
+    w = witness(and_(P.appearance_formula("n", "m"), eq("n", n)), seq=seq, limits=limits)
+    if w is None:
+        raise RankTwoError(f"no least cover length for factors of length {n}")
+    return w["m"]
 
 
 def appearance_constant(seq: Dfao, limits: Optional[CompileLimits] = None) -> int:
@@ -218,33 +229,20 @@ def occurring_letters(seq: Dfao, limits: Optional[CompileLimits] = None) -> tupl
 
 
 def shift_sequence(seq: Dfao, t: int, limits: Optional[CompileLimits] = None) -> Dfao:
-    """The sequence n -> x[n + t], as an automaton in canonical form."""
+    """The sequence n -> x[n + t], as an automaton in canonical form: the
+    windows of the index n + t (automata._Windows), each state's output
+    read at offset t.  More than the state cap of limits raise
+    BudgetExceededError at "sequence-index"."""
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    if t == 0:
-        return seq.canonical()
-    letters = sorted(set(seq.alphabet))
-    parts = [
-        compile_formula(seq_at(add("n", t), a), seq=seq, limits=limits)
-        for a in letters
-    ]
-    # run the per-letter acceptors in parallel; exactly one accepts any
-    # given position, which names the output letter
-    order, delta = _explore(
-        tuple(p.initial for p in parts),
-        lambda vec: [tuple(p.delta[q][d] for p, q in zip(parts, vec)) for d in range(seq.k)],
-    )
-    outputs = []
-    for vec in order:
-        hits = [a for a, p, q in zip(letters, parts, vec) if p.accepting[q]]
-        if len(hits) != 1:
-            raise RankTwoError("shifted sequence has an ill-defined output")
-        outputs.append(hits[0])
+    windows = _Windows(seq.canonical(), range(seq.k), t)
+    cap = limits.max_automaton_states if limits is not None else None
+    order, delta = _explore(0, windows.row, cap, "sequence-index")
     shifted = Dfao(
         k=seq.k,
-        alphabet=tuple(letters),
-        outputs=tuple(outputs),
-        delta=tuple(tuple(r) for r in delta),
+        alphabet=tuple(sorted(set(seq.alphabet))),
+        outputs=tuple(windows.output(w) for w in order),
+        delta=tuple(map(tuple, delta)),
         initial=0,
     )
     return shifted.canonical()

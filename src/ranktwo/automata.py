@@ -698,31 +698,127 @@ def validate_dfao(m: Dfao) -> None:
         raise ValueError("leading zeros change outputs (no zero self-loop up to equivalence)")
 
 
-def seq_at_dfa(m: Dfao, var: str, symbol: int) -> Dfa:
-    """{n : x[n] = symbol} over one track."""
+# ---------------------------------------------------------------------------
+# sequence relations
+
+class _Windows:
+    """The windows of one sequence index t = sum of a_x * v_x + c.
+
+    Write state(n) for the state of the canonical form m reached on the
+    digits of n, and V for the value of sum a_x * v_x on the digit
+    columns read so far, most significant first.  A window is the tuple
+    of state(V + e) for the offsets e in O, the closure of {c} under
+    e -> (e + s) // k with s ranging over the index's column sums.  A
+    column of sum s takes V to k*V + s, and
+
+        state(k*V + s + e) = delta[state(V + (s + e) // k)][(s + e) % k],
+
+    whose source is again in the window, so the windows form a
+    deterministic automaton and x[t] is the output at offset c.  The
+    all-zero column maps the window at V = 0 to itself, so that window
+    is the start and the automaton is closed under leading zeros.  O
+    holds at most (sum of a_x + 1) * (log_k c + 2) offsets; a lone
+    variable has O = {0} and its windows are the states of m.
+
+    Windows are interned as ints in order of discovery, 0 the start;
+    row(w) lists w's successors per column sum, in the order of sums,
+    and columns gives each letter's position in that order.
+    """
+
+    def __init__(self, m: Dfao, col_sums: Sequence[int], c: int):
+        k = m.k
+        sums = sorted(set(col_sums))
+        offsets = {c}
+        frontier = [c]
+        for e in frontier:
+            for s in sums:
+                f = (e + s) // k
+                if f not in offsets:
+                    offsets.add(f)
+                    frontier.append(f)
+        offsets = sorted(offsets)
+        slot = {e: i for i, e in enumerate(offsets)}
+        pos = {s: i for i, s in enumerate(sums)}
+        self.columns = [pos[s] for s in col_sums]
+        self._plans = [[(slot[(e + s) // k], (e + s) % k) for e in offsets] for s in sums]
+        self._delta = m.delta
+        self._outputs = m.outputs
+        self._at = slot[c]
+        # the all-zero letter makes 0 the least column sum; its plan
+        # reads state(e // k) for offset e, filled in before e since
+        # offsets ascend, and offset 0 reads the initial state's zero loop
+        start = [m.initial] * len(offsets)
+        for i, (j, d) in enumerate(self._plans[0]):
+            start[i] = m.delta[start[j]][d]
+        self._windows = [tuple(start)]
+        self._ids = {self._windows[0]: 0}
+        self._rows: dict[int, list[int]] = {}
+
+    def output(self, w: int) -> int:
+        return self._outputs[self._windows[w][self._at]]
+
+    def row(self, w: int) -> list[int]:
+        row = self._rows.get(w)
+        if row is None:
+            delta, ids, windows = self._delta, self._ids, self._windows
+            win = windows[w]
+            row = []
+            for plan in self._plans:
+                t = tuple([delta[win[j]][d] for j, d in plan])
+                i = ids.get(t)
+                if i is None:
+                    i = ids[t] = len(windows)
+                    windows.append(t)
+                row.append(i)
+            self._rows[w] = row
+        return row
+
+
+def seq_rel(m: Dfao, indices: Sequence[tuple[Mapping[str, int], int]],
+            symbol: Optional[int] = None, max_states: Optional[int] = None) -> Dfa:
+    """{v : x[t] = symbol} for one index t, {v : x[s] = x[t]} for two.
+
+    An index (coeffs, c) stands for sum of coeffs[x] * v_x + c, with
+    natural coefficients and c; the tracks are every name of every
+    coeffs, a zero coefficient included.  One breadth-first exploration
+    runs the index's windows (see _Windows), or the pair of both
+    indices' windows, over the columns; a state accepts when its output
+    at offset c equals symbol, or the other index's output.  Each new
+    window costs one step per offset, so a huge constant makes every
+    state slower, and more than max_states states raise
+    BudgetExceededError at "sequence-index".
+    """
+    if len(indices) != (1 if symbol is not None else 2):
+        raise ValueError("give one index and a symbol, or two indices")
     c = m.canonical()
-    acc = [s == symbol for s in c.outputs]
-    return canonical_dfa(c.k, (var,), [list(r) for r in c.delta], acc, c.initial)
+    k = c.k
+    names = tuple(sorted({x for coeffs, _ in indices for x in coeffs}))
+    letters = [decode_letter(k, len(names), ell) for ell in range(letter_count(k, len(names)))]
+    wins = [
+        _Windows(c, [sum(coeffs.get(x, 0) * d for x, d in zip(names, digits)) for digits in letters], const)
+        for coeffs, const in indices
+    ]
+    if len(wins) == 1:
+        (w,) = wins
+        cols = w.columns
 
+        def successors(i):
+            row = w.row(i)
+            return [row[j] for j in cols]
 
-def seq_eq_dfa(m: Dfao, var1: str, var2: str) -> Dfa:
-    """{(s, t) : x[s] = x[t]} as a pair product of the automaton with
-    itself; quadratic in states rather than linear in the alphabet."""
-    k = m.k
-    if var1 == var2:
-        return true_dfa(k, (var1,))
-    c = m.canonical()
-    vars_ = tuple(sorted((var1, var2)))
-    i1 = vars_.index(var1)
-    letters = [decode_letter(k, 2, ell) for ell in range(k * k)]
+        order, delta = _explore(0, successors, max_states, "sequence-index")
+        acc = [w.output(i) == symbol for i in order]
+    else:
+        w1, w2 = wins
+        cols = list(zip(w1.columns, w2.columns))
 
-    def successors(pair):
-        da, db = c.delta[pair[0]], c.delta[pair[1]]
-        return [(da[d[i1]], db[d[1 - i1]]) for d in letters]
+        def successors(pair):
+            r1, r2 = w1.row(pair[0]), w2.row(pair[1])
+            return [(r1[a], r2[b]) for a, b in cols]
 
-    order, delta = _explore((c.initial, c.initial), successors)
-    acc = [c.outputs[qa] == c.outputs[qb] for qa, qb in order]
-    return canonical_dfa(k, vars_, delta, acc, 0)
+        order, delta = _explore((0, 0), successors, max_states, "sequence-index")
+        acc = [w1.output(i) == w2.output(j) for i, j in order]
+    return canonical_dfa(k, names, delta, acc, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ by constants.  Atoms compare two terms or look a term up in an automatic
 sequence (x[t] = symbol, or x[s] = x[t]).  Formulas combine atoms with
 the usual connectives and quantifiers over the naturals.  Every term is
 linear, so a comparison compiles to one automaton for the linear
-constraint on the difference of its sides, and a sequence index that is
-not a plain variable to one such automaton on a helper track.
+constraint on the difference of its sides, and a sequence atom to one
+automaton that carries, for each index, the states of the sequence's
+automaton at a finite window of offsets from the index's value read so
+far (automata.seq_rel).
 
 Compiling a formula yields a canonical Dfa over one digit track per free
 variable, reading base-k digit columns most significant first: the
@@ -375,8 +377,9 @@ def _linear_atom(coeffs: dict[str, int], const: int, op: str, k: int,
 
 def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     """A comparison is one linear relation of left - right.  A sequence
-    index that does not fold to a lone variable becomes a helper track
-    %a<i> = index, intersected in and projected away."""
+    atom folds each index to its coefficients and constant and is one
+    automaton over the index windows of the sequence (automata.seq_rel):
+    no helper track, no intersection, no projection."""
     if isinstance(f, Cmp):
         coeffs: dict[str, int] = {}
         const = _linear(f.left, cap, 1, coeffs) + _linear(f.right, cap, -1, coeffs)
@@ -384,29 +387,16 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     if seq is None:
         raise ValueError("formula inspects sequence values but no sequence was given")
     if isinstance(f, SeqAt):
-        indices = (f.index,)
+        indices, symbol = (f.index,), f.symbol
     elif isinstance(f, SeqEq):
-        indices = (f.left, f.right)
+        indices, symbol = (f.left, f.right), None
     else:
         raise TypeError(f"not an atom: {f!r}")
-    names, helpers = [], []
+    folded = []
     for t in indices:
-        coeffs = {}
-        const = _linear(t, cap, 1, coeffs)
-        if const == 0 and list(coeffs.values()) == [1]:
-            (name,) = coeffs
-        else:
-            name = f"%a{len(helpers)}"
-            coeffs[name] = -1
-            helpers.append((name, _linear_atom(coeffs, const, "=", k, cap)))
-        names.append(name)
-    if isinstance(f, SeqAt):
-        rel = A.seq_at_dfa(seq, names[0], f.symbol)
-    else:
-        rel = A.seq_eq_dfa(seq, *names)
-    for name, h in helpers:
-        rel = A.project(A.intersect(rel, h, cap), name, cap)
-    return rel
+        coeffs: dict[str, int] = {}
+        folded.append((coeffs, _linear(t, cap, 1, coeffs)))
+    return A.seq_rel(seq, folded, symbol, cap)
 
 
 # The one compile cache, keyed by the normalized subformula, the sequence (None

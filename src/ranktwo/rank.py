@@ -33,6 +33,7 @@ from . import predicates as P
 from .analysis import (
     UNBOUNDED,
     AnalysisConstants,
+    appearance_value,
     bounded_form,
     constants as sequence_constants,
     is_purely_periodic,
@@ -151,6 +152,10 @@ class Inconclusive:
     required: str
     patterns_log2: Optional[int] = None
 
+    def __repr__(self) -> str:
+        log2 = None if self.patterns_log2 is None else bounded_form(self.patterns_log2)
+        return f"Inconclusive(stage={self.stage!r}, required={self.required!r}, patterns_log2={log2!r})"
+
 
 RankVerdict = Union[Rank1, RankTwo, RankAtLeastThree, Inconclusive]
 
@@ -164,12 +169,20 @@ class RankReport:
     budget_report: dict
     soundness_flags: dict
 
+    def __repr__(self) -> str:
+        return (
+            f"RankReport(verdict={self.verdict!r}, constants={self._printable_constants()!r}, "
+            f"budget_report={self.budget_report!r}, soundness_flags={self.soundness_flags!r})"
+        )
+
+    def _printable_constants(self) -> Optional[dict]:
+        if self.constants is None:
+            return None
+        return {k: bounded_form(c) for k, c in self.constants.items()}
+
     def to_dict(self) -> dict:
         out = _verdict_dict(self.verdict)
-        out["constants"] = (
-            {k: bounded_form(c) for k, c in self.constants.items()}
-            if self.constants is not None else None
-        )
+        out["constants"] = self._printable_constants()
         out["budget_report"] = dict(self.budget_report)
         out["soundness_flags"] = dict(self.soundness_flags)
         return out
@@ -358,7 +371,8 @@ def decide_with_unbounded(
         return None
 
     # (i) v is itself a word with unbounded powers, or no longer than u.
-    # Factors of length <= |u| all appear within the appearance window.
+    # A factor of length <= |u| first occurs where a length-|u| factor
+    # first occurs, so inside x[0..A(|u|)), the least cover length.
     unbounded = [w for _, _, w in unbounded_primitive_factors(
         seq, limits, max_results=budget.max_enumeration)]
     candidates = []
@@ -367,7 +381,7 @@ def decide_with_unbounded(
         if w not in seen:
             seen.add(w)
             candidates.append(w)
-    window = tuple(seq.prefix(consts.C * len(u) + len(u)))
+    window = tuple(seq.prefix(appearance_value(seq, len(u), limits)))
     for ln in range(1, len(u) + 1):
         for s in range(len(window) - ln + 1):
             f = window[s:s + ln]

@@ -304,6 +304,60 @@ def ref_canonical_dfa(delta, accepting, initial):
     return new_delta, tuple(bool(accepting[q]) for q in reps)
 
 
+def ref_seq_rel(m, indices, symbol=None):
+    """A sequence atom compiled the helper-track way: {n : x[n] = symbol}
+    (or the pair product of m with itself for x[s] = x[t]) on one track
+    per index, each track %a<i> bound to its index sum of coeffs[x] * v_x
+    + c by a linear relation, the constant on a track %c bound by
+    const_rel, every helper intersected in and projected away.  An index
+    that is a lone variable is used as its own track."""
+    from ranktwo import automata as A
+
+    k = m.k
+    c = m.canonical()
+    names, helpers = [], []
+    for i, (coeffs, const) in enumerate(indices):
+        coeffs = dict(coeffs)
+        if const == 0 and list(coeffs.values()) == [1]:
+            (name,) = coeffs
+        else:
+            name = f"%a{i}"
+            coeffs[name] = -1
+            if const:
+                rel = A.linear_rel(k, {**coeffs, "%c": 1}, "=")
+                rel = A.project(A.intersect(rel, A.const_rel(k, "%c", const)), "%c")
+            else:
+                rel = A.linear_rel(k, coeffs, "=")
+            helpers.append((name, rel))
+        names.append(name)
+    if symbol is not None:
+        (name,) = names
+        acc = [out == symbol for out in c.outputs]
+        rel = A.canonical_dfa(k, (name,), [list(row) for row in c.delta], acc, 0)
+    elif names[0] == names[1]:
+        rel = A.true_dfa(k, (names[0],))
+    else:
+        tracks = tuple(sorted(names))
+        first = tracks.index(names[0])
+        order, delta = [(0, 0)], []
+        ids = {(0, 0): 0}
+        for qa, qb in order:
+            row = []
+            for ell in range(k * k):
+                d = A.decode_letter(k, 2, ell)
+                t = (c.delta[qa][d[first]], c.delta[qb][d[1 - first]])
+                if t not in ids:
+                    ids[t] = len(order)
+                    order.append(t)
+                row.append(ids[t])
+            delta.append(row)
+        acc = [c.outputs[qa] == c.outputs[qb] for qa, qb in order]
+        rel = A.canonical_dfa(k, tracks, delta, acc, 0)
+    for name, h in helpers:
+        rel = A.project(A.intersect(rel, h), name)
+    return rel
+
+
 def ref_projection_nfa(k, tracks, pos, delta, initial):
     """The automaton left by dropping track pos, letters as base-k digit
     columns with track 0 most significant.

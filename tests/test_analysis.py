@@ -14,6 +14,7 @@ from ranktwo.analysis import (
     NOT_A_FACTOR,
     UNBOUNDED,
     appearance_constant,
+    appearance_value,
     bounded_form,
     constants,
     is_purely_periodic,
@@ -26,8 +27,10 @@ from ranktwo.analysis import (
     unbounded_primitive_factors,
 )
 from ranktwo.automata import Dfao, loads_dfao
+from ranktwo.errors import BudgetExceededError
 from ranktwo.fixtures import load_fixture
 from ranktwo.logic import and_, compile_formula, decide, ge
+from ranktwo.oracle import appearance_values
 
 from oracles import (
     FIXTURE_ORACLES,
@@ -258,12 +261,23 @@ def test_step2_after_constants_builds_no_five_track_automaton(monkeypatch):
 
 
 def test_shift_sequence_matches_reindexing():
-    for t in (0, 1, 2, 5, 12):
-        sh = shift_sequence(T3, t)
-        n = 1 << 12
-        assert sh.prefix(n) == T3.prefix(n + t)[t:]
-    sh = shift_sequence(TM, 3)
-    assert sh.prefix(256) == TM.prefix(259)[3:]
+    n = 1 << 12
+    for name, seq in SEVEN.items():
+        for t in (0, 1, 2, 5, 12, 37, 1000):
+            assert shift_sequence(seq, t).prefix(n) == seq.prefix(n + t)[t:], (name, t)
+        with pytest.raises(BudgetExceededError) as ei:
+            shift_sequence(seq, 10 ** 30, limits=L.CompileLimits(max_automaton_states=1))
+        assert ei.value.stage == "sequence-index"
+
+
+@pytest.mark.parametrize("name", sorted(SEVEN))
+def test_appearance_value_is_the_least_cover_length(name):
+    # Step 3 (i) scans x[0..A(|u|)) for its short companions
+    seq = SEVEN[name]
+    want = appearance_values(seq.prefix(1 << 12), 12)
+    got = [appearance_value(seq, n) for n in range(1, 13)]
+    assert max(got) <= 1 << 11
+    assert got == want
 
 
 def test_strip_max_power_prefix():

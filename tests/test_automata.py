@@ -24,6 +24,7 @@ from oracles import (
     ref_double_reversal,
     ref_minimize,
     ref_prefix,
+    ref_seq_rel,
     ref_subsets,
 )
 
@@ -175,7 +176,7 @@ def test_rename_tracks():
     tm = load_fixture("thue-morse")
 
     def rel(x, y, z):  # x + y = z and x[x] = x[z]: no two tracks alike
-        return A.intersect(A.linear_rel(2, {x: 1, y: 1, z: -1}, "="), A.seq_eq_dfa(tm, x, z))
+        return A.intersect(A.linear_rel(2, {x: 1, y: 1, z: -1}, "="), A.seq_rel(tm, [({x: 1}, 0), ({z: 1}, 0)]))
 
     a = rel("x", "y", "z")
     same = A.rename_tracks(a, {"x": "b", "y": "c", "z": "d"})
@@ -534,22 +535,80 @@ trans 1 1 1
         A.loads_dfao(bad)
 
 
-def test_seq_at_dfa():
+def test_seq_rel_single_index():
     tm = load_fixture("thue-morse")
-    ones = A.seq_at_dfa(tm, "n", 1)
+    ones = A.seq_rel(tm, [({"n": 1}, 0)], 1)
     assert A.is_zero_closed(ones)
+    # a lone variable's windows are the states of the canonical form
+    assert ones.num_states == tm.canonical().num_states
     prefix = tm.prefix(512)
     assert [n for n in range(512) if ones.accepts([n])] == [
         n for n in range(512) if prefix[n] == 1
     ]
     t3 = load_fixture("ternary-tm")
-    twos = A.seq_at_dfa(t3, "n", 2)
+    twos = A.seq_rel(t3, [({"n": 1}, 0)], 2)
     prefix3 = t3.prefix(256)
     assert [n for n in range(256) if twos.accepts([n])] == [
         n for n in range(256) if prefix3[n] == 2
     ]
     # a symbol outside the reachable outputs yields the empty set
-    assert A.is_empty(A.seq_at_dfa(tm, "n", 9))
+    assert A.is_empty(A.seq_rel(tm, [({"n": 1}, 0)], 9))
+    # an index with no variables is a sentence
+    assert A.seq_rel(tm, [({}, 7)], 1) == A.true_dfa(2)
+    assert A.seq_rel(tm, [({}, 7)], 0) == A.false_dfa(2)
+
+
+def test_seq_rel_pair_of_indices():
+    tm = load_fixture("thue-morse")
+    prefix = tm.prefix(512)
+    same = A.seq_rel(tm, [({"s": 1}, 0), ({"t": 1}, 0)])
+    assert same.var_order == ("s", "t") and A.is_zero_closed(same)
+    rows = grid(40, 40)
+    assert [same.accepts(r) for r in rows] == [prefix[s] == prefix[t] for s, t in rows]
+    # x[i + t] = x[j + t]: shared tracks, coefficient sums of 2
+    shifted = A.seq_rel(tm, [({"i": 1, "t": 1}, 0), ({"j": 1, "t": 1}, 0)])
+    rows = grid(12, 12, 12)
+    assert [shifted.accepts(r) for r in rows] == [prefix[i + t] == prefix[j + t] for i, j, t in rows]
+    # one index against itself, and a zero coefficient that keeps its track
+    assert A.seq_rel(tm, [({"n": 1}, 3), ({"n": 1}, 3)]) == A.true_dfa(2, ("n",))
+    assert A.seq_rel(tm, [({"n": 0, "m": 1}, 0), ({"m": 1}, 1)]).var_order == ("m", "n")
+    with pytest.raises(ValueError):
+        A.seq_rel(tm, [({"n": 1}, 0)])
+    with pytest.raises(ValueError):
+        A.seq_rel(tm, [({"n": 1}, 0), ({"m": 1}, 0)], 1)
+
+
+def _seq_indices(draw, n_vars, count):
+    names = _TRACKS[:n_vars]
+    return [
+        ({x: draw(st.integers(0, 3)) for x in names if draw(st.booleans())}, draw(st.integers(0, 40)))
+        for _ in range(count)
+    ]
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.data(), st.sampled_from((2, 3)), st.integers(1, 4), st.integers(1, 3), st.booleans())
+def test_seq_rel_matches_helper_tracks_and_prefix(data, k, n, n_vars, pair):
+    draw = data.draw
+    # state 0 loops on digit 0, so leading zeros change no output
+    delta = [[draw(st.integers(0, n - 1)) for _ in range(k)] for _ in range(n)]
+    delta[0][0] = 0
+    outputs = tuple(draw(st.integers(0, 2)) for _ in range(n))
+    m = A.Dfao(k, (0, 1, 2), outputs, tuple(map(tuple, delta)), 0)
+    indices = _seq_indices(draw, n_vars, 2 if pair else 1)
+    symbol = None if pair else draw(st.integers(0, 2))
+    got = A.seq_rel(m, indices, symbol)
+    assert got == ref_seq_rel(m, indices, symbol)
+    assert A.is_zero_closed(got)
+    names = got.var_order
+    assert set(names) == {x for coeffs, _ in indices for x in coeffs}
+    bound = 6 if len(names) == 3 else 12
+    prefix = ref_prefix(m, 3 * 3 * bound + 41)
+    for values in itertools.product(range(bound), repeat=len(names)):
+        env = dict(zip(names, values))
+        at = [prefix[sum(a * env[x] for x, a in coeffs.items()) + c] for coeffs, c in indices]
+        want = at[0] == at[1] if pair else at[0] == symbol
+        assert got.accepts(values) == want, (indices, env)
 
 
 @settings(max_examples=60, deadline=None, database=None)

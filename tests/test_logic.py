@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,8 +157,8 @@ def test_renamed_free_variables_compile_once(monkeypatch):
     f = or_(exists("i", seq_at(add("i", "n"), 1)), exists("j", seq_at(add("j", "m"), 1)))
     a = compile_formula(f, seq=TM)
     assert a == automata.true_dfa(2, ("m", "n"))
-    # one projection for the i + n helper, one for i; none for the copy
-    assert len(calls) == 2
+    # one projection for i; none for the index i + n, none for the copy
+    assert len(calls) == 1
 
 
 def test_linear_atoms_match_brute_evaluation():
@@ -185,9 +186,9 @@ def test_sum_of_variables_needs_no_helper(monkeypatch):
     a = compile_formula(eq("q", add("q2", "r", "n")), k=2)
     assert calls == []
     assert a == automata.linear_rel(2, {"q": 1, "q2": -1, "r": -1, "n": -1}, "=")
-    # an index with a constant: one helper for the index, one for the constant
+    # an index with a constant compiles to one window automaton
     compile_formula(seq_at(add("i", "j", 1), 1), seq=TM)
-    assert sorted(calls) == ["%a0", "%c"]
+    assert calls == []
 
 
 def test_shadowed_binder_and_outer_binder_free_inside():
@@ -543,6 +544,17 @@ def test_budget_is_enforced():
     with pytest.raises(BudgetExceededError) as ei:
         compile_formula(f, seq=TM, limits=CompileLimits(max_automaton_states=3))
     assert ei.value.cap == 3
+
+
+def test_huge_index_constant_breaches_the_state_cap_quickly():
+    # each window of n + 10^6 carries about 40 offsets; the cap bounds
+    # how many windows are built before the breach
+    f = seq_eq(add("n", 10 ** 6), "n")
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as ei:
+        compile_formula(f, seq=TM, limits=CompileLimits(max_automaton_states=2000))
+    assert time.perf_counter() - started < 1.0
+    assert ei.value.stage == "sequence-index" and ei.value.cap == 2000
 
 
 def test_error_on_free_variables_and_missing_sequence():

@@ -30,6 +30,7 @@ from ranktwo.rank import (
     Inconclusive,
     Rank1,
     RankAtLeastThree,
+    RankReport,
     RankTwo,
     decide_fixed_pair,
     decide_with_unbounded,
@@ -558,3 +559,24 @@ def test_report_json_shape_and_determinism():
     assert data["verdict"] == "inconclusive"
     assert data["stage"] == "Step5"
     assert data["constants"]["C"] == 65536
+
+
+def test_inconclusive_repr_prints_huge_constants_in_bounded_form():
+    v = Inconclusive("Step5", "r", 10 ** 5000)
+    assert repr(v) == "Inconclusive(stage='Step5', required='r', patterns_log2='~2^16610')"
+    assert repr(Inconclusive("Step5", "r")) == "Inconclusive(stage='Step5', required='r', patterns_log2=None)"
+    assert repr(Inconclusive("Step5", "r", 7)) == "Inconclusive(stage='Step5', required='r', patterns_log2=7)"
+
+
+def test_report_repr_prints_huge_constants_in_bounded_form():
+    rep = RankReport(
+        Inconclusive("Step5", "r", 10 ** 5000), {"C": 4, "D": 10 ** 5000}, {"max_patterns": 0}, {"unsound": False}
+    )
+    text = repr(rep)
+    assert text.startswith("RankReport(verdict=Inconclusive(stage='Step5', required='r', patterns_log2='~2^16610')")
+    assert "constants={'C': 4, 'D': '~2^16610'}" in text
+    assert "budget_report={'max_patterns': 0}" in text and "soundness_flags={'unsound': False}" in text
+    # the JSON form is the one it always was
+    assert rep.to_dict()["constants"] == {"C": 4, "D": "~2^16610"}
+    assert rep.to_dict()["patterns_log2"] == "~2^16610"
+    assert "constants=None" in repr(RankReport(RankAtLeastThree(), None, {}, {}))
