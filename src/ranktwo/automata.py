@@ -153,42 +153,33 @@ def _explore(start, successors, max_states=None, stage="explore"):
 
 
 def _minimize(delta, labels, initial):
-    """Moore refinement from integer state labels, then the quotient.
+    """Moore refinement from hashable state labels, then the quotient.
 
-    labels are small naturals (accepting flags, output codes); two states
-    end in one class iff every input word leads them to equal labels.
-    Each round gives a state the signature (its class, the classes of its
-    successors letter by letter), all int32; one np.lexsort over the
-    signature columns brings equal signatures together, and a cumulative
-    sum over adjacent-row differences numbers the new classes.  Rounds
-    stop when the class count stays put.  Returns (reps, new_delta):
-    classes are numbered breadth-first from the class of initial, reps[i]
-    is a state of class i and new_delta[i] lists the classes of its
-    successors.  Classes are language classes, so the breadth-first pass
-    also drops every unreachable state.
+    labels are accepting flags or output symbols; two states end in one
+    class iff every input word leads them to equal labels.  Each state
+    gets one operator.itemgetter over its successors, built once.  Each
+    round keys a state by its signature (its class, the classes of its
+    successors letter by letter, read by that getter) and numbers the
+    distinct signatures in order of first appearance through a dict.
+    Rounds stop when the class count stays put.  Returns (reps,
+    new_delta): classes are numbered breadth-first from the class of
+    initial, reps[i] is the least state of class i and new_delta[i]
+    lists the classes of its successors.  Classes are language classes,
+    so the breadth-first pass also drops every unreachable state.
     """
-    succ = np.asarray(delta, dtype=np.int32).T.copy()  # succ[letter, state]
-    cls = np.asarray(labels, dtype=np.int32)
-    n_classes = int(cls.max(initial=0)) + 1
-    sig = np.empty((succ.shape[0] + 1, succ.shape[1]), dtype=np.int32)
+    rows = [operator.itemgetter(*row) for row in delta]
+    cls = labels
+    n_classes = len(set(labels))
     while True:
-        np.take(cls, succ, out=sig[:-1])
-        sig[-1] = cls
-        perm = np.lexsort(sig)
-        ranked = sig[:, perm]
-        fresh = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
-        new = np.empty_like(cls)
-        new[perm[0]] = 0
-        new[perm[1:]] = np.cumsum(fresh, dtype=np.int32)
-        new_count = int(new[perm[-1]]) + 1
-        if new_count == n_classes:
+        ids = {}
+        new = [ids.setdefault((c, row(cls)), len(ids)) for c, row in zip(cls, rows)]
+        if len(ids) == n_classes:
             break
-        cls, n_classes = new, new_count
-    cls = new.tolist()
+        cls, n_classes = new, len(ids)
     rep = {}
-    for q, c in enumerate(cls):
+    for q, c in enumerate(new):
         rep.setdefault(c, q)
-    order, new_delta = _explore(cls[initial], lambda c: [cls[t] for t in delta[rep[c]]])
+    order, new_delta = _explore(new[initial], lambda c: [new[t] for t in delta[rep[c]]])
     return [rep[c] for c in order], new_delta
 
 
@@ -668,8 +659,7 @@ class Dfao:
 
 @lru_cache(maxsize=64)
 def _canonical_dfao(m: Dfao) -> Dfao:
-    code = {s: i for i, s in enumerate(sorted(set(m.outputs)))}
-    reps, new_delta = _minimize(m.delta, [code[s] for s in m.outputs], m.initial)
+    reps, new_delta = _minimize(m.delta, m.outputs, m.initial)
     new_out = tuple(m.outputs[q] for q in reps)
     return Dfao(m.k, m.alphabet, new_out, tuple(map(tuple, new_delta)), 0)
 

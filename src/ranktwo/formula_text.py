@@ -59,11 +59,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             if not rest:
                 break
             raise FormulaSyntaxError(len(text) - len(rest), f"unexpected character {rest[0]!r}")
-        for kind in ("nat", "quant", "name", "op"):
-            val = m.group(kind)
-            if val is not None:
-                tokens.append((kind, val, m.start(kind)))
-                break
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
     return tokens
 

@@ -298,6 +298,30 @@ def ref_minimize(delta, labels, initial):
     return [rep[c] for c in order], tuple(new_delta)
 
 
+def ref_distinguishable(delta, labels):
+    """Table filling: the pairs (p, q), p < q, that some input word leads
+    to different labels.  Marks the pairs whose labels differ, then walks
+    the transitions backwards: a pair whose successors on some letter are
+    a marked pair is marked too."""
+    n = len(delta)
+    pred = [[[] for _ in range(n)] for _ in delta[0]]
+    for p, row in enumerate(delta):
+        for a, t in enumerate(row):
+            pred[a][t].append(p)
+    marked = {(p, q) for q in range(n) for p in range(q) if labels[p] != labels[q]}
+    stack = list(marked)
+    while stack:
+        p, q = stack.pop()
+        for back in pred:
+            for p2 in back[p]:
+                for q2 in back[q]:
+                    pair = (min(p2, q2), max(p2, q2))
+                    if p2 != q2 and pair not in marked:
+                        marked.add(pair)
+                        stack.append(pair)
+    return marked
+
+
 def ref_canonical_dfa(delta, accepting, initial):
     """(delta, accepting) of the minimal breadth-first-numbered recogniser."""
     reps, new_delta = ref_minimize(delta, [bool(a) for a in accepting], initial)

@@ -21,6 +21,7 @@ from ranktwo.fixtures import fixture_names, load_fixture
 from oracles import (
     FIXTURE_ORACLES,
     ref_canonical_dfa,
+    ref_distinguishable,
     ref_double_reversal,
     ref_minimize,
     ref_prefix,
@@ -351,6 +352,61 @@ def test_canonical_dfa_matches_reference(seed, k, tracks, n):
     assert got.initial == 0 and got.var_order == _TRACKS[:tracks]
 
 
+def _quotient_classes(delta, initial, new_delta):
+    """The class of each state reachable from initial, read off the
+    quotient: a word leads initial to q iff it leads class 0 to q's class."""
+    cls = {initial: 0}
+    order = [initial]
+    for q in order:
+        for t, c in zip(delta[q], new_delta[cls[q]]):
+            if t not in cls:
+                cls[t] = c
+                order.append(t)
+            assert cls[t] == c
+    return cls
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.integers(0, 2**32), st.sampled_from((1, 2, 3, 4)), _SIZES, st.integers(1, 4))
+def test_minimize_classes_are_nerode_classes(seed, n_letters, n, n_labels):
+    rng = random.Random(seed)
+    delta, labels, initial = _random_table(rng, n, n_letters, n_labels)
+    reps, new_delta = A._minimize(delta, labels, initial)
+    cls = _quotient_classes(delta, initial, new_delta)
+    assert sorted(set(cls.values())) == list(range(len(reps)))
+    apart = ref_distinguishable(delta, labels)
+    # one class iff no word tells the two states apart
+    for p, q in itertools.combinations(sorted(cls), 2):
+        assert (cls[p] == cls[q]) == ((p, q) not in apart)
+    # reps[c] is the least state, reachable or not, equivalent to class c
+    for q, c in cls.items():
+        assert reps[c] == min(s for s in range(n) if s == q or (min(s, q), max(s, q)) not in apart)
+
+
+def test_minimize_edge_cases():
+    # zero tracks: one letter, so a state's successor getter returns an
+    # int, not a tuple; state 3 is unreachable
+    a = A.canonical_dfa(2, (), [[1], [2], [2], [0]], [False, True, False, True], 0)
+    assert (a.delta, a.accepting) == (((1,), (2,), (2,)), (False, True, False))
+    # all labels equal: one class
+    delta = [[1, 2], [2, 0], [0, 0]]
+    assert A.canonical_dfa(2, ("x",), delta, [True] * 3, 1) == A.true_dfa(2, ("x",))
+    c = A.Dfao(2, (0,), (0,) * 3, tuple(map(tuple, delta)), 1).canonical()
+    assert (c.delta, c.outputs) == (((0, 0),), (0,))
+
+
+def test_minimize_long_chain_against_table_filling():
+    # 0 -> 1 -> ... -> 199 -> 199 accepting only 199: state q accepts
+    # exactly the words of length >= 199 - q, so Moore refinement takes
+    # 199 rounds to split all 200 states
+    n = 200
+    delta = [[min(q + 1, n - 1)] * 2 for q in range(n)]
+    accepting = [q == n - 1 for q in range(n)]
+    assert len(ref_distinguishable(delta, accepting)) == n * (n - 1) // 2
+    a = A.canonical_dfa(2, ("x",), delta, accepting, 0)
+    assert (a.delta, a.accepting) == (tuple(map(tuple, delta)), tuple(accepting))
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES, st.integers(0, 2)
@@ -616,8 +672,10 @@ def test_seq_rel_matches_helper_tracks_and_prefix(data, k, n, n_vars, pair):
 def test_canonical_dfao_matches_reference(seed, k, n, n_codes):
     rng = random.Random(seed)
     delta, codes, initial = _random_table(rng, n, k, n_codes, min_classes=n_codes)
-    # symbols out of order, so the canonical form's output coding is exercised
-    symbols = rng.sample(range(10), n_codes)
+    # symbols out of order, sparse and one beyond 64 bits, passed to the
+    # minimizer as they are
+    symbols = rng.sample(range(10), n_codes - 1) + [2**70]
+    rng.shuffle(symbols)
     outputs = tuple(symbols[c] for c in codes)
     m = A.Dfao(k, tuple(sorted(symbols)), outputs, tuple(map(tuple, delta)), initial)
     reps, new_delta = ref_minimize(delta, outputs, initial)
