@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .automata import Dfao, _explore, _Windows, enumerate_accepted, is_empty
-from .errors import RankTwoError
+from .errors import InfiniteLanguageError, RankTwoError
 from .logic import (
     CompileLimits,
     Const,
@@ -123,7 +123,8 @@ def unbounded_primitive_factors(
     at i, and occurring with unbounded exponent.
 
     The set is finite for any automatic sequence, so an infinite language
-    here means the surrounding computation is inconsistent and raises.
+    here means the surrounding computation is inconsistent and raises
+    RankTwoError; more than max_results words raise EnumerationLimitError.
     """
     a = compile_formula(
         P.unbounded_primitive_factors_formula("i", "p"), seq=seq, limits=limits
@@ -132,7 +133,7 @@ def unbounded_primitive_factors(
         raise RankTwoError(f"unbounded primitive factor automaton has tracks {a.var_order}")
     try:
         pairs = enumerate_accepted(a, limit=max_results)
-    except RankTwoError as exc:
+    except InfiniteLanguageError as exc:
         raise RankTwoError(
             f"unbounded primitive factor set is not finite: {exc}"
         ) from exc

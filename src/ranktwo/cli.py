@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4096,
         metavar="N",
-        help="cap on candidate lists, witness loops and run-chain rounds",
+        help="cap on candidate lists, witness loops, run-chain rounds and the levels of each fixed-pair decision",
     )
     p.add_argument("--wall-time", type=float, default=600.0, metavar="SECONDS")
     p.add_argument(

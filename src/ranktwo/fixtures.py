@@ -7,10 +7,6 @@ from .automata import Dfao, loads_dfao
 FIXTURE_NAMES = ("thue-morse", "mod3", "pow2-char", "ternary-tm")
 
 
-def fixture_names() -> tuple[str, ...]:
-    return FIXTURE_NAMES
-
-
 def load_fixture(name: str) -> Dfao:
     if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(FIXTURE_NAMES)}")

@@ -8,12 +8,12 @@ the furthest factorization cut and checks it with dp_factorize's DP.  These
 run over block-occurrence masks computed once per word with numpy.  The
 counterexample searches at the bottom look for violations of the
 combinatorial facts the rank decision relies on; they are expected to
-come back empty.
+come back empty.  Their block parser, parse_step, is also the one whose
+subset construction rank.pair_omega_membership runs.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 from typing import Optional
@@ -214,29 +214,6 @@ def brute_appearance(word, n: int) -> int:
     return appearance_values(word, n)[-1]
 
 
-def brute_max_exponent(word, z) -> Optional[Fraction]:
-    """Largest (t/|z|) over periodic windows in word starting with z.
-
-    None when z does not occur.  This scans a finite word, so it lower
-    bounds the true exponent of z in the infinite sequence.
-    """
-    word, z = tuple(word), tuple(z)
-    r = len(z)
-    if r == 0:
-        raise ValueError("the empty word has no exponent")
-    best = None
-    for j in range(len(word) - r + 1):
-        if word[j:j + r] != z:
-            continue
-        t = r
-        while j + t < len(word) and word[j + t] == word[j + t - r]:
-            t += 1
-        e = Fraction(t, r)
-        if best is None or e > best:
-            best = e
-    return best
-
-
 # ---------------------------------------------------------------------------
 # combinatorial counterexample searches
 
@@ -289,27 +266,22 @@ def _minimal_pairs_cached(alphabet, max_total):
     return tuple(out)
 
 
-def _omega_start_states(u, v) -> set[tuple[int, int]]:
-    """(block, offset) pairs: 0 is inside u, 1 inside v."""
-    states = set()
-    for b, w in ((0, u), (1, v)):
-        for off in range(len(w)):
-            states.add((b, off))
-    return states
+def parse_step(states, letter, blocks) -> frozenset[tuple[int, int]]:
+    """One letter through the block parser of the given blocks.
 
-
-def _omega_step(states, letter, u, v) -> set[tuple[int, int]]:
-    words = (u, v)
+    State (b, i) means i letters into blocks[b]; a block that ends opens
+    every block at offset 0, so a parse of whole blocks starts at the set
+    {(b, 0)}.  An empty result means no parse survives the letter.
+    """
     nxt = set()
-    for b, off in states:
-        w = words[b]
-        if w[off] == letter:
-            if off + 1 == len(w):
-                nxt.add((0, 0))
-                nxt.add((1, 0))
+    for b, i in states:
+        w = blocks[b]
+        if w[i] == letter:
+            if i + 1 == len(w):
+                nxt.update((c, 0) for c in range(len(blocks)))
             else:
-                nxt.add((b, off + 1))
-    return nxt
+                nxt.add((b, i + 1))
+    return frozenset(nxt)
 
 
 def factor_of_pair_omega(t, u, v) -> bool:
@@ -317,9 +289,11 @@ def factor_of_pair_omega(t, u, v) -> bool:
     u, v, t = tuple(u), tuple(v), tuple(t)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
-    states = _omega_start_states(u, v)
+    blocks = (u, v)
+    # a factor may start inside any block
+    states = {(b, i) for b, w in enumerate(blocks) for i in range(len(w))}
     for a in t:
-        states = _omega_step(states, a, u, v)
+        states = parse_step(states, a, blocks)
         if not states:
             return False
     return True
@@ -363,7 +337,7 @@ def search_comb_counterexample(
                 for z in zs:
                     st = states
                     for a in z:
-                        st = _omega_step(st, a, u, v)
+                        st = parse_step(st, a, blocks)
                         if not st:
                             break
                     else:
@@ -378,7 +352,7 @@ def search_comb_counterexample(
             for bit in (0, 1):
                 st = states
                 for a in blocks[bit]:
-                    st = _omega_step(st, a, u, v)
+                    st = parse_step(st, a, blocks)
                     if not st:
                         break
                 else:
@@ -386,7 +360,7 @@ def search_comb_counterexample(
                     dfs(st, w, xy_count + (1 if bit == 1 and w[-2:-1] == [0] else 0))
                     w.pop()
 
-        dfs(_omega_start_states(u, v), [], 0)
+        dfs({(b, i) for b, blk in enumerate(blocks) for i in range(len(blk))}, [], 0)
         if found is not None:
             return found
     return None

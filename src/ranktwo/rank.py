@@ -40,7 +40,6 @@ from .analysis import (
     is_ultimately_periodic,
     max_exponent,
     occurring_letters,
-    shift_sequence,
     strip_max_power_prefix,
     unbounded_primitive_factors,
 )
@@ -58,8 +57,8 @@ from .logic import (
     not_,
     witness,
 )
-from .oracle import certified_cut, search_pairs
-from .words import Pair, Word, WordLike, commutes, free_reduce, is_prefix_code_pair, primitive_root, word
+from .oracle import certified_cut, parse_step, search_pairs
+from .words import Word, WordLike, primitive_root, word
 
 
 def lemma_L_constant(kappa: int, p: int) -> int:
@@ -84,8 +83,9 @@ class Budget:
     max_patterns caps the nodes, pattern prefixes, that the pattern
     search visits; 0 is allowed and makes the pattern stage an immediate
     budget breach.  max_enumeration caps candidate lists, witness loops,
-    the rounds of the run-chain iteration that find no fixed point and
-    the explicit pairs that the pattern search tries.
+    the rounds of the run-chain iteration that find no fixed point, the
+    explicit pairs that the pattern search tries and the levels of each
+    fixed-pair decision (decide_fixed_pair).
     The caps other than max_patterns must be positive.
     """
 
@@ -216,16 +216,13 @@ def _verdict_dict(v: RankVerdict) -> dict:
     }
 
 
-_BOUNDARY = (-1, 0)
-
-
 def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
     """Whether x is an infinite product of the given nonempty blocks.
 
     Works level by level on the automaton: below each state q the
     sequence generates a fixed word of length k^n, and only that word's
-    action on the subset construction of the block parser matters.  The
-    actions obey
+    action on the subset construction of the block parser
+    (oracle.parse_step) matters.  The actions obey
 
         action(q, n+1) = action(delta(q, 0), n) ; ... ; action(delta(q, k-1), n)
 
@@ -233,32 +230,18 @@ def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
     iterating composition, and it eventually cycles.  x is an infinite
     product of blocks iff the parser has a live state after every prefix
     x[0..k^n), by Koenig's lemma: every infinite parse run must cross a
-    block boundary infinitely often because blocks are finite.
+    block boundary infinitely often because blocks are finite.  The
+    parser is nondeterministic, so this is exact for any blocks.
     """
     blocks = tuple(dict.fromkeys(word(b) for b in blocks))
     if not blocks or any(not b for b in blocks):
         raise ValueError("blocks must be nonempty words")
     m = seq.canonical()
 
-    # Parser NFA: _BOUNDARY sits between blocks; (b, i) is i letters into
-    # blocks[b].  Reading a letter from the boundary opens any block.
-    def step(sub: frozenset, a: int) -> frozenset:
-        out = set()
-        for st in sub:
-            sources = []
-            if st == _BOUNDARY:
-                sources = [(b, 0) for b in range(len(blocks))]
-            else:
-                sources = [st]
-            for b, i in sources:
-                w = blocks[b]
-                if w[i] == a:
-                    out.add(_BOUNDARY if i + 1 == len(w) else (b, i + 1))
-        return frozenset(out)
-
-    # subsets[0] is the parser's start set {_BOUNDARY}
+    # subsets[0] is the parser's start set {(b, 0)}
     letters = sorted(set(m.outputs))
-    subsets, moves = _explore(frozenset([_BOUNDARY]), lambda s: [step(s, a) for a in letters])
+    start = frozenset((b, 0) for b in range(len(blocks)))
+    subsets, moves = _explore(start, lambda s: [parse_step(s, a, blocks) for a in letters])
     letter_maps = {a: tuple(row[j] for row in moves) for j, a in enumerate(letters)}
     dead_i = subsets.index(frozenset()) if frozenset() in subsets else -1
 
@@ -283,26 +266,13 @@ def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
 
 
 def decide_fixed_pair(seq: Dfao, u: WordLike, v: WordLike, budget: Optional[Budget] = None) -> bool:
-    """Exactly decide x in {u, v}^omega."""
+    """Exactly decide x in {u, v}^omega; max_enumeration caps the levels
+    of pair_omega_membership."""
     budget = budget or Budget()
     u, v = word(u), word(v)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
-    cap = budget.max_enumeration
-    if u == v or commutes(u, v):
-        # both words are powers of the common primitive root, so the
-        # products over {u, v} are exactly the root's omega power
-        root, _ = primitive_root(u)
-        return pair_omega_membership(seq, (root,), max_levels=cap)
-    if not is_prefix_code_pair(u, v):
-        red = free_reduce(u, v)
-        if not isinstance(red, Pair):
-            raise RankTwoError(f"non-commuting u = {list(u)}, v = {list(v)} reduced to one word")
-        # the reduced pair generates a superset of the products, so a
-        # miss there settles the question before the direct check
-        if not pair_omega_membership(seq, (red.a, red.b), max_levels=cap):
-            return False
-    return pair_omega_membership(seq, (u, v), max_levels=cap)
+    return pair_omega_membership(seq, (u, v), budget.max_enumeration)
 
 
 def validate_explicit_pair(seq: Dfao, u: WordLike, v: WordLike, min_prefix: int = 2 ** 14) -> Optional[int]:
@@ -332,7 +302,8 @@ def decide_with_unbounded(
     consts: Optional[AnalysisConstants] = None,
     budget: Optional[Budget] = None,
 ) -> Optional[ExplicitPair]:
-    """Find v with x in {u, v}^omega, for u primitive with unbounded powers.
+    """Find v with x in {u, v}^omega, for aperiodic x and u primitive
+    with unbounded powers.
 
     Returns an ExplicitPair or None when no companion exists.  The search
     is a case split on the shape of v: words of the unbounded set and
@@ -352,23 +323,10 @@ def decide_with_unbounded(
         raise ValueError(f"u must be primitive; it is a {e}-th power of {root}")
     if max_exponent(seq, u, limits) is not UNBOUNDED:
         raise ValueError("u must occur with unbounded exponent")
+    if is_ultimately_periodic(seq, limits) is not None:
+        raise ValueError("x must be aperiodic")
     if consts is None:
         consts = sequence_constants(seq, limits)
-
-    up = is_ultimately_periodic(seq, limits)
-    if up is not None:
-        # the eventual period and u share a primitive root up to rotation,
-        # so some aligned tail is exactly u^omega; scan for it directly
-        c, per = up
-        for m in range(c + per + len(u) + 1):
-            tail = shift_sequence(seq, m, limits) if m else seq
-            if not pair_omega_membership(tail, (u,), max_levels=budget.max_enumeration):
-                continue
-            vv = u + u if m == 0 else tuple(seq.prefix(m))
-            if vv == u:
-                continue
-            return _explicit_pair(seq, u, vv)
-        return None
 
     # (i) v is itself a word with unbounded powers, or no longer than u.
     # A factor of length <= |u| first occurs where a length-|u| factor
@@ -594,9 +552,8 @@ def rank2_decide(
 
         if not disable_fast_paths:
             stages.append("Step0b")
+            # one letter would be purely periodic, decided by Step 0
             letters = occurring_letters(seq, limits)
-            if len(letters) == 1:
-                return report(Rank1(1))
             if len(letters) == 2:
                 a, b = letters
                 return report(RankTwo(_explicit_pair(seq, (a,), (b,))))
@@ -618,9 +575,7 @@ def rank2_decide(
                 if out_of_time():
                     return report(Inconclusive("Step0d", "wall_time exhausted"))
                 if decide_fixed_pair(seq, uu, vv, budget):
-                    cov = validate_explicit_pair(seq, uu, vv)
-                    if cov is not None:
-                        return report(RankTwo(ExplicitPair(uu, vv, cov)))
+                    return report(RankTwo(_explicit_pair(seq, uu, vv)))
 
         stages.append("Step1")
         consts = sequence_constants(seq, limits)

@@ -623,3 +623,35 @@ def unbounded_exponent_sentence(z):
     return forall("m", exists(("j", "n"), and_(
         gt("n", "m"), word_at("j", z), factoreq("j", add("j", r), "n"),
     )))
+
+
+# ---------------------------------------------------------------------------
+# the fixed-pair decision with the two shortcuts that ranktwo.rank dropped:
+# a commuting pair checked through its primitive root, and a miss of the
+# free reduction settling a pair that is not a prefix code
+
+def ref_decide_fixed_pair(seq, u, v, budget=None):
+    """x in {u, v}^omega, as decide_fixed_pair decided it with shortcuts."""
+    from ranktwo.errors import RankTwoError
+    from ranktwo.rank import Budget, pair_omega_membership
+    from ranktwo.words import Pair, commutes, free_reduce, is_prefix_code_pair, primitive_root, word
+
+    budget = budget or Budget()
+    u, v = word(u), word(v)
+    if not u or not v:
+        raise ValueError("blocks must be nonempty")
+    cap = budget.max_enumeration
+    if u == v or commutes(u, v):
+        # both words are powers of the common primitive root, so the
+        # products over {u, v} are exactly the root's omega power
+        root, _ = primitive_root(u)
+        return pair_omega_membership(seq, (root,), max_levels=cap)
+    if not is_prefix_code_pair(u, v):
+        red = free_reduce(u, v)
+        if not isinstance(red, Pair):
+            raise RankTwoError(f"non-commuting u = {list(u)}, v = {list(v)} reduced to one word")
+        # the reduced pair generates a superset of the products, so a
+        # miss there settles the question before the direct check
+        if not pair_omega_membership(seq, (red.a, red.b), max_levels=cap):
+            return False
+    return pair_omega_membership(seq, (u, v), max_levels=cap)

@@ -16,7 +16,7 @@ from ranktwo.errors import (
     EnumerationLimitError,
     InfiniteLanguageError,
 )
-from ranktwo.fixtures import fixture_names, load_fixture
+from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 
 from oracles import (
     FIXTURE_ORACLES,
@@ -510,7 +510,7 @@ def test_project_and_rename_tracks_are_minimal_by_construction(seed, k, tracks, 
 # automata with output
 
 def test_fixture_values_match_independent_generators():
-    for name in fixture_names():
+    for name in FIXTURE_NAMES:
         m = load_fixture(name)
         expected = FIXTURE_ORACLES[name](4096)
         assert m.prefix(4096) == expected, name
@@ -529,7 +529,7 @@ def test_prefix_matches_eval_at_level_boundaries():
     """prefix(n) gathers one base-k level at a time; check it around
     every level boundary against one eval per position."""
     golden = Path(__file__).parent / "golden"
-    seqs = [load_fixture(name) for name in fixture_names()]
+    seqs = [load_fixture(name) for name in FIXTURE_NAMES]
     seqs += [A.loads_dfao((golden / f"{name}.dfao").read_text()) for name in ("TWELVE", "POW23")]
     # k = 3: the digit sum mod 3, with outputs no fixed-width integer
     # holds, started from a copy of the zero state so that the canonical
@@ -550,14 +550,14 @@ def test_prefix_matches_eval_at_level_boundaries():
 
 
 def test_canonical_dfao_has_zero_self_loop():
-    for name in fixture_names():
+    for name in FIXTURE_NAMES:
         c = load_fixture(name).canonical()
         assert c.delta[c.initial][0] == c.initial
         assert c.initial == 0
 
 
 def test_dfao_roundtrip_bit_exact():
-    for name in fixture_names():
+    for name in FIXTURE_NAMES:
         c = load_fixture(name).canonical()
         text = c.dumps()
         again = A.loads_dfao(text)

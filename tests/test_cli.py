@@ -293,6 +293,40 @@ def test_huge_constants_print_in_bounded_form(capsys, tmp_path):
     assert "power bound B = 3^" in out
 
 
+# x[n] = 1 iff 4^j <= n < 3 * 4^j / 2: Step 2 finds the two words (0), (1)
+TWO_RUNS = """k 2
+alphabet 0 1
+states 5
+initial 0
+output 0 0
+output 1 1
+output 2 0
+output 3 1
+output 4 0
+trans 0 0 0
+trans 0 1 1
+trans 1 0 2
+trans 1 1 4
+trans 2 0 3
+trans 2 1 3
+trans 3 0 2
+trans 3 1 2
+trans 4 0 4
+trans 4 1 4
+"""
+
+
+def test_rank2_enumeration_breach_at_step2_is_a_verdict(capsys, tmp_path):
+    path = tmp_path / "two-runs.dfao"
+    path.write_text(TWO_RUNS)
+    code, out, err = run(capsys, [
+        "rank2", "--dfao", str(path), "--disable-fast-paths", "--budget-enumeration", "1", "--format", "json",
+    ])
+    assert code == 0, err
+    data = json.loads(out)
+    assert (data["verdict"], data["stage"]) == ("inconclusive", "Step2")
+
+
 # ---------------------------------------------------------------- decide
 
 

@@ -11,7 +11,6 @@ from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
     appearance_values,
     brute_appearance,
-    brute_max_exponent,
     dp_factorize,
     factor_of_pair_omega,
     in_pair_star,
@@ -27,6 +26,7 @@ from ranktwo.words import is_prefix_code_pair
 from oracles import (
     FIXTURE_ORACLES,
     brute_appearance_value,
+    brute_max_run_exponent,
     random_word,
     ref_dp_factorize,
     ref_parse_reach,
@@ -188,14 +188,12 @@ def test_appearance_values_match_factor_sets(name):
 
 def test_brute_max_exponent_on_thue_morse():
     tm = FIXTURE_ORACLES["thue-morse"](2 ** 16)
-    assert brute_max_exponent(tm, (0,)) == Fraction(2)
-    assert brute_max_exponent(tm, (9,)) is None
-    with pytest.raises(ValueError):
-        brute_max_exponent(tm, ())
+    assert brute_max_run_exponent(tm, (0,)) == Fraction(2)
+    assert brute_max_run_exponent(tm, (9,)) is None
     # scans lower-bound the automaton answer and match it once the
     # prefix is long enough
     for z in ((0, 1, 1, 0), (0, 1), (1, 0, 0), (0, 1, 1, 0, 1, 0, 0, 1)):
-        assert brute_max_exponent(tm, z) == max_exponent(TM, z)
+        assert brute_max_run_exponent(tm, z) == max_exponent(TM, z)
 
 
 def test_minimal_pairs_frozen():

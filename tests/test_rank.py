@@ -19,7 +19,7 @@ from ranktwo import logic as L
 from ranktwo import predicates as P
 from ranktwo.analysis import constants, strip_max_power_prefix, unbounded_primitive_factors
 from ranktwo.automata import Dfao
-from ranktwo.errors import BudgetExceededError
+from ranktwo.errors import BudgetExceededError, EnumerationLimitError, RankTwoError
 from ranktwo.fixtures import load_fixture
 from ranktwo.logic import Exists, compile_formula, decide, witness
 from ranktwo.oracle import dp_factorize, parse_reach
@@ -43,7 +43,7 @@ from ranktwo.rank import (
     validate_explicit_pair,
 )
 
-from oracles import setup2_formula, setup_formula
+from oracles import ref_decide_fixed_pair, setup2_formula, setup_formula
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -87,6 +87,18 @@ ONE_THEN_ZEROS = Dfao(
     delta=((0, 1), (1, 1)),
     initial=0,
 )
+
+# x[n] = 1 iff 4^j <= n < 3 * 4^j / 2 for some j: aperiodic, with runs
+# of both letters of unbounded length
+TWO_RUNS = Dfao(
+    k=2,
+    alphabet=(0, 1),
+    outputs=(0, 1, 0, 1, 0),
+    delta=((0, 1), (2, 4), (3, 3), (2, 2), (4, 4)),
+    initial=0,
+)
+
+SEVEN = {"mod3": M3, "thue-morse": TM, "pow2-char": P2, "ternary-tm": T3, "TWELVE": TWELVE, "POW23": POW23, "vtm": VTM}
 
 
 def test_crafted_automata_match_their_arithmetic_rules():
@@ -136,7 +148,9 @@ def test_budget_validation():
 
 def test_pair_omega_membership_known_cases():
     assert pair_omega_membership(TM, ((0,), (1,)))
+    assert pair_omega_membership(TM, ((1,), (0,)))
     assert pair_omega_membership(TM, ((0, 1), (1, 0)))
+    assert pair_omega_membership(TM, ((1, 0), (0, 1)))
     assert not pair_omega_membership(TM, ((0,), (1, 1)))
     assert pair_omega_membership(T3, ((0, 1), (2, 0)))
     assert not pair_omega_membership(T3, ((0, 1), (2, 1)))
@@ -196,10 +210,32 @@ def test_decide_fixed_pair_cases():
         decide_fixed_pair(TM, (0,), "")
 
 
+@pytest.mark.parametrize("name", list(SEVEN))
+def test_decide_fixed_pair_needs_no_shortcuts(name):
+    # the one membership check agrees with the commuting-pair and
+    # free-reduction shortcuts on every pair with |u| + |v| <= 4 over the
+    # sequence's letters, commuting and prefix-related pairs included
+    seq = SEVEN[name]
+    words = [w for n in (1, 2, 3) for w in itertools.product(seq.alphabet, repeat=n)]
+    pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 4]
+    assert any(u == v for u, v in pairs) and any(v[:len(u)] == u != v for u, v in pairs)
+    got = [decide_fixed_pair(seq, u, v) for u, v in pairs]
+    assert got == [ref_decide_fixed_pair(seq, u, v) for u, v in pairs]
+
+
 def test_validate_explicit_pair_cut_values():
     assert validate_explicit_pair(T3, (0, 1), (2, 0)) == 2 ** 14 + 2
     assert validate_explicit_pair(TM, (0,), (1,)) == 2 ** 14 + 1
     assert validate_explicit_pair(T3, (0, 1), (2, 1)) is None
+
+
+def test_step0d_pair_without_a_cut_is_a_fault(monkeypatch):
+    # a pair decided true always has a cut, so a missing one raises at
+    # Step 0d instead of passing to the next candidate
+    monkeypatch.setattr(rank_module, "validate_explicit_pair", lambda *args: None)
+    monkeypatch.setattr(rank_module, "sequence_constants", lambda *args: pytest.fail("Step 0d moved on"))
+    with pytest.raises(RankTwoError, match=r"u = \[0, 1\], v = \[2, 0\] has no factorization cut"):
+        rank2_decide(T3)
 
 
 def test_validate_explicit_pair_cross_check_survives_optimize_flag():
@@ -251,11 +287,21 @@ def test_decide_with_unbounded_short_companion():
     assert cuts is not None and cuts[-1] == pair.validated_prefix
 
 
-def test_decide_with_unbounded_periodic_alignment():
-    pair = decide_with_unbounded(M3, (0, 1, 2))
-    assert pair.u == (0, 1, 2) and pair.v == (0, 1, 2, 0, 1, 2)
-    pair = decide_with_unbounded(ONE_THEN_ZEROS, (0,))
-    assert (pair.u, pair.v) == ((0,), (1,))
+def test_decide_with_unbounded_rejects_periodic_sequences():
+    # Step 0c decides every ultimately periodic sequence, so the
+    # unbounded stage only takes aperiodic ones
+    with pytest.raises(ValueError, match="aperiodic"):
+        decide_with_unbounded(M3, (0, 1, 2))
+    with pytest.raises(ValueError, match="aperiodic"):
+        decide_with_unbounded(ONE_THEN_ZEROS, (0,))
+    for off in (False, True):
+        assert rank2_decide(M3, disable_fast_paths=off).verdict == Rank1(3)
+    rep = rank2_decide(ONE_THEN_ZEROS)
+    assert rep.verdict == RankTwo(ExplicitPair((0,), (1,), 2 ** 14 + 1))
+    assert rep.budget_report["stages_run"] == ["Step0", "Step0b"]
+    rep = rank2_decide(ONE_THEN_ZEROS, disable_fast_paths=True)
+    assert rep.verdict == RankTwo(ExplicitPair((1,), (0,), 2 ** 14 + 1))
+    assert rep.budget_report["stages_run"] == ["Step0", "Step0c"]
 
 
 def test_decide_with_unbounded_preconditions():
@@ -318,8 +364,7 @@ def test_pattern_prefixes_match_unrolled_sentences(name):
     # E q. R_w has the language of the unrolled sentence's body, with the
     # first block pinned at 0, for every pattern w of length 2 and 3 that
     # starts with 0
-    seq = {"mod3": M3, "thue-morse": TM, "pow2-char": P2, "ternary-tm": T3,
-           "POW23": POW23, "TWELVE": TWELVE, "vtm": VTM}[name]
+    seq = SEVEN[name]
     unbounded = [w for _, _, w in unbounded_primitive_factors(seq)]
     root, extend = pattern_prefixes(seq, unbounded, Budget())
     assert root.var_order == ("j", "q", "r", "s")
@@ -393,6 +438,20 @@ def test_vtm_is_rank_at_least_three_because_it_is_square_free():
     for off in (False, True):
         rep = rank2_decide(VTM, disable_fast_paths=off)
         assert rep.verdict == RankAtLeastThree() and not rep.soundness_flags["unsound"]
+
+
+def test_step2_enumeration_breach_is_inconclusive():
+    assert TWO_RUNS.prefix(2 ** 12) == [
+        int(any(4 ** j <= n and 2 * n < 3 * 4 ** j for j in range(7))) for n in range(2 ** 12)
+    ]
+    assert [w for _, _, w in unbounded_primitive_factors(TWO_RUNS)] == [(0,), (1,)]
+    # more words than max_enumeration is a budget breach, not an
+    # inconsistent infinite set
+    with pytest.raises(EnumerationLimitError):
+        unbounded_primitive_factors(TWO_RUNS, max_results=1)
+    rep = rank2_decide(TWO_RUNS, Budget(max_enumeration=1), disable_fast_paths=True)
+    assert rep.verdict == Inconclusive("Step2", "more than 1 accepted tuples")
+    assert rep.budget_report["stages_run"][-1] == "Step2"
 
 
 def test_step2_serves_step1_window_relation_from_cache(monkeypatch):
