@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     BudgetExceededError,
     DfaoFormatError,
@@ -629,17 +627,31 @@ class Dfao:
         zero self-loop, so state_of(k*m + d) = delta[state_of(m)][d] holds
         for every m >= 0: the states of positions 0..k^(j+1) - 1 are the
         rows delta[state_of(m)] for m < k^j, laid end to end.  Only the
-        positions whose children fall below n are expanded; one gather of
-        the outputs then gives the symbols.
+        positions whose children fall below n are expanded.  With at most
+        256 states a level is a byte string, expanded by one translate
+        through column d of delta per digit d, written to every k-th byte
+        from d; with more it is a list.  One translate through the outputs
+        then gives the symbols when they are all below 256.
         """
         if n < 0:
             raise ValueError("prefix lengths are naturals")
         c = self.canonical()
-        delta = np.array(c.delta, dtype=np.intp)
-        states = np.array([c.initial], dtype=np.intp)
-        while len(states) < n:
-            states = delta.take(states[:-(-n // self.k)], axis=0).reshape(-1)
-        return np.array(c.outputs, dtype=object)[states[:n]].tolist()
+        k, parents = self.k, -(-n // self.k)
+        if c.num_states <= 256:
+            columns = [bytes(row[d] for row in c.delta).ljust(256, b"\0") for d in range(k)]
+            states = bytearray([c.initial])
+            while len(states) < n:
+                up = states[:parents]
+                states = bytearray(k * len(up))
+                for d, column in enumerate(columns):
+                    states[d::k] = up.translate(column)
+            if all(0 <= s < 256 for s in c.outputs):
+                return list(states[:n].translate(bytes(c.outputs).ljust(256, b"\0")))
+        else:
+            states = [c.initial]
+            while len(states) < n:
+                states = [t for q in states[:parents] for t in c.delta[q]]
+        return list(map(c.outputs.__getitem__, states[:n]))
 
     def canonical(self) -> "Dfao":
         return _canonical_dfao(self)

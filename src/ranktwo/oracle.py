@@ -5,7 +5,9 @@ use of the formula engine, so its answers can be compared against the
 automaton-based ones.  rank2_decide finds and certifies explicit pairs
 here (Steps 0b to 0d): search_pairs proposes them, certified_cut finds
 the furthest factorization cut and checks it with dp_factorize's DP.  These
-run over block-occurrence masks computed once per word with numpy.  The
+run over block-occurrence sets, one int per block with bit i set where the
+block starts at i, made once per word by C-speed byte-string and big-int
+operations and read as one byte per cut by the scans.  The
 counterexample searches at the bottom look for violations of the
 combinatorial facts the rank decision relies on; they are expected to
 come back empty.  Their block parser, parse_step, is also the one whose
@@ -15,40 +17,54 @@ subset construction rank.pair_omega_membership runs.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import compress, islice, product
 from typing import Optional
-
-import numpy as np
 
 from .errors import RankTwoError
 
 
-def _codes(word, letters) -> tuple[np.ndarray, dict]:
-    """word as an index array over the sorted letters, with the index.
+_ZEROS = b"0" * 256
+_CUTS = bytes.maketrans(b"01", b"\0\1")
 
-    The relabelling keeps every mask exact for naturals of any size and
-    keeps the lexicographic order of words.
+
+def _letter_sets(word, letters) -> dict:
+    """Occurrence set of each given letter that occurs in word: an int
+    with bit i set where word[i] is that letter.
+
+    The word's letters are first relabelled to ranks, which keeps the
+    sets exact for naturals of any size.  The ranks are written as
+    base-256 digit planes, one byte string per digit (one string for up
+    to 256 letters), last letter first so that int(..., 2) puts word[0]
+    at bit 0; a letter's set is the AND over the planes of the positions
+    holding its digit, each read off by one translate to "0"/"1".
     """
-    index = {s: c for c, s in enumerate(sorted(letters))}
-    return np.fromiter(map(index.__getitem__, word), np.intp, len(word)), index
+    index = {a: r for r, a in enumerate(set(word))}
+    sets = {a: -1 for a in letters if a in index}
+    for shift in range(0, max(len(index) - 1, 1).bit_length(), 8):
+        digit = {a: r >> shift & 255 for a, r in index.items()}
+        plane = bytes(map(digit.__getitem__, reversed(word)))
+        for a in sets:
+            d = digit[a]
+            sets[a] &= int(b"0" + plane.translate(_ZEROS[:d] + b"1" + _ZEROS[d + 1:]), 2)
+    return sets
+
+
+def _cut_mask(occ: int, n: int) -> bytes:
+    """The occurrence set occ as one byte per cut 0..n: byte i is bit i."""
+    return format(occ, f"0{n + 1}b")[::-1].encode().translate(_CUTS)
 
 
 def _masks(word, *blocks) -> list[bytes]:
-    """Occurrence mask of each block in word: byte i, for each cut
-    0..len(word), is 1 when the block starts at i.  An empty block never
-    occurs."""
-    a, index = _codes(word, set(word).union(*blocks))
-    n = len(a)
+    """Occurrence mask of each block in word, one byte per cut: the AND
+    of its letters' sets, each shifted right by the letter's offset in
+    the block.  An empty block never occurs."""
+    sets = _letter_sets(word, {a for b in blocks for a in b})
     masks = []
     for b in blocks:
-        m = len(b)
-        if not 0 < m <= n:
-            masks.append(bytes(n + 1))
-            continue
-        hit = a[:n - m + 1] == index[b[0]]
-        for j in range(1, m):
-            hit &= a[j:n - m + 1 + j] == index[b[j]]
-        masks.append(hit.tobytes() + bytes(m))
+        occ = -1 if b else 0
+        for j, a in enumerate(b):
+            occ &= sets.get(a, 0) >> j
+        masks.append(_cut_mask(occ, len(word)))
     return masks
 
 
@@ -121,7 +137,7 @@ def parse_reach(word, u, v) -> list[int]:
     word, u, v = tuple(word), tuple(u), tuple(v)
     mu, mv = _masks(word, u, v)
     reach = _reach(len(word), len(u), mu, len(v), mv)
-    return np.flatnonzero(np.frombuffer(reach, dtype=np.uint8)).tolist()
+    return list(compress(range(len(reach)), reach))
 
 
 def certified_cut(word, u, v, min_cut: int) -> Optional[int]:
@@ -156,37 +172,36 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
     return list(islice(_tiling_pairs(tuple(word), max_total), limit))
 
 
-def _factor_ranks(word, max_len: int):
-    """For ln = 1..max_len, (ln, first, ids): ids ranks the length-ln
-    factor at each start of word in lexicographic order, and first[c] is
-    the first start of the factor ranked c.
+def _factors(word, max_len: int):
+    """For ln = 1..max_len, the distinct length-ln factors of word in
+    lexicographic order, each with its occurrence set.
 
-    Each length's ranks come from the length-(ln - 1) ranks and the next
-    letter by one np.unique, so ranks stay below len(word).
+    A length-(ln + 1) factor extends a length-ln one by a letter, and its
+    set is the parent's AND the letter's set shifted right by ln, so
+    extending each factor by each letter in order keeps the order.
     """
-    n = len(word)
-    a, index = _codes(word, set(word))
-    ids = np.zeros(n + 1, dtype=np.intp)
-    for ln in range(1, max_len + 1):
-        _, first, ids = np.unique(
-            ids[:n - ln + 1] * len(index) + a[ln - 1:], return_index=True, return_inverse=True
-        )
-        yield ln, first, ids
+    sets = _letter_sets(word, set(word))
+    letters = sorted(sets)
+    level = [((), -1)]
+    for ln in range(max_len):
+        shifted = [(a, sets[a] >> ln) for a in letters]
+        level = [(f + (a,), occ) for f, parent in level for a, s in shifted if (occ := parent & s)]
+        yield level
 
 
 def _tiling_pairs(word, max_total: int):
     n = len(word)
-    # factors[l]: the distinct factors of length l in lexicographic order,
-    # each with its occurrence mask; prefix_mask[l]: the mask of word[:l].
-    factors, prefix_mask = {}, {}
-    for ln, first, ids in _factor_ranks(word, min(max_total - 1, n)):
-        masks = [(ids == f).tobytes() + bytes(ln) for f in range(len(first))]
-        factors[ln] = [(word[s:s + ln], m) for s, m in zip(first.tolist(), masks)]
-        prefix_mask[ln] = masks[ids[0]]
+    # factors[l - 1]: the distinct factors of length l in lexicographic
+    # order, each mapped to its occurrence mask
+    factors = [
+        {f: _cut_mask(occ, n) for f, occ in level}
+        for level in _factors(word, min(max_total - 1, n))
+    ]
     for total in range(2, min(max_total, 2 * n) + 1):
         for lu in range(max(1, total - n), min(total - 1, n) + 1):
-            u, mu, lv = word[:lu], prefix_mask[lu], total - lu
-            for v, mv in factors[lv]:
+            u, lv = word[:lu], total - lu
+            mu = factors[lu - 1][u]
+            for v, mv in factors[lv - 1].items():
                 if v == u:
                     continue
                 best = _reach(n, lu, mu, lv, mv).rfind(1)
@@ -196,13 +211,16 @@ def _tiling_pairs(word, max_total: int):
 
 
 def appearance_values(word, max_n: int) -> list[int]:
-    """[brute_appearance(word, n) for n = 1..max_n], in one ranking pass:
-    the value for n is the largest first start of a length-n factor,
-    plus n."""
+    """[brute_appearance(word, n) for n = 1..max_n], in one pass over the
+    factors: the value for n is the largest first start of a length-n
+    factor, the lowest bit of its set, plus n."""
     word = tuple(word)
     if max_n > len(word):
         raise ValueError("word too short to cover its own factors")
-    return [int(first.max()) + ln for ln, first, _ in _factor_ranks(word, max_n)]
+    return [
+        max((occ & -occ).bit_length() - 1 for _, occ in level) + ln
+        for ln, level in enumerate(_factors(word, max_n), 1)
+    ]
 
 
 def brute_appearance(word, n: int) -> int:

@@ -541,6 +541,16 @@ def test_prefix_matches_eval_at_level_boundaries():
         ((0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 1, 2)),
         3,
     ))
+    # k = 2, delta(r, d) = (2r + d) mod 257 with output r: 257 canonical
+    # states and symbols up to 256, more than one byte holds
+    seqs.append(A.Dfao(
+        2,
+        tuple(range(257)),
+        tuple(range(257)),
+        tuple(((2 * r) % 257, (2 * r + 1) % 257) for r in range(257)),
+        0,
+    ))
+    assert seqs[-1].canonical().num_states == 257
     for m in seqs:
         levels = [m.k ** j for j in range(12) if m.k ** j <= 2 ** 11]
         sizes = {0, 1} | {p + d for p in levels for d in (-1, 0, 1)}

@@ -1,6 +1,9 @@
 """End-to-end checks of the command-line interface and the formula grammar."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -527,3 +530,28 @@ def test_oracle_pairs_limit_caps_the_pairs(capsys):
     assert len(found[None]) == 18
     assert [len(found[limit]) for limit in ("0", "1", "2")] == [0, 1, 2]
     assert all(pair in found[None] for pair in found["2"])
+
+
+def test_no_numpy_in_a_full_run():
+    """Importing the CLI and running each kind of question loads no numpy,
+    whose import alone would double the cold start."""
+    code = (
+        "import sys\n"
+        "import ranktwo.cli\n"
+        "from ranktwo.fixtures import load_fixture\n"
+        "from ranktwo.formula_text import parse_formula\n"
+        "from ranktwo.logic import decide\n"
+        "from ranktwo.oracle import appearance_values, search_pairs\n"
+        "from ranktwo.rank import rank2_decide\n"
+        "tm = load_fixture('thue-morse')\n"
+        "rank2_decide(tm)\n"
+        "w = tm.prefix(2 ** 10)\n"
+        "search_pairs(w, 4)\n"
+        "appearance_values(w, 8)\n"
+        "assert decide(parse_formula('E i. x[i] = 1'), seq=tm)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -11,6 +11,7 @@ from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
     appearance_values,
     brute_appearance,
+    certified_cut,
     dp_factorize,
     factor_of_pair_omega,
     in_pair_star,
@@ -141,6 +142,29 @@ def test_search_pairs_matches_slice_loop(wuv, max_total, limit):
     assert search_pairs(w, max_total, limit=limit) == want[:limit]
 
 
+def test_word_checks_past_one_byte_of_letters():
+    """Words with 300 distinct letters, ten of them 2**70 or larger, so
+    the letter ranks take two bytes: a letter ranked 256 + r must not be
+    taken for the one ranked r."""
+    rng = random.Random(257)
+    letters = list(range(290)) + [2 ** 70 + i for i in range(10)]
+    rng.shuffle(letters)
+    u, v = tuple(letters[:150]), tuple(letters[150:])
+    w = sum((u if rng.random() < 0.5 else v for _ in range(8)), ()) + v[:40]
+    assert len(set(w)) == 300
+    for a, b in ((u, v), (v, u), (u[:70], u[70:]), (v[:1], w[:3]), (u, (2 ** 80,))):
+        reach = ref_parse_reach(w, a, b)
+        assert parse_reach(w, a, b) == reach
+        assert dp_factorize(w, a, b) == ref_dp_factorize(w, a, b)
+        assert dp_factorize(w[:reach[-1]], a, b) == ref_dp_factorize(w[:reach[-1]], a, b)
+        for min_cut in (0, reach[-1], reach[-1] + 1):
+            assert certified_cut(w, a, b, min_cut) == (reach[-1] if reach[-1] >= min_cut else None)
+    shuffled = tuple(rng.sample(w, len(w)))
+    for x in (w[:700], shuffled[:700]):
+        assert search_pairs(x, 5) == list(ref_tiling_pairs(x, 5))
+        assert appearance_values(x, 12) == [brute_appearance_value(x, n) for n in range(1, 13)]
+
+
 def test_search_pairs_thue_morse():
     w = FIXTURE_ORACLES["thue-morse"](2 ** 10)
     out = search_pairs(w, 4)
@@ -179,7 +203,7 @@ def test_brute_appearance_values():
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_ORACLES))
 def test_appearance_values_match_factor_sets(name):
-    # the one ranking pass against the tuple sets of each length
+    # the one pass over the factors against the tuple sets of each length
     pref = FIXTURE_ORACLES[name](2 ** 11)
     assert appearance_values(pref, 24) == [brute_appearance_value(pref, n) for n in range(1, 25)]
     assert appearance_values(pref[:5], 5) == [brute_appearance_value(pref[:5], n) for n in range(1, 6)]
