@@ -12,7 +12,13 @@ numbered in breadth-first order from the initial state, and closed under
 leading all-zero columns (membership depends only on the decoded tuple,
 never on how much padding the encoding carries).  Canonical form makes
 num_states well defined and language equality a plain structural
-comparison.
+comparison (dataclass ==).  The queries read three facts off it:
+
+- state 0 is the initial state;
+- states are numbered breadth-first with letters in ascending order, so
+  the least-numbered accepting state is the end of the least witness;
+- at most one state is dead (accepts no word), and it is a rejecting
+  sink.
 """
 
 from __future__ import annotations
@@ -91,14 +97,14 @@ class Dfa:
     """Canonical recogniser over tuples of naturals (see module docstring).
 
     delta[q][letter] is the successor state; accepting is a bool per
-    state; var_order names one track per variable, sorted.
+    state; var_order names one track per variable, sorted.  State 0 is
+    the initial state.
     """
 
     k: int
     var_order: tuple[str, ...]
     delta: tuple[tuple[int, ...], ...]
     accepting: tuple[bool, ...]
-    initial: int
 
     @property
     def num_states(self) -> int:
@@ -109,7 +115,7 @@ class Dfa:
         return letter_count(self.k, len(self.var_order))
 
     def accepts_encoded(self, letters: Iterable[int]) -> bool:
-        q = self.initial
+        q = 0
         for a in letters:
             q = self.delta[q][a]
         return self.accepting[q]
@@ -191,29 +197,17 @@ def canonical_dfa(k, var_order, delta, accepting, initial) -> Dfa:
         tuple(var_order),
         tuple(map(tuple, new_delta)),
         tuple(bool(accepting[q]) for q in reps),
-        0,
     )
-
-
-def is_zero_closed(a: Dfa) -> bool:
-    """In canonical form, closure under leading zero columns is exactly a
-    zero-column self-loop on the initial state."""
-    return a.delta[a.initial][0] == a.initial
 
 
 def true_dfa(k: int, var_order: Sequence[str] = ()) -> Dfa:
     t = len(var_order)
-    return Dfa(k, tuple(var_order), ((0,) * letter_count(k, t),), (True,), 0)
-
-
-def false_dfa(k: int, var_order: Sequence[str] = ()) -> Dfa:
-    t = len(var_order)
-    return Dfa(k, tuple(var_order), ((0,) * letter_count(k, t),), (False,), 0)
+    return Dfa(k, tuple(var_order), ((0,) * letter_count(k, t),), (True,))
 
 
 def complement(a: Dfa) -> Dfa:
     """Complement; inputs are complete so this is an acceptance flip."""
-    return Dfa(a.k, a.var_order, a.delta, tuple(not x for x in a.accepting), a.initial)
+    return Dfa(a.k, a.var_order, a.delta, tuple(not x for x in a.accepting))
 
 
 def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
@@ -234,7 +228,7 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
         qa, qb = divmod(pair, nb)
         return list(map(operator.add, arows[qa], brows[qb]))
 
-    order, delta = _explore(a.initial * nb + b.initial, successors, max_states, stage)
+    order, delta = _explore(0, successors, max_states, stage)
     acc = [op(a.accepting[s // nb], b.accepting[s % nb]) for s in order]
     return canonical_dfa(k, merged, delta, acc, 0)
 
@@ -327,8 +321,8 @@ def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
     n_letters = letter_count(a.k, len(new_vars))
 
     # the start set, saturated under all-zero columns
-    start = 1 << a.initial
-    frontier = [a.initial]
+    start = 1
+    frontier = [0]
     for q in frontier:
         for t, ell in zip(a.delta[q], reduced):
             if ell == 0 and not start >> t & 1:
@@ -340,7 +334,7 @@ def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
     final = sum(1 << i for i, mask in enumerate(order) if mask & start)
     del order
     order, delta = _subsets(_reversed_rows(delta, range(n_letters)), n_letters, final, max_states)
-    return Dfa(a.k, new_vars, tuple(map(tuple, delta)), tuple(bool(mask & 1) for mask in order), 0)
+    return Dfa(a.k, new_vars, tuple(map(tuple, delta)), tuple(bool(mask & 1) for mask in order))
 
 
 def is_empty(a: Dfa) -> bool:
@@ -350,152 +344,63 @@ def is_empty(a: Dfa) -> bool:
 def shortest_accepted(a: Dfa) -> Optional[tuple[int, ...]]:
     """Values of the length-lexicographically least accepted encoding.
 
-    Breadth-first search with letters in ascending order reaches every
-    state first along its length-lex least path, so the first accepting
-    state found yields the least witness tuple.
+    Breadth-first search with letters in ascending order meets the states
+    in the order of their numbers and reaches each along its length-lex
+    least path, so the least accepting state ends the least witness.
+    That search first enters a state q > 0 by the first edge into q in
+    row order, which leaves a state numbered below q; following those
+    edges back to state 0 spells the encoding.
     """
-    if a.accepting[a.initial]:
-        return (0,) * len(a.var_order)
-    parent: dict[int, tuple[int, int]] = {a.initial: (-1, -1)}
-    queue = [a.initial]
-    found = None
-    for q in queue:
-        for ell, t in enumerate(a.delta[q]):
-            if t not in parent:
-                parent[t] = (q, ell)
-                if a.accepting[t]:
-                    found = t
-                    break
-                queue.append(t)
-        if found is not None:
-            break
-    if found is None:
+    q = next((q for q, acc in enumerate(a.accepting) if acc), None)
+    if q is None:
         return None
     letters = []
-    q = found
-    while q != a.initial:
-        p, ell = parent[q]
+    while q:
+        q, ell = next((p, row.index(q)) for p, row in enumerate(a.delta[:q]) if q in row)
         letters.append(ell)
-        q = p
-    letters.reverse()
     values = [0] * len(a.var_order)
-    for ell in letters:
+    for ell in reversed(letters):
         digits = decode_letter(a.k, len(a.var_order), ell)
         for i, d in enumerate(digits):
             values[i] = values[i] * a.k + d
     return tuple(values)
 
 
-def _useful_states(a: Dfa) -> tuple[set[int], set[int]]:
-    """(states reachable by a minimal encoding, states co-reachable)."""
-    # minimal encodings never begin with the all-zero column
-    reach: set[int] = set()
-    frontier = set()
-    for ell in range(1, a.alphabet_size):
-        frontier.add(a.delta[a.initial][ell])
-    while frontier:
-        reach |= frontier
-        nxt = set()
-        for q in frontier:
-            for t in a.delta[q]:
-                if t not in reach:
-                    nxt.add(t)
-        frontier = nxt - reach
-    co: set[int] = {q for q in range(a.num_states) if a.accepting[q]}
-    changed = True
-    while changed:
-        changed = False
-        for q in range(a.num_states):
-            if q in co:
-                continue
-            if any(t in co for t in a.delta[q]):
-                co.add(q)
-                changed = True
-    return reach, co
-
-
-def language_is_infinite(a: Dfa) -> bool:
-    """True iff the accepted set of tuples is infinite (cycle through a
-    useful state on some minimal encoding path)."""
-    reach, co = _useful_states(a)
-    useful = reach & co
-    color = {}
-
-    def has_cycle(q: int) -> bool:
-        stack = [(q, iter(a.delta[q]))]
-        color[q] = 1
-        while stack:
-            s, it = stack[-1]
-            advanced = False
-            for t in it:
-                if t not in useful:
-                    continue
-                c = color.get(t)
-                if c == 1:
-                    return True
-                if c is None:
-                    color[t] = 1
-                    stack.append((t, iter(a.delta[t])))
-                    advanced = True
-                    break
-            if not advanced:
-                color[s] = 2
-                stack.pop()
-        return False
-
-    return any(q in useful and color.get(q) is None and has_cycle(q) for q in range(a.num_states))
-
-
 def enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
     """All accepted tuples, sorted; errors if infinite or above limit.
 
-    A provably infinite language raises InfiniteLanguageError; a finite
-    one larger than the limit raises EnumerationLimitError, so callers can
-    tell budget pressure from genuine unboundedness.
+    A tuple other than all zeros has one encoding that does not begin
+    with the all-zero column.  A state is live when some word leads it to
+    acceptance; in canonical form that is a state that accepts or has an
+    edge to another state.  The set is infinite iff a live cycle follows
+    a nonzero first column, that is iff live paths of num_states + 1
+    states start there; then InfiniteLanguageError is raised, whatever
+    the limit.  Otherwise a depth-first walk over live states lists the
+    tuples and raises EnumerationLimitError past limit of them.  Every
+    path it takes is a prefix of an accepted encoding, so it takes about
+    limit * num_states steps.
     """
-    if language_is_infinite(a):
-        raise InfiniteLanguageError(f"accepted set of {len(a.var_order)}-tuples is infinite")
-    reach, co = _useful_states(a)
-    useful = reach & co
-    results = []
-    if a.accepting[a.initial]:
-        results.append((0,) * len(a.var_order))
-
     t = len(a.var_order)
-    steps = 0
-    stack: list[tuple[int, tuple[int, ...]]] = []
-    for ell in range(1, a.alphabet_size):
-        q = a.delta[a.initial][ell]
-        if q in useful:
-            stack.append((q, decode_letter(a.k, t, ell)))
+    live = [acc or any(s != q for s in row) for q, (row, acc) in enumerate(zip(a.delta, a.accepting))]
+    level = {s for s in a.delta[0][1:] if live[s]}
+    for _ in range(a.num_states):
+        level = {s for q in level for s in a.delta[q] if live[s]}
+    if level:
+        raise InfiniteLanguageError(f"accepted set of {t}-tuples is infinite")
+    results = [(0,) * t] if a.accepting[0] else []
+    stack = [(q, decode_letter(a.k, t, ell)) for ell, q in enumerate(a.delta[0]) if ell and live[q]]
     while stack:
         q, values = stack.pop()
-        steps += 1
-        if steps > 4_000_000:
-            raise EnumerationLimitError("enumeration walk exceeded its step bound")
         if a.accepting[q]:
             results.append(values)
             if len(results) > limit:
                 raise EnumerationLimitError(f"more than {limit} accepted tuples")
-        for ell in range(a.alphabet_size):
-            nq = a.delta[q][ell]
-            if nq in useful:
+        for ell, nq in enumerate(a.delta[q]):
+            if live[nq]:
                 digits = decode_letter(a.k, t, ell)
-                nv = tuple(values[i] * a.k + digits[i] for i in range(t))
-                stack.append((nq, nv))
+                stack.append((nq, tuple(v * a.k + d for v, d in zip(values, digits))))
     results.sort()
     return results
-
-
-def language_equal(a: Dfa, b: Dfa) -> bool:
-    """Language equality; canonical form makes this structural."""
-    return (
-        a.k == b.k
-        and a.var_order == b.var_order
-        and a.delta == b.delta
-        and a.accepting == b.accepting
-        and a.initial == b.initial
-    )
 
 
 def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
@@ -512,10 +417,10 @@ def rename_tracks(a: Dfa, names: Mapping[str, str]) -> Dfa:
     if len(set(order)) != len(order):
         raise ValueError("track rename collides")
     if order == new:
-        return Dfa(a.k, new, a.delta, a.accepting, a.initial)
+        return Dfa(a.k, new, a.delta, a.accepting)
     perm = _letter_map(a.k, order, new)
-    states, delta = _explore(a.initial, lambda q: [a.delta[q][ell] for ell in perm])
-    return Dfa(a.k, order, tuple(map(tuple, delta)), tuple(a.accepting[q] for q in states), 0)
+    states, delta = _explore(0, lambda q: [a.delta[q][ell] for ell in perm])
+    return Dfa(a.k, order, tuple(map(tuple, delta)), tuple(a.accepting[q] for q in states))
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +735,9 @@ def loads_dfao(text: str) -> Dfao:
     """Parse the automaton text format; validates before returning.
 
     Directives: k, alphabet, states, initial, output, trans.  Comments
-    start with '#'.  Every state needs one output line and a transition
-    for every digit.
+    start with '#'.  Every directive but alphabet takes exactly its
+    number of integers.  Every state needs one output line and a
+    transition for every digit.
     """
     k = alphabet = n_states = initial = None
     outputs: dict[int, int] = {}
@@ -844,7 +750,7 @@ def loads_dfao(text: str) -> Dfao:
         head, args = parts[0], parts[1:]
         try:
             if head == "k":
-                (k,) = (int(args[0]),)
+                (k,) = map(int, args)
                 if k < 2:
                     raise DfaoFormatError(lineno, "base must be at least 2")
             elif head == "alphabet":
@@ -856,18 +762,18 @@ def loads_dfao(text: str) -> Dfao:
                 if len(set(alphabet)) != len(alphabet):
                     raise DfaoFormatError(lineno, "duplicate symbol in alphabet")
             elif head == "states":
-                n_states = int(args[0])
+                (n_states,) = map(int, args)
                 if n_states <= 0:
                     raise DfaoFormatError(lineno, "need at least one state")
             elif head == "initial":
-                initial = int(args[0])
+                (initial,) = map(int, args)
             elif head == "output":
-                q, s = int(args[0]), int(args[1])
+                q, s = map(int, args)
                 if q in outputs:
                     raise DfaoFormatError(lineno, f"duplicate output for state {q}")
                 outputs[q] = s
             elif head == "trans":
-                q, d, t = int(args[0]), int(args[1]), int(args[2])
+                q, d, t = map(int, args)
                 if (q, d) in trans:
                     raise DfaoFormatError(lineno, f"duplicate transition {q} {d}")
                 trans[(q, d)] = t
@@ -875,12 +781,15 @@ def loads_dfao(text: str) -> Dfao:
                 raise DfaoFormatError(lineno, f"unknown directive {head!r}")
         except DfaoFormatError:
             raise
-        except (ValueError, IndexError):
+        except ValueError:
             raise DfaoFormatError(lineno, f"malformed {head!r} line") from None
     for name, val in (("k", k), ("alphabet", alphabet), ("states", n_states), ("initial", initial)):
         if val is None:
             raise DfaoFormatError(0, f"missing {name!r} directive")
-    if set(outputs) != set(range(n_states)):
+    undeclared = sorted(set(outputs) - set(range(n_states)))
+    if undeclared:
+        raise DfaoFormatError(0, f"output for undeclared state {undeclared[0]}")
+    if len(outputs) != n_states:
         missing = sorted(set(range(n_states)) - set(outputs))
         raise DfaoFormatError(0, f"missing output for states {missing}")
     delta = []

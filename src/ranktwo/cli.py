@@ -362,6 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_sequence:
             _add_sequence_arguments(p)
         _add_format_argument(p)
+
+    def compiling(p):
+        common(p)
         p.add_argument(
             "--budget-states",
             type=int,
@@ -376,24 +379,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("analyze", help="appearance, recurrence, and power constants")
-    common(p)
+    compiling(p)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("factors", help="primitive factors with unbounded powers")
-    common(p)
+    compiling(p)
     p.set_defaults(func=_cmd_factors)
 
     p = sub.add_parser("max-exponent", help="largest exponent of a given word")
-    common(p)
+    compiling(p)
     p.add_argument("--word", required=True, help="factor as a digit string")
     p.set_defaults(func=_cmd_max_exponent)
 
     p = sub.add_parser("periodic", help="pure / ultimate periodicity")
-    common(p)
+    compiling(p)
     p.set_defaults(func=_cmd_periodic)
 
     p = sub.add_parser("rank2", help="full rank decision")
-    common(p)
+    compiling(p)
     p.add_argument(
         "--budget-patterns",
         type=int,
@@ -425,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rank2)
 
     p = sub.add_parser("decide", help="decide a first-order sentence about the sequence")
-    common(p)
+    compiling(p)
     p.add_argument("formula", help="sentence, e.g. 'A i. E j. j > i & x[j] = 1'")
     p.set_defaults(func=_cmd_decide)
 
@@ -472,23 +475,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "alphabet") and isinstance(args.alphabet, str):
-        try:
-            args.alphabet = _alphabet_arg(args.alphabet)
-        except InputError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
+        if isinstance(getattr(args, "alphabet", None), str):
+            args.alphabet = _alphabet_arg(args.alphabet)
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RankTwoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (InputError, RankTwoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

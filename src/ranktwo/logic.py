@@ -472,7 +472,7 @@ def decide(
     a = compile_formula(f, seq, k, limits)
     if a.var_order:
         raise ValueError(f"not a sentence; free variables {', '.join(a.var_order)}")
-    return a.accepting[a.initial]
+    return a.accepting[0]
 
 
 def witness(

@@ -302,21 +302,6 @@ def parse_step(states, letter, blocks) -> frozenset[tuple[int, int]]:
     return frozenset(nxt)
 
 
-def factor_of_pair_omega(t, u, v) -> bool:
-    """Is t a factor of some one-sided infinite product of u and v?"""
-    u, v, t = tuple(u), tuple(v), tuple(t)
-    if not u or not v:
-        raise ValueError("blocks must be nonempty")
-    blocks = (u, v)
-    # a factor may start inside any block
-    states = {(b, i) for b, w in enumerate(blocks) for i in range(len(w))}
-    for a in t:
-        states = parse_step(states, a, blocks)
-        if not states:
-            return False
-    return True
-
-
 def search_comb_counterexample(
     max_pair_total: int = 4,
     max_w_len: int = 14,

@@ -429,7 +429,7 @@ def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
         if rounds == budget.max_enumeration:
             raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {bounded_form(L)}")
         shorter = _step(chain, back, cap)
-        if A.language_equal(shorter, chain):
+        if shorter == chain:
             break
         chain = shorter
     return A.project(A.intersect(head, chain, cap), "q", cap)

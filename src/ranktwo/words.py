@@ -178,11 +178,3 @@ def free_reduce(u: WordLike, v: WordLike) -> FreeReduction:
     if best is None:
         best = tuple(sorted((u, v), key=key))
     return Pair(*best)
-
-
-def is_prefix_code_pair(u: WordLike, v: WordLike) -> bool:
-    """True iff neither word is a prefix of the other."""
-    u, v = word(u), word(v)
-    if not u or not v:
-        return False
-    return u[: len(v)] != v and v[: len(u)] != u

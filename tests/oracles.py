@@ -10,6 +10,13 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from typing import Optional
+
+from ranktwo import automata as A
+from ranktwo.automata import Dfa
+from ranktwo.errors import EnumerationLimitError, InfiniteLanguageError
+from ranktwo.oracle import parse_step
+from ranktwo.words import word
 
 
 def brute_period(w):
@@ -335,8 +342,6 @@ def ref_seq_rel(m, indices, symbol=None):
     + c by a linear relation, the constant on a track %c bound by
     const_rel, every helper intersected in and projected away.  An index
     that is a lone variable is used as its own track."""
-    from ranktwo import automata as A
-
     k = m.k
     c = m.canonical()
     names, helpers = [], []
@@ -471,6 +476,178 @@ def ref_double_reversal(k, tracks, pos, delta, accepting, initial, limit):
     if second is None:
         return None
     return second, (len(rev_delta), len(second[0]))
+
+
+# ---------------------------------------------------------------------------
+# the automaton queries as searches: a breadth-first search with parent
+# pointers for the least witness, a co-reachability fixpoint and a cycle
+# search for finiteness.  These read no numbering, only the transition
+# table, with state 0 as the initial state.
+
+def ref_shortest_accepted(a: Dfa) -> Optional[tuple[int, ...]]:
+    """Values of the length-lexicographically least accepted encoding.
+
+    Breadth-first search with letters in ascending order reaches every
+    state first along its length-lex least path, so the first accepting
+    state found yields the least witness tuple.
+    """
+    if a.accepting[0]:
+        return (0,) * len(a.var_order)
+    parent: dict[int, tuple[int, int]] = {0: (-1, -1)}
+    queue = [0]
+    found = None
+    for q in queue:
+        for ell, t in enumerate(a.delta[q]):
+            if t not in parent:
+                parent[t] = (q, ell)
+                if a.accepting[t]:
+                    found = t
+                    break
+                queue.append(t)
+        if found is not None:
+            break
+    if found is None:
+        return None
+    letters = []
+    q = found
+    while q != 0:
+        p, ell = parent[q]
+        letters.append(ell)
+        q = p
+    letters.reverse()
+    values = [0] * len(a.var_order)
+    for ell in letters:
+        digits = A.decode_letter(a.k, len(a.var_order), ell)
+        for i, d in enumerate(digits):
+            values[i] = values[i] * a.k + d
+    return tuple(values)
+
+
+def ref_useful_states(a: Dfa) -> tuple[set[int], set[int]]:
+    """(states reachable by a minimal encoding, states co-reachable)."""
+    # minimal encodings never begin with the all-zero column
+    reach: set[int] = set()
+    frontier = set()
+    for ell in range(1, a.alphabet_size):
+        frontier.add(a.delta[0][ell])
+    while frontier:
+        reach |= frontier
+        nxt = set()
+        for q in frontier:
+            for t in a.delta[q]:
+                if t not in reach:
+                    nxt.add(t)
+        frontier = nxt - reach
+    co: set[int] = {q for q in range(a.num_states) if a.accepting[q]}
+    changed = True
+    while changed:
+        changed = False
+        for q in range(a.num_states):
+            if q in co:
+                continue
+            if any(t in co for t in a.delta[q]):
+                co.add(q)
+                changed = True
+    return reach, co
+
+
+def ref_language_is_infinite(a: Dfa) -> bool:
+    """True iff the accepted set of tuples is infinite (cycle through a
+    useful state on some minimal encoding path)."""
+    reach, co = ref_useful_states(a)
+    useful = reach & co
+    color = {}
+
+    def has_cycle(q: int) -> bool:
+        stack = [(q, iter(a.delta[q]))]
+        color[q] = 1
+        while stack:
+            s, it = stack[-1]
+            advanced = False
+            for t in it:
+                if t not in useful:
+                    continue
+                c = color.get(t)
+                if c == 1:
+                    return True
+                if c is None:
+                    color[t] = 1
+                    stack.append((t, iter(a.delta[t])))
+                    advanced = True
+                    break
+            if not advanced:
+                color[s] = 2
+                stack.pop()
+        return False
+
+    return any(q in useful and color.get(q) is None and has_cycle(q) for q in range(a.num_states))
+
+
+def ref_enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
+    """All accepted tuples, sorted; errors if infinite or above limit.
+
+    A provably infinite language raises InfiniteLanguageError; a finite
+    one larger than the limit raises EnumerationLimitError, so callers can
+    tell budget pressure from genuine unboundedness.
+    """
+    if ref_language_is_infinite(a):
+        raise InfiniteLanguageError(f"accepted set of {len(a.var_order)}-tuples is infinite")
+    reach, co = ref_useful_states(a)
+    useful = reach & co
+    results = []
+    if a.accepting[0]:
+        results.append((0,) * len(a.var_order))
+
+    t = len(a.var_order)
+    steps = 0
+    stack: list[tuple[int, tuple[int, ...]]] = []
+    for ell in range(1, a.alphabet_size):
+        q = a.delta[0][ell]
+        if q in useful:
+            stack.append((q, A.decode_letter(a.k, t, ell)))
+    while stack:
+        q, values = stack.pop()
+        steps += 1
+        if steps > 4_000_000:
+            raise EnumerationLimitError("enumeration walk exceeded its step bound")
+        if a.accepting[q]:
+            results.append(values)
+            if len(results) > limit:
+                raise EnumerationLimitError(f"more than {limit} accepted tuples")
+        for ell in range(a.alphabet_size):
+            nq = a.delta[q][ell]
+            if nq in useful:
+                digits = A.decode_letter(a.k, t, ell)
+                nv = tuple(values[i] * a.k + digits[i] for i in range(t))
+                stack.append((nq, nv))
+    results.sort()
+    return results
+
+
+# ---------------------------------------------------------------------------
+# word checks that only the tests use
+
+def is_prefix_code_pair(u, v) -> bool:
+    """True iff neither word is a prefix of the other."""
+    u, v = word(u), word(v)
+    if not u or not v:
+        return False
+    return u[: len(v)] != v and v[: len(u)] != u
+
+
+def factor_of_pair_omega(t, u, v) -> bool:
+    """Is t a factor of some one-sided infinite product of u and v?"""
+    u, v, t = tuple(u), tuple(v), tuple(t)
+    if not u or not v:
+        raise ValueError("blocks must be nonempty")
+    blocks = (u, v)
+    # a factor may start inside any block
+    states = {(b, i) for b, w in enumerate(blocks) for i in range(len(w))}
+    for a in t:
+        states = parse_step(states, a, blocks)
+        if not states:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +811,7 @@ def ref_decide_fixed_pair(seq, u, v, budget=None):
     """x in {u, v}^omega, as decide_fixed_pair decided it with shortcuts."""
     from ranktwo.errors import RankTwoError
     from ranktwo.rank import Budget, pair_omega_membership
-    from ranktwo.words import Pair, commutes, free_reduce, is_prefix_code_pair, primitive_root, word
+    from ranktwo.words import Pair, commutes, free_reduce, primitive_root
 
     budget = budget or Budget()
     u, v = word(u), word(v)

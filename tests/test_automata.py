@@ -4,6 +4,7 @@ automaton-with-output text format round-tripped bit for bit."""
 
 import itertools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -17,15 +18,19 @@ from ranktwo.errors import (
     InfiniteLanguageError,
 )
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
+from ranktwo.formula_text import parse_formula
+from ranktwo.logic import compile_formula
 
 from oracles import (
     FIXTURE_ORACLES,
     ref_canonical_dfa,
     ref_distinguishable,
     ref_double_reversal,
+    ref_enumerate_accepted,
     ref_minimize,
     ref_prefix,
     ref_seq_rel,
+    ref_shortest_accepted,
     ref_subsets,
 )
 
@@ -48,7 +53,7 @@ def test_eq_rel():
     for k in (2, 3):
         eq = lin(k, "=", x=1, y=-1)
         assert eq.num_states == 2
-        assert A.is_zero_closed(eq)
+        assert eq.delta[0][0] == 0
         rows = grid(40, 40)
         got = [eq.accepts(r) for r in rows]
         assert got == [x == y for x, y in rows]
@@ -72,7 +77,7 @@ def test_add_rel():
     for k in (2, 3, 4):
         add = lin(k, "=", x=1, y=1, z=-1)
         assert add.var_order == ("x", "y", "z")
-        assert A.is_zero_closed(add)
+        assert add.delta[0][0] == 0
         rows = grid(18, 18, 36)
         assert [add.accepts(r) for r in rows] == [x + y == z for x, y, z in rows]
 
@@ -95,7 +100,7 @@ def test_const_mul_rel():
             rel = lin(k, "=", x=c, y=-1)
             rows = grid(30, 30 * max(c, 1) + 5)
             assert [rel.accepts(r) for r in rows] == [c * x == y for x, y in rows], (k, c)
-            assert A.is_zero_closed(rel)
+            assert rel.delta[0][0] == 0
 
 
 def test_const_mul_rel_random(seeded_rng=random.Random(21)):
@@ -121,7 +126,7 @@ def test_linear_rel_matches_arithmetic(coeffs, k, op):
     names = "xyz"[:len(coeffs)]
     rel = A.linear_rel(k, dict(zip(names, coeffs)), op)
     assert rel.var_order == tuple(names)
-    assert A.is_zero_closed(rel)
+    assert rel.delta[0][0] == 0 and _is_canonical(rel)
     rows = grid(*[{1: 60, 2: 24, 3: 10}[len(coeffs)]] * len(coeffs))
     want = [_OPS[op](sum(c * v for c, v in zip(coeffs, r))) for r in rows]
     assert [rel.accepts(r) for r in rows] == want
@@ -132,7 +137,7 @@ def test_const_rel():
         for c in (0, 1, 2, 5, 12):
             rel = A.const_rel(k, "x", c)
             assert [n for n in range(40) if rel.accepts([n])] == [c]
-            assert A.is_zero_closed(rel)
+            assert rel.delta[0][0] == 0 and _is_canonical(rel)
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +148,13 @@ def test_boolean_ops_language_level():
     lt = lin(k, "<", x=1, y=-1)
     eq = lin(k, "=", x=1, y=-1)
     le = lin(k, "<=", x=1, y=-1)
-    assert A.language_equal(le, A.union(lt, eq))
+    assert le == A.union(lt, eq)
     assert A.is_empty(A.intersect(lt, eq))
-    assert A.language_equal(lt, A.complement(A.complement(lt)))
+    assert lt == A.complement(A.complement(lt))
     # De Morgan
     lhs = A.complement(A.union(lt, eq))
     rhs = A.intersect(A.complement(lt), A.complement(eq))
-    assert A.language_equal(lhs, rhs)
+    assert lhs == rhs
 
 
 def test_canonical_dfa_ignores_unreachable_states():
@@ -195,7 +200,7 @@ def test_projection_saturates_leading_zeros():
     k = 2
     rel = lin(k, "=", x=3, y=-1)
     ex_y = A.project(rel, "y")
-    assert A.language_equal(ex_y, A.true_dfa(k, ("x",)))
+    assert ex_y == A.true_dfa(k, ("x",))
     ex_x = A.project(rel, "x")
     assert [n for n in range(40) if ex_x.accepts([n])] == [n for n in range(40) if n % 3 == 0]
 
@@ -232,12 +237,12 @@ def test_zero_closure_preserved_by_pipeline():
         a = rng.choice(pool)
         b = rng.choice(pool)
         c = rng.choice([A.intersect, A.union])(a, b)
-        assert A.is_zero_closed(c)
+        assert c.delta[0][0] == 0 and _is_canonical(c)
         if rng.random() < 0.7 and len(c.var_order) > 1:
             c = A.project(c, rng.choice(c.var_order))
-            assert A.is_zero_closed(c)
+            assert c.delta[0][0] == 0
         cc = A.complement(c)
-        assert A.is_zero_closed(cc)
+        assert cc.delta[0][0] == 0 and _is_canonical(cc)
 
 
 def test_padding_invariance_random():
@@ -254,7 +259,7 @@ def test_padding_invariance_random():
 def test_shortest_accepted():
     k = 2
     assert A.shortest_accepted(A.const_rel(k, "x", 13)) == (13,)
-    assert A.shortest_accepted(A.false_dfa(k, ("x",))) is None
+    assert A.shortest_accepted(A.complement(A.true_dfa(k, ("x",)))) is None
     assert A.shortest_accepted(A.true_dfa(k, ("x", "y"))) == (0, 0)
     # least string witness of x + y = 5 by column encoding
     w = A.shortest_accepted(A.intersect(lin(k, "=", x=1, y=1, z=-1), A.const_rel(k, "z", 5)))
@@ -281,8 +286,62 @@ def test_enumerate_accepted():
         A.enumerate_accepted(le9, 3)
     with pytest.raises(InfiniteLanguageError):
         A.enumerate_accepted(A.true_dfa(k, ("x",)), 10)
+    # an infinite set is reported as such whatever the limit
+    with pytest.raises(InfiniteLanguageError):
+        A.enumerate_accepted(A.true_dfa(k, ("x",)), 0)
     with pytest.raises(InfiniteLanguageError):
         A.enumerate_accepted(lin(k, "<", x=1, y=-1), 10)
+
+
+def test_enumeration_past_its_limit_stops_early():
+    # {x : x < 10^30} is finite, and the walk stops at its 11th member
+    k = 2
+    below = A.project(A.intersect(lin(k, "<", x=1, c=-1), A.const_rel(k, "c", 10**30)), "c")
+    start = time.perf_counter()
+    with pytest.raises(EnumerationLimitError):
+        A.enumerate_accepted(below, 10)
+    assert time.perf_counter() - start < 1.0
+
+
+def _random_canonical(seed, k, tracks, n, sink):
+    """The canonical form of a random n-state table from state 0.  With
+    sink, state n - 1 is a rejecting sink, entered by each transition of
+    another state with probability 0.6, and most other transitions lead
+    to a higher state, so finite relations of a few tuples come up."""
+    rng = random.Random(seed)
+    delta = []
+    for q in range(n):
+        row = []
+        for _ in range(k ** tracks):
+            if sink and (q == n - 1 or rng.random() < 0.6):
+                row.append(n - 1)
+            elif sink and rng.random() < 0.9:
+                row.append(rng.randint(min(q + 1, n - 1), n - 1))
+            else:
+                row.append(rng.randrange(n))
+        delta.append(row)
+    accepting = [rng.random() < 0.4 and not (sink and q == n - 1) for q in range(n)]
+    return A.canonical_dfa(k, _TRACKS[:tracks], delta, accepting, 0)
+
+
+def _enumeration(enumerate_accepted, a, limit):
+    try:
+        return enumerate_accepted(a, limit)
+    except (InfiniteLanguageError, EnumerationLimitError) as e:
+        return type(e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(0, 3), st.integers(1, 9), st.booleans()
+)
+def test_queries_match_the_searches(seed, k, tracks, n, sink):
+    # the queries read the canonical numbering; the references search
+    a = _random_canonical(seed, k, tracks, n, sink)
+    assert A.shortest_accepted(a) == ref_shortest_accepted(a)
+    for limit in (0, 3, 50):
+        got = _enumeration(A.enumerate_accepted, a, limit)
+        assert got == _enumeration(ref_enumerate_accepted, a, limit), limit
 
 
 def test_budget_errors_name_their_stage():
@@ -343,13 +402,21 @@ def _random_dfa(seed, k, tracks, n):
     return delta, [accepting[q % m] for q in range(n)], rng.randrange(n)
 
 
+def _initial_first(delta, accepting, initial):
+    """The table with states 0 and initial swapped, so that the drawn
+    initial state is state 0, as a Dfa's initial state is."""
+    swap = {0: initial, initial: 0}
+    order = [swap.get(q, q) for q in range(len(delta))]  # its own inverse
+    return [[order[t] for t in delta[q]] for q in order], [accepting[q] for q in order]
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES)
 def test_canonical_dfa_matches_reference(seed, k, tracks, n):
     delta, accepting, initial = _random_dfa(seed, k, tracks, n)
     got = A.canonical_dfa(k, _TRACKS[:tracks], delta, accepting, initial)
     assert (got.delta, got.accepting) == ref_canonical_dfa(delta, accepting, initial)
-    assert got.initial == 0 and got.var_order == _TRACKS[:tracks]
+    assert got.var_order == _TRACKS[:tracks]
 
 
 def _quotient_classes(delta, initial, new_delta):
@@ -413,11 +480,11 @@ def test_minimize_long_chain_against_table_filling():
 )
 def test_project_matches_reference(seed, k, tracks, n, pos):
     pos %= tracks
-    delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+    delta, accepting = _initial_first(*_random_dfa(seed, k, tracks, n))
     # a complete table that is not minimal, so the subset loop sees all n states
-    a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting), initial)
+    a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting))
     var = _TRACKS[pos]
-    passes = ref_double_reversal(k, tracks, pos, delta, accepting, initial, _SUBSET_LIMIT)
+    passes = ref_double_reversal(k, tracks, pos, delta, accepting, 0, _SUBSET_LIMIT)
     if passes is None:
         with pytest.raises(BudgetExceededError):
             A.project(a, var, max_states=_SUBSET_LIMIT)
@@ -428,7 +495,7 @@ def test_project_matches_reference(seed, k, tracks, n, pos):
     assert (got.delta, got.accepting) == (tuple(map(tuple, ref_delta)), tuple(ref_acc))
     assert got.var_order == tuple(v for v in _TRACKS[:tracks] if v != var)
     # the forward subset construction, minimized, fixes the language
-    forward = ref_subsets(k, tracks, pos, delta, accepting, initial, _FORWARD_LIMIT)
+    forward = ref_subsets(k, tracks, pos, delta, accepting, 0, _FORWARD_LIMIT)
     if forward is not None:
         assert (got.delta, got.accepting) == ref_canonical_dfa(*forward, 0)
     if cap > 1:
@@ -445,11 +512,11 @@ def test_random_relations_have_structure():
     for seed in range(200):
         k, tracks, n = rng.choice((2, 3)), rng.choice((2, 3)), rng.randint(1, 70)
         pos = rng.randrange(tracks)
-        delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+        delta, accepting = _initial_first(*_random_dfa(seed, k, tracks, n))
         (ref_delta, ref_acc), counts = ref_double_reversal(
-            k, tracks, pos, delta, accepting, initial, _SUBSET_LIMIT
+            k, tracks, pos, delta, accepting, 0, _SUBSET_LIMIT
         )
-        a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting), initial)
+        a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting))
         got = A.project(a, _TRACKS[pos], max_states=max(counts))
         assert (got.delta, got.accepting) == (tuple(map(tuple, ref_delta)), tuple(ref_acc))
         structured += got.num_states >= 2
@@ -462,7 +529,7 @@ def test_project_budget_counts_raw_subsets():
     # the second, which is the minimal result
     k = 2
     a = A.intersect(lin(k, "=", x=1, y=1, z=-1), lin(k, "<", x=1, y=-1))
-    _, counts = ref_double_reversal(k, 3, 0, a.delta, a.accepting, a.initial, _SUBSET_LIMIT)
+    _, counts = ref_double_reversal(k, 3, 0, a.delta, a.accepting, 0, _SUBSET_LIMIT)
     assert (a.num_states, counts) == (5, (4, 6))
     got = A.project(a, "x", max_states=6)
     assert got.num_states == 6
@@ -475,7 +542,19 @@ def test_project_budget_counts_raw_subsets():
 
 
 def _is_canonical(a):
-    return A.canonical_dfa(a.k, a.var_order, a.delta, a.accepting, a.initial) == a
+    return A.canonical_dfa(a.k, a.var_order, a.delta, a.accepting, 0) == a
+
+
+def test_compiled_formulas_are_canonical():
+    # the queries read the numbering of what compile_formula returns
+    for name, text in [
+        ("thue-morse", "E j. j > i & x[j] = x[i]"),
+        ("thue-morse", "n > 0 & (A t. t < n -> x[i + t] = x[j + t])"),
+        ("ternary-tm", "x[2*i + 1] = 2 & i + 3 = j"),
+        ("mod3", "E i. x[i] = 1 & i > 4"),
+    ]:
+        a = compile_formula(parse_formula(text), seq=load_fixture(name))
+        assert _is_canonical(a), text
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -483,16 +562,16 @@ def _is_canonical(a):
     st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES, st.integers(0, 2)
 )
 def test_project_and_rename_tracks_are_minimal_by_construction(seed, k, tracks, n, pos):
-    delta, accepting, initial = _random_dfa(seed, k, tracks, n)
+    delta, accepting = _initial_first(*_random_dfa(seed, k, tracks, n))
     names = _TRACKS[:tracks]
-    raw = A.Dfa(k, names, tuple(map(tuple, delta)), tuple(accepting), initial)
+    raw = A.Dfa(k, names, tuple(map(tuple, delta)), tuple(accepting))
     try:
         projected = A.project(raw, names[pos % tracks], max_states=_SUBSET_LIMIT)
     except BudgetExceededError:
         pass
     else:
         assert _is_canonical(projected)
-    a = A.canonical_dfa(k, names, delta, accepting, initial)
+    a = A.canonical_dfa(k, names, delta, accepting, 0)
     for new in itertools.permutations("xyz"[:tracks]):
         got = A.rename_tracks(a, dict(zip(names, new)))
         assert _is_canonical(got)
@@ -503,7 +582,7 @@ def test_project_and_rename_tracks_are_minimal_by_construction(seed, k, tracks, 
             for x in range(k ** tracks)
         ]
         permuted = [[row[ell] for ell in perm] for row in a.delta]
-        assert got == A.canonical_dfa(k, order, permuted, a.accepting, a.initial)
+        assert got == A.canonical_dfa(k, order, permuted, a.accepting, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -601,10 +680,38 @@ trans 1 1 1
         A.loads_dfao(bad)
 
 
+@pytest.mark.parametrize(
+    "line, directive",
+    [
+        ("trans 1 1 0 7", "trans"),
+        ("states 2 9", "states"),
+        ("k 2 3", "k"),
+        ("initial 0 1", "initial"),
+        ("output 1 1 0", "output"),
+    ],
+)
+def test_dfao_directives_take_exactly_their_arguments(line, directive):
+    good = load_fixture("thue-morse").dumps()
+    lines = good.splitlines()
+    at = next(i for i, text in enumerate(lines) if text.split()[0] == directive)
+    lines[at] = line
+    with pytest.raises(DfaoFormatError) as ei:
+        A.loads_dfao("\n".join(lines) + "\n")
+    assert ei.value.line == at + 1
+    assert str(ei.value) == f"line {at + 1}: malformed {directive!r} line"
+
+
+def test_dfao_output_on_undeclared_state():
+    good = load_fixture("thue-morse").dumps()
+    assert "states 2\n" in good
+    with pytest.raises(DfaoFormatError, match="undeclared state 5"):
+        A.loads_dfao(good + "output 5 1\n")
+
+
 def test_seq_rel_single_index():
     tm = load_fixture("thue-morse")
     ones = A.seq_rel(tm, [({"n": 1}, 0)], 1)
-    assert A.is_zero_closed(ones)
+    assert ones.delta[0][0] == 0
     # a lone variable's windows are the states of the canonical form
     assert ones.num_states == tm.canonical().num_states
     prefix = tm.prefix(512)
@@ -621,14 +728,14 @@ def test_seq_rel_single_index():
     assert A.is_empty(A.seq_rel(tm, [({"n": 1}, 0)], 9))
     # an index with no variables is a sentence
     assert A.seq_rel(tm, [({}, 7)], 1) == A.true_dfa(2)
-    assert A.seq_rel(tm, [({}, 7)], 0) == A.false_dfa(2)
+    assert A.seq_rel(tm, [({}, 7)], 0) == A.complement(A.true_dfa(2))
 
 
 def test_seq_rel_pair_of_indices():
     tm = load_fixture("thue-morse")
     prefix = tm.prefix(512)
     same = A.seq_rel(tm, [({"s": 1}, 0), ({"t": 1}, 0)])
-    assert same.var_order == ("s", "t") and A.is_zero_closed(same)
+    assert same.var_order == ("s", "t") and same.delta[0][0] == 0
     rows = grid(40, 40)
     assert [same.accepts(r) for r in rows] == [prefix[s] == prefix[t] for s, t in rows]
     # x[i + t] = x[j + t]: shared tracks, coefficient sums of 2
@@ -665,7 +772,7 @@ def test_seq_rel_matches_helper_tracks_and_prefix(data, k, n, n_vars, pair):
     symbol = None if pair else draw(st.integers(0, 2))
     got = A.seq_rel(m, indices, symbol)
     assert got == ref_seq_rel(m, indices, symbol)
-    assert A.is_zero_closed(got)
+    assert got.delta[0][0] == 0 and _is_canonical(got)
     names = got.var_order
     assert set(names) == {x for coeffs, _ in indices for x in coeffs}
     bound = 6 if len(names) == 3 else 12

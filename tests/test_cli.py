@@ -479,6 +479,22 @@ def test_state_budget_below_one_is_rejected(capsys, command, cap):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["eval", "--fixture", "mod3", "--n", "0..4", "--budget-states", "0"],
+        ["oracle", "comb-search", "--max-pair-total", "2", "--budget-states", "-5"],
+    ],
+)
+def test_state_budget_only_where_automata_are_built(capsys, argv):
+    # eval and the oracle commands build no automaton, so they have no
+    # --budget-states to ignore
+    with pytest.raises(SystemExit) as ei:
+        main(argv)
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --budget-states" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["appearance", "--n", "-1"],
         ["appearance", "--n", "3", "--prefix-len", "-1"],
         ["dp", "--u", "0", "--v", "1", "--prefix-len", "-4"],

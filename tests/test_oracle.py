@@ -13,7 +13,6 @@ from ranktwo.oracle import (
     brute_appearance,
     certified_cut,
     dp_factorize,
-    factor_of_pair_omega,
     in_pair_star,
     is_minimal_pair,
     minimal_pairs,
@@ -22,12 +21,13 @@ from ranktwo.oracle import (
     search_depsilon_counterexample,
     search_pairs,
 )
-from ranktwo.words import is_prefix_code_pair
 
 from oracles import (
     FIXTURE_ORACLES,
     brute_appearance_value,
     brute_max_run_exponent,
+    factor_of_pair_omega,
+    is_prefix_code_pair,
     random_word,
     ref_dp_factorize,
     ref_parse_reach,

@@ -342,7 +342,7 @@ def test_run_chain_matches_unrolled_sentence(name):
     tail, i = _stripped_tail(seq, (0,))
     for L in range(1, 25):
         unrolled = compile_formula(setup_formula(i, 1, L, 1), seq=tail)
-        assert A.language_equal(run_chain(tail, i, 1, L, Budget()), unrolled), L
+        assert run_chain(tail, i, 1, L, Budget()) == unrolled, L
 
 
 def test_run_chain_rounds_without_fixed_point_are_capped():
@@ -376,7 +376,7 @@ def test_pattern_prefixes_match_unrolled_sentences(name):
             body = setup2_formula(w)
             while isinstance(body, Exists):
                 body = body.body
-            assert A.language_equal(A.project(rel[w], "q"), compile_formula(body, seq=seq)), w
+            assert A.project(rel[w], "q") == compile_formula(body, seq=seq), w
     viable = [w for w in rel if len(w) == 3 and not A.is_empty(rel[w])]
     assert viable == ([(0, 1, 0)] if name in ("mod3", "POW23", "vtm") else [(0, 1, 0), (0, 1, 1)])
 

@@ -11,7 +11,6 @@ from ranktwo.words import (
     commutes,
     exponent,
     free_reduce,
-    is_prefix_code_pair,
     period,
     primitive_root,
     solve_conjugation,
@@ -22,6 +21,7 @@ from oracles import (
     brute_period,
     brute_primitive_root,
     generating_pairs_below,
+    is_prefix_code_pair,
     random_word,
     regex_member,
 )
