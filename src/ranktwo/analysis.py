@@ -27,7 +27,6 @@ from .logic import (
     exists,
     forall,
     not_,
-    seq_at,
     witness,
 )
 from . import predicates as P
@@ -51,14 +50,13 @@ class AnalysisConstants:
     C bounds where every length-n factor first appears (within C*n
     positions), kappa = C + 1 is the recurrence constant, B is the power
     bound: any factor occurring with exponent >= B occurs with unbounded
-    exponent.  p = B is the exponent threshold of the rank decision's
-    lemma constants L and D; it enters no formula.
+    exponent.  The rank decision takes B as the exponent threshold p of
+    its lemma constants L and D; it enters no formula.
     """
 
     C: int
     kappa: int
     B: int
-    p: int
     appearance_states: int
     power_states: int
 
@@ -86,7 +84,6 @@ def constants(seq: Dfao, limits: Optional[CompileLimits] = None) -> AnalysisCons
         C=C,
         kappa=C + 1,
         B=B,
-        p=B,
         appearance_states=ap.num_states,
         power_states=pw.num_states,
     )
@@ -220,13 +217,13 @@ def is_ultimately_periodic(
     return (c, wp["p"])
 
 
-def occurring_letters(seq: Dfao, limits: Optional[CompileLimits] = None) -> tuple[int, ...]:
-    """The output letters that actually occur, in increasing order."""
-    out = []
-    for a in sorted(set(seq.alphabet)):
-        if not is_empty(compile_formula(seq_at("n", a), seq=seq, limits=limits)):
-            out.append(a)
-    return tuple(out)
+def occurring_letters(seq: Dfao) -> tuple[int, ...]:
+    """The output letters that actually occur, in increasing order.
+
+    The canonical form keeps only reachable states and loops on 0 at its
+    initial state, so each of its states is the state of some n.
+    """
+    return tuple(sorted(set(seq.canonical().outputs)))
 
 
 def shift_sequence(seq: Dfao, t: int, limits: Optional[CompileLimits] = None) -> Dfao:

@@ -389,16 +389,16 @@ def enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
         raise InfiniteLanguageError(f"accepted set of {t}-tuples is infinite")
     results = [(0,) * t] if a.accepting[0] else []
     stack = [(q, decode_letter(a.k, t, ell)) for ell, q in enumerate(a.delta[0]) if ell and live[q]]
-    while stack:
+    while stack and len(results) <= limit:
         q, values = stack.pop()
         if a.accepting[q]:
             results.append(values)
-            if len(results) > limit:
-                raise EnumerationLimitError(f"more than {limit} accepted tuples")
         for ell, nq in enumerate(a.delta[q]):
             if live[nq]:
                 digits = decode_letter(a.k, t, ell)
                 stack.append((nq, tuple(v * a.k + d for v, d in zip(values, digits))))
+    if len(results) > limit:
+        raise EnumerationLimitError(f"more than {limit} accepted tuples")
     results.sort()
     return results
 
@@ -737,11 +737,14 @@ def loads_dfao(text: str) -> Dfao:
     Directives: k, alphabet, states, initial, output, trans.  Comments
     start with '#'.  Every directive but alphabet takes exactly its
     number of integers.  Every state needs one output line and a
-    transition for every digit.
+    transition for every digit.  An error in one line names that line;
+    a missing directive, output or transition, and a failed
+    validate_dfao check, name line 0.
     """
     k = alphabet = n_states = initial = None
-    outputs: dict[int, int] = {}
-    trans: dict[tuple[int, int], int] = {}
+    # each output and transition with the line it is on
+    outputs: dict[int, tuple[int, int]] = {}
+    trans: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -771,12 +774,12 @@ def loads_dfao(text: str) -> Dfao:
                 q, s = map(int, args)
                 if q in outputs:
                     raise DfaoFormatError(lineno, f"duplicate output for state {q}")
-                outputs[q] = s
+                outputs[q] = s, lineno
             elif head == "trans":
                 q, d, t = map(int, args)
                 if (q, d) in trans:
                     raise DfaoFormatError(lineno, f"duplicate transition {q} {d}")
-                trans[(q, d)] = t
+                trans[(q, d)] = t, lineno
             else:
                 raise DfaoFormatError(lineno, f"unknown directive {head!r}")
         except DfaoFormatError:
@@ -788,7 +791,7 @@ def loads_dfao(text: str) -> Dfao:
             raise DfaoFormatError(0, f"missing {name!r} directive")
     undeclared = sorted(set(outputs) - set(range(n_states)))
     if undeclared:
-        raise DfaoFormatError(0, f"output for undeclared state {undeclared[0]}")
+        raise DfaoFormatError(outputs[undeclared[0]][1], f"output for undeclared state {undeclared[0]}")
     if len(outputs) != n_states:
         missing = sorted(set(range(n_states)) - set(outputs))
         raise DfaoFormatError(0, f"missing output for states {missing}")
@@ -798,15 +801,15 @@ def loads_dfao(text: str) -> Dfao:
         for d in range(k):
             if (q, d) not in trans:
                 raise DfaoFormatError(0, f"missing transition for state {q} digit {d}")
-            t = trans[(q, d)]
+            t, lineno = trans[(q, d)]
             if not (0 <= t < n_states):
-                raise DfaoFormatError(0, f"transition {q} {d} -> {t} out of range")
+                raise DfaoFormatError(lineno, f"transition {q} {d} -> {t} out of range")
             row.append(t)
         delta.append(tuple(row))
-    extra = set(trans) - {(q, d) for q in range(n_states) for d in range(k)}
+    extra = sorted(set(trans) - {(q, d) for q in range(n_states) for d in range(k)})
     if extra:
-        raise DfaoFormatError(0, f"transition on undeclared state or digit: {sorted(extra)[0]}")
-    m = Dfao(k, alphabet, tuple(outputs[q] for q in range(n_states)), tuple(delta), initial)
+        raise DfaoFormatError(trans[extra[0]][1], f"transition on undeclared state or digit: {extra[0]}")
+    m = Dfao(k, alphabet, tuple(outputs[q][0] for q in range(n_states)), tuple(delta), initial)
     try:
         validate_dfao(m)
     except ValueError as e:

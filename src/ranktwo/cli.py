@@ -142,7 +142,7 @@ def _cmd_analyze(args) -> int:
             "C": C,
             "kappa": kappa,
             "B": bounded_form(c.B),
-            "p": bounded_form(c.p),
+            "p": bounded_form(c.B),
             "appearance_states": c.appearance_states,
             "power_states": c.power_states,
         },

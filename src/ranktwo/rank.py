@@ -25,20 +25,17 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import automata as A
 from . import predicates as P
 from .analysis import (
-    UNBOUNDED,
-    AnalysisConstants,
     appearance_value,
     bounded_form,
     constants as sequence_constants,
     is_purely_periodic,
     is_ultimately_periodic,
-    max_exponent,
     occurring_letters,
     strip_max_power_prefix,
     unbounded_primitive_factors,
@@ -58,7 +55,7 @@ from .logic import (
     witness,
 )
 from .oracle import certified_cut, parse_step, search_pairs
-from .words import Word, WordLike, primitive_root, word
+from .words import Word, WordLike, word
 
 
 def lemma_L_constant(kappa: int, p: int) -> int:
@@ -239,7 +236,7 @@ def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
     m = seq.canonical()
 
     # subsets[0] is the parser's start set {(b, 0)}
-    letters = sorted(set(m.outputs))
+    letters = occurring_letters(seq)
     start = frozenset((b, 0) for b in range(len(blocks)))
     subsets, moves = _explore(start, lambda s: [parse_step(s, a, blocks) for a in letters])
     letter_maps = {a: tuple(row[j] for row in moves) for j, a in enumerate(letters)}
@@ -268,11 +265,7 @@ def pair_omega_membership(seq: Dfao, blocks, max_levels: int = 4096) -> bool:
 def decide_fixed_pair(seq: Dfao, u: WordLike, v: WordLike, budget: Optional[Budget] = None) -> bool:
     """Exactly decide x in {u, v}^omega; max_enumeration caps the levels
     of pair_omega_membership."""
-    budget = budget or Budget()
-    u, v = word(u), word(v)
-    if not u or not v:
-        raise ValueError("blocks must be nonempty")
-    return pair_omega_membership(seq, (u, v), budget.max_enumeration)
+    return pair_omega_membership(seq, (u, v), (budget or Budget()).max_enumeration)
 
 
 def validate_explicit_pair(seq: Dfao, u: WordLike, v: WordLike, min_prefix: int = 2 ** 14) -> Optional[int]:
@@ -297,13 +290,14 @@ def _explicit_pair(seq: Dfao, u: Word, v: Word) -> ExplicitPair:
 
 
 def decide_with_unbounded(
-    seq: Dfao,
-    u: WordLike,
-    consts: Optional[AnalysisConstants] = None,
-    budget: Optional[Budget] = None,
+    seq: Dfao, u: WordLike, unbounded: list[Word], L: int, budget: Optional[Budget] = None
 ) -> Optional[ExplicitPair]:
-    """Find v with x in {u, v}^omega, for aperiodic x and u primitive
-    with unbounded powers.
+    """Find v with x in {u, v}^omega, for aperiodic x.
+
+    unbounded is Step 2's list, exactly the primitive words with
+    unbounded exponent, and u must be one of them; L = (15p + 4) kappa is
+    the run-chain depth from Step 1's constants.  Both are computed once
+    by rank2_decide and handed in.
 
     Returns an ExplicitPair or None when no companion exists.  The search
     is a case split on the shape of v: words of the unbounded set and
@@ -316,29 +310,16 @@ def decide_with_unbounded(
     budget = budget or Budget()
     limits = budget.limits()
     u = word(u)
-    if not u:
-        raise ValueError("u must be nonempty")
-    root, e = primitive_root(u)
-    if e != 1:
-        raise ValueError(f"u must be primitive; it is a {e}-th power of {root}")
-    if max_exponent(seq, u, limits) is not UNBOUNDED:
-        raise ValueError("u must occur with unbounded exponent")
+    if u not in unbounded:
+        raise ValueError(f"u = {list(u)} is not a primitive word with unbounded exponent")
     if is_ultimately_periodic(seq, limits) is not None:
         raise ValueError("x must be aperiodic")
-    if consts is None:
-        consts = sequence_constants(seq, limits)
 
     # (i) v is itself a word with unbounded powers, or no longer than u.
     # A factor of length <= |u| first occurs where a length-|u| factor
     # first occurs, so inside x[0..A(|u|)), the least cover length.
-    unbounded = [w for _, _, w in unbounded_primitive_factors(
-        seq, limits, max_results=budget.max_enumeration)]
-    candidates = []
-    seen = {u}
-    for w in unbounded:
-        if w not in seen:
-            seen.add(w)
-            candidates.append(w)
+    candidates = [w for w in unbounded if w != u]
+    seen = set(unbounded)
     window = tuple(seq.prefix(appearance_value(seq, len(u), limits)))
     for ln in range(1, len(u) + 1):
         for s in range(len(window) - ln + 1):
@@ -383,7 +364,6 @@ def decide_with_unbounded(
     occ = witness(P.word_at("i", u), seq=tail, limits=limits)
     if occ is None:
         raise RankTwoError(f"{list(u)} has unbounded powers but does not occur in the tail")
-    L = lemma_L_constant(consts.kappa, consts.p)
     shape = A.intersect(shape, run_chain(tail, occ["i"], len(u), L, budget), cap)
     for _ in range(budget.max_enumeration):
         got = A.shortest_accepted(shape)
@@ -553,7 +533,7 @@ def rank2_decide(
         if not disable_fast_paths:
             stages.append("Step0b")
             # one letter would be purely periodic, decided by Step 0
-            letters = occurring_letters(seq, limits)
+            letters = occurring_letters(seq)
             if len(letters) == 2:
                 a, b = letters
                 return report(RankTwo(_explicit_pair(seq, (a,), (b,))))
@@ -579,17 +559,10 @@ def rank2_decide(
 
         stages.append("Step1")
         consts = sequence_constants(seq, limits)
-        if hooked:
-            consts = replace(consts, p=3)
-        D_used = assume_D if hooked else lemma_D_constant(consts.kappa, consts.p)
-        consts_view = {
-            "C": consts.C,
-            "kappa": consts.kappa,
-            "p": consts.p,
-            "B": consts.B,
-            "D": D_used,
-            "L": lemma_L_constant(consts.kappa, consts.p),
-        }
+        p = 3 if hooked else consts.B
+        D_used = assume_D if hooked else lemma_D_constant(consts.kappa, p)
+        L = lemma_L_constant(consts.kappa, p)
+        consts_view = {"C": consts.C, "kappa": consts.kappa, "p": p, "B": consts.B, "D": D_used, "L": L}
 
         stages.append("Step2")
         unbounded = [w for _, _, w in unbounded_primitive_factors(
@@ -599,7 +572,7 @@ def rank2_decide(
         for w in unbounded:
             if out_of_time():
                 return report(Inconclusive("Step3", "wall_time exhausted"))
-            pair = decide_with_unbounded(seq, w, consts, budget)
+            pair = decide_with_unbounded(seq, w, unbounded, L, budget)
             if pair is not None:
                 if hooked:
                     notes.append("unbounded-stage pair re-validated exactly")

@@ -583,6 +583,17 @@ def ref_language_is_infinite(a: Dfa) -> bool:
     return any(q in useful and color.get(q) is None and has_cycle(q) for q in range(a.num_states))
 
 
+def ref_occurring_letters(seq) -> tuple[int, ...]:
+    """The declared letters a for which x[n] = a compiles to a nonempty
+    set of n, in increasing order."""
+    from ranktwo import logic as L
+
+    return tuple(
+        a for a in sorted(set(seq.alphabet))
+        if not A.is_empty(L.compile_formula(L.seq_at("n", a), seq=seq))
+    )
+
+
 def ref_enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
     """All accepted tuples, sorted; errors if infinite or above limit.
 
@@ -597,6 +608,8 @@ def ref_enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
     results = []
     if a.accepting[0]:
         results.append((0,) * len(a.var_order))
+        if len(results) > limit:
+            raise EnumerationLimitError(f"more than {limit} accepted tuples")
 
     t = len(a.var_order)
     steps = 0

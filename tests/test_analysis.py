@@ -36,6 +36,7 @@ from oracles import (
     FIXTURE_ORACLES,
     brute_max_run_exponent,
     mul_power_occurs,
+    ref_occurring_letters,
     unbounded_exponent_sentence,
     unbounded_power_sentence,
     unbounded_primitive_factors_sentence,
@@ -82,7 +83,6 @@ def test_constants_are_internally_consistent():
         assert c.C == seq.k ** (c.appearance_states + 1)
         assert c.kappa == c.C + 1
         assert c.B == seq.k ** c.power_states * c.C
-        assert c.p == c.B
         assert appearance_constant(seq) == c.C
         assert power_bound(seq) == (c.B, c.power_states)
 
@@ -121,6 +121,27 @@ def test_occurring_letters():
     assert occurring_letters(T3) == (0, 1, 2)
     assert occurring_letters(P2) == (0, 1)
     assert occurring_letters(M3) == (0, 1, 2)
+
+
+def test_occurring_letters_matches_compiled_query():
+    # seeded DFAOs with a state that no transition enters and declared
+    # letters that no state may output
+    rng = random.Random(4417)
+    unused_letter = unreachable_letter = 0
+    for _ in range(300):
+        k, n = rng.choice((2, 3)), rng.randint(1, 5)
+        alphabet = tuple(range(rng.randint(1, 4)))
+        delta = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+        init = rng.randrange(n)
+        delta[init][0] = init  # leading zeros leave the initial state
+        delta.append([rng.randrange(n + 1) for _ in range(k)])
+        outputs = tuple(rng.choice(alphabet) for _ in range(n + 1))
+        seq = Dfao(k, alphabet, outputs, tuple(map(tuple, delta)), init)
+        got = occurring_letters(seq)
+        assert got == ref_occurring_letters(seq), seq
+        unused_letter += len(got) < len(alphabet)
+        unreachable_letter += outputs[n] not in got
+    assert unused_letter > 50 and unreachable_letter > 20
 
 
 def test_max_exponent_frozen_values():

@@ -291,6 +291,10 @@ def test_enumerate_accepted():
         A.enumerate_accepted(A.true_dfa(k, ("x",)), 0)
     with pytest.raises(InfiniteLanguageError):
         A.enumerate_accepted(lin(k, "<", x=1, y=-1), 10)
+    # the all-zero tuple counts toward the limit like any other
+    assert A.enumerate_accepted(A.true_dfa(k), 1) == [()]
+    with pytest.raises(EnumerationLimitError):
+        A.enumerate_accepted(A.true_dfa(k), 0)
 
 
 def test_enumeration_past_its_limit_stops_early():
@@ -655,8 +659,9 @@ def test_dfao_roundtrip_bit_exact():
 
 def test_dfao_format_errors():
     good = load_fixture("thue-morse").dumps()
-    with pytest.raises(DfaoFormatError):
+    with pytest.raises(DfaoFormatError) as ei:
         A.loads_dfao(good.replace("trans 1 1 0\n", ""))  # missing transition
+    assert ei.value.line == 0
     with pytest.raises(DfaoFormatError) as ei:
         A.loads_dfao(good + "bogus 1 2\n")
     assert ei.value.line == good.count("\n") + 1
@@ -704,8 +709,25 @@ def test_dfao_directives_take_exactly_their_arguments(line, directive):
 def test_dfao_output_on_undeclared_state():
     good = load_fixture("thue-morse").dumps()
     assert "states 2\n" in good
-    with pytest.raises(DfaoFormatError, match="undeclared state 5"):
+    with pytest.raises(DfaoFormatError, match="undeclared state 5") as ei:
         A.loads_dfao(good + "output 5 1\n")
+    assert ei.value.line == good.count("\n") + 1
+
+
+@pytest.mark.parametrize(
+    "find, repl, line, message",
+    [
+        ("trans 1 1 0\n", "trans 1 1 7\n", 10, "transition 1 1 -> 7 out of range"),
+        ("output 0 0\n", "trans 5 0 0\noutput 0 0\n", 5, "transition on undeclared state or digit: (5, 0)"),
+        ("output 0 0\n", "trans 0 2 0\noutput 0 0\n", 5, "transition on undeclared state or digit: (0, 2)"),
+    ],
+)
+def test_dfao_transition_errors_name_their_line(find, repl, line, message):
+    good = load_fixture("thue-morse").dumps()
+    assert good.count(find) == 1
+    with pytest.raises(DfaoFormatError) as ei:
+        A.loads_dfao(good.replace(find, repl))
+    assert str(ei.value) == f"line {line}: {message}"
 
 
 def test_seq_rel_single_index():

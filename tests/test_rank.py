@@ -1,6 +1,7 @@
 """Rank pipeline: trace decision, case split, constants, and verdicts."""
 
 import ast
+import collections
 import itertools
 import json
 import os
@@ -14,6 +15,7 @@ import pytest
 
 import ranktwo
 import ranktwo.rank as rank_module
+from ranktwo import analysis as An
 from ranktwo import automata as A
 from ranktwo import logic as L
 from ranktwo import predicates as P
@@ -279,8 +281,14 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def _handoff(seq):
+    """Step 2's list and the depth L that rank2_decide hands to Step 3."""
+    c = constants(seq)
+    return [w for _, _, w in unbounded_primitive_factors(seq)], lemma_L_constant(c.kappa, c.B)
+
+
 def test_decide_with_unbounded_short_companion():
-    pair = decide_with_unbounded(P2, (0,))
+    pair = decide_with_unbounded(P2, (0,), *_handoff(P2))
     assert pair == ExplicitPair((0,), (1,), pair.validated_prefix)
     assert pair.validated_prefix >= 2 ** 14
     cuts = dp_factorize(tuple(P2.prefix(pair.validated_prefix)), pair.u, pair.v)
@@ -291,9 +299,9 @@ def test_decide_with_unbounded_rejects_periodic_sequences():
     # Step 0c decides every ultimately periodic sequence, so the
     # unbounded stage only takes aperiodic ones
     with pytest.raises(ValueError, match="aperiodic"):
-        decide_with_unbounded(M3, (0, 1, 2))
+        decide_with_unbounded(M3, (0, 1, 2), *_handoff(M3))
     with pytest.raises(ValueError, match="aperiodic"):
-        decide_with_unbounded(ONE_THEN_ZEROS, (0,))
+        decide_with_unbounded(ONE_THEN_ZEROS, (0,), *_handoff(ONE_THEN_ZEROS))
     for off in (False, True):
         assert rank2_decide(M3, disable_fast_paths=off).verdict == Rank1(3)
     rep = rank2_decide(ONE_THEN_ZEROS)
@@ -305,30 +313,70 @@ def test_decide_with_unbounded_rejects_periodic_sequences():
 
 
 def test_decide_with_unbounded_preconditions():
-    with pytest.raises(ValueError):
-        decide_with_unbounded(TM, (0,))  # exponent 2, not unbounded
-    with pytest.raises(ValueError):
-        decide_with_unbounded(P2, (0, 0))  # imprimitive
-    with pytest.raises(ValueError):
-        decide_with_unbounded(P2, ())
-    with pytest.raises(ValueError):
-        decide_with_unbounded(TM, (9,))  # not a factor at all
+    # u must be a word of Step 2's list
+    tm, p2 = _handoff(TM), _handoff(P2)
+    with pytest.raises(ValueError, match="unbounded exponent"):
+        decide_with_unbounded(TM, (0,), *tm)  # exponent 2, not unbounded
+    with pytest.raises(ValueError, match="unbounded exponent"):
+        decide_with_unbounded(P2, (0, 0), *p2)  # imprimitive
+    with pytest.raises(ValueError, match="unbounded exponent"):
+        decide_with_unbounded(P2, (), *p2)
+    with pytest.raises(ValueError, match="unbounded exponent"):
+        decide_with_unbounded(TM, (9,), *tm)  # not a factor at all
 
 
 def test_decide_with_unbounded_run_tower_finds_pair():
-    consts = constants(TWELVE)
+    unbounded, L = _handoff(TWELVE)
     # the run chain reaches its fixed point long before this depth
-    assert lemma_L_constant(consts.kappa, consts.p) > 10 ** 40
-    pair = decide_with_unbounded(TWELVE, (0,), consts)
+    assert L > 10 ** 40
+    pair = decide_with_unbounded(TWELVE, (0,), unbounded, L)
     assert pair == ExplicitPair((0,), (1, 2), 2 ** 14 + 2)
     assert decide_fixed_pair(TWELVE, pair.u, pair.v) is True
 
 
 def test_decide_with_unbounded_run_tower_exhausts():
-    consts = constants(POW23)
-    assert lemma_L_constant(consts.kappa, consts.p) > 10 ** 40
-    pair = decide_with_unbounded(POW23, (0,), consts)
+    unbounded, L = _handoff(POW23)
+    assert L > 10 ** 40
+    pair = decide_with_unbounded(POW23, (0,), unbounded, L)
     assert pair is None
+
+
+def _count_calls(monkeypatch, calls, func):
+    """Count calls to func under every name a ranktwo module binds it to."""
+    def counted(*args, **kwargs):
+        calls[func.__name__] += 1
+        return func(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "ranktwo":
+            for attr, obj in list(vars(mod).items()):
+                if obj is func:
+                    monkeypatch.setattr(mod, attr, counted)
+
+
+@pytest.mark.parametrize("seq, off", [(POW23, False), (P2, True)], ids=["POW23", "pow2-char-no-fast-paths"])
+def test_rank_stages_hand_their_results_forward(monkeypatch, seq, off):
+    # Step 1's constants and Step 2's list are computed once and handed
+    # to Step 3, which proves no exponent unbounded again; Step 0b reads
+    # the letters off the canonical DFAO and compiles nothing
+    calls = collections.Counter()
+    for func in (An.constants, An.unbounded_primitive_factors, An.max_exponent, L.compile_formula):
+        _count_calls(monkeypatch, calls, func)
+    letters = rank_module.occurring_letters
+
+    def step0b_letters(*args):
+        before = calls["compile_formula"]
+        out = letters(*args)
+        calls["letter compiles"] += calls["compile_formula"] - before
+        return out
+
+    monkeypatch.setattr(rank_module, "occurring_letters", step0b_letters)
+    stages = rank2_decide(seq, disable_fast_paths=off).budget_report["stages_run"]
+    assert "Step3" in stages and ("Step0b" in stages) == (not off)
+    assert calls["constants"] == 1
+    assert calls["unbounded_primitive_factors"] == 1
+    assert calls["max_exponent"] == 0
+    assert calls["letter compiles"] == 0
 
 
 def _stripped_tail(seq, u):
