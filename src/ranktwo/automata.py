@@ -737,9 +737,9 @@ def loads_dfao(text: str) -> Dfao:
     Directives: k, alphabet, states, initial, output, trans.  Comments
     start with '#'.  Every directive but alphabet takes exactly its
     number of integers.  Every state needs one output line and a
-    transition for every digit.  An error in one line names that line;
-    a missing directive, output or transition, and a failed
-    validate_dfao check, name line 0.
+    transition for every digit.  An error in one line, such as an initial
+    state out of range, names that line; a missing directive, output or
+    transition, and any other failed validate_dfao check, name line 0.
     """
     k = alphabet = n_states = initial = None
     # each output and transition with the line it is on
@@ -770,6 +770,7 @@ def loads_dfao(text: str) -> Dfao:
                     raise DfaoFormatError(lineno, "need at least one state")
             elif head == "initial":
                 (initial,) = map(int, args)
+                initial_line = lineno
             elif head == "output":
                 q, s = map(int, args)
                 if q in outputs:
@@ -809,6 +810,11 @@ def loads_dfao(text: str) -> Dfao:
     extra = sorted(set(trans) - {(q, d) for q in range(n_states) for d in range(k)})
     if extra:
         raise DfaoFormatError(trans[extra[0]][1], f"transition on undeclared state or digit: {extra[0]}")
+    if not 0 <= initial < n_states:
+        raise DfaoFormatError(initial_line, "initial state out of range")
+    for q, (s, lineno) in sorted(outputs.items()):
+        if s not in alphabet:
+            raise DfaoFormatError(lineno, f"state {q} outputs {s} outside the alphabet")
     m = Dfao(k, alphabet, tuple(outputs[q][0] for q in range(n_states)), tuple(delta), initial)
     try:
         validate_dfao(m)

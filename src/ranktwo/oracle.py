@@ -4,11 +4,12 @@ Everything in this module works on concrete finite words and makes no
 use of the formula engine, so its answers can be compared against the
 automaton-based ones.  rank2_decide finds and certifies explicit pairs
 here (Steps 0b to 0d): search_pairs proposes them, certified_cut finds
-the furthest factorization cut and checks it with dp_factorize's DP.  These
-run over block-occurrence sets, one int per block with bit i set where the
-block starts at i, made once per word by C-speed byte-string and big-int
-operations and read as one byte per cut by the scans.  The
-counterexample searches at the bottom look for violations of the
+the furthest factorization cut and checks it with dp_factorize's DP.
+Both scans run one aligned chunk of _CHUNK cuts at a time, the forward
+reach from the left and the DP from the right, each carrying a window
+of cut bits between chunks and memoizing a chunk's result within the
+call: a prefix of an automatic sequence has few distinct aligned chunks.
+The counterexample searches at the bottom look for violations of the
 combinatorial facts the rank decision relies on; they are expected to
 come back empty.  Their block parser, parse_step, is also the one whose
 subset construction rank.pair_omega_membership runs.
@@ -17,14 +18,14 @@ subset construction rank.pair_omega_membership runs.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, islice, product
+from itertools import islice, product
 from typing import Optional
 
 from .errors import RankTwoError
 
 
 _ZEROS = b"0" * 256
-_CUTS = bytes.maketrans(b"01", b"\0\1")
+_CHUNK = 64  # cuts per chunk of the two scans
 
 
 def _letter_sets(word, letters) -> dict:
@@ -49,55 +50,73 @@ def _letter_sets(word, letters) -> dict:
     return sets
 
 
-def _cut_mask(occ: int, n: int) -> bytes:
-    """The occurrence set occ as one byte per cut 0..n: byte i is bit i."""
-    return format(occ, f"0{n + 1}b")[::-1].encode().translate(_CUTS)
+def _reach_chunks(word: tuple, u: tuple, v: tuple) -> list[int]:
+    """The cuts that u/v block parses reach from the left, one int per
+    chunk: bit j of the c-th is cut c * _CHUNK + j.  Empty blocks are
+    ignored.
 
-
-def _masks(word, *blocks) -> list[bytes]:
-    """Occurrence mask of each block in word, one byte per cut: the AND
-    of its letters' sets, each shifted right by the letter's offset in
-    the block.  An empty block never occurs."""
-    sets = _letter_sets(word, {a for b in blocks for a in b})
-    masks = []
-    for b in blocks:
-        occ = -1 if b else 0
-        for j, a in enumerate(b):
-            occ &= sets.get(a, 0) >> j
-        masks.append(_cut_mask(occ, len(word)))
-    return masks
-
-
-def _reach(n: int, lu: int, mu: bytes, lv: int, mv: bytes) -> bytearray:
-    """Byte i is 1 when the first i letters split into u/v blocks.
-
-    The scan stops one block length past the furthest cut found, since
-    no block can bridge that gap.
+    pending holds the reachable cuts from the chunk's start on, which a
+    chunk's blocks can set up to one block length past its end.  The scan
+    stops past the last pending cut, within a chunk and at the first chunk
+    that starts with none, so the last chunk holds the furthest cut.
     """
-    reach = bytearray(n + 1)
-    reach[0] = 1
-    last, span = 0, max(lu, lv)
-    for i in range(n + 1):
-        if reach[i]:
-            last = i
-            if mu[i]:
-                reach[i + lu] = 1
-            if mv[i]:
-                reach[i + lv] = 1
-        elif i - last >= span:
-            break
-    return reach
+    lu, lv = len(u), len(v)
+    look = _CHUNK + max(lu, lv, 1) - 1
+    memo, chunks, s, pending = {}, [], 0, 1
+    while pending:
+        key = (pending, word[s:s + look])
+        got = memo.get(key)
+        if got is None:
+            seg = key[1]
+            for j in range(min(_CHUNK, len(seg))):
+                if pending >> j & 1:
+                    if seg[j:j + lu] == u:
+                        pending |= 1 << j + lu
+                    if seg[j:j + lv] == v:
+                        pending |= 1 << j + lv
+                elif not pending >> j:
+                    break
+            got = memo[key] = (pending & (1 << _CHUNK) - 1, pending >> _CHUNK)
+        bits, pending = got
+        chunks.append(bits)
+        s += _CHUNK
+    return chunks
 
 
-def _feasible_suffixes(n: int, lu: int, mu: bytes, lv: int, mv: bytes) -> bytearray:
-    """Byte i is 1 when the letters from i to n split into u/v blocks
-    exactly; the masks may run past n, but no block ending past n is taken."""
-    feasible = bytearray(n + max(lu, lv) + 1)
-    feasible[n] = 1
-    for i in range(n - 1, -1, -1):
-        if (mu[i] and feasible[i + lu]) or (mv[i] and feasible[i + lv]):
-            feasible[i] = 1
-    return feasible
+def _feasible_chunks(word: tuple, end: int, u: tuple, v: tuple) -> list[int]:
+    """The cuts i <= end where word[i:end] splits into u/v blocks
+    exactly, one int per chunk as in _reach_chunks.
+
+    The DP f[i] = (u at i and f[i + |u|]) or (v at i and f[i + |v|]),
+    f[end] = 1, runs from the right; feasible holds the known f bits from
+    the chunk's start on, and the next chunk to the left starts with its
+    first max(|u|, |v|).  No block ending past end is taken.
+    """
+    lu, lv = len(u), len(v)
+    span = max(lu, lv, 1)
+    memo, chunks = {}, []
+    s = end - end % _CHUNK
+    feasible = 1 << end - s
+    while s >= 0:
+        key = (feasible, word[s:min(s + _CHUNK + span - 1, end)])
+        got = memo.get(key)
+        if got is None:
+            seg = key[1]
+            for j in range(min(_CHUNK, len(seg)) - 1, -1, -1):
+                if (feasible >> j + lu & 1 and seg[j:j + lu] == u) or (
+                    feasible >> j + lv & 1 and seg[j:j + lv] == v
+                ):
+                    feasible |= 1 << j
+            got = memo[key] = feasible
+        chunks.append(got & (1 << _CHUNK) - 1)
+        feasible = (got & (1 << span) - 1) << _CHUNK
+        s -= _CHUNK
+    return chunks[::-1]
+
+
+def _last_cut(chunks: list[int]) -> int:
+    """The furthest cut of a forward scan."""
+    return (len(chunks) - 1) * _CHUNK + chunks[-1].bit_length() - 1
 
 
 def dp_factorize(word, u, v) -> Optional[list[int]]:
@@ -105,50 +124,44 @@ def dp_factorize(word, u, v) -> Optional[list[int]]:
 
     Returns [0, ..., len(word)] or None when no factorization exists.
     Among all factorizations this picks the one preferring a u block at
-    every cut.  A backward pass over the blocks' occurrence masks marks
-    the positions whose suffix factorizes; a greedy forward scan then
-    takes a u block wherever the rest stays feasible.  The backward pass
-    shares only the masks with parse_reach; certified_cut runs it alone.
+    every cut.  The backward DP marks the cuts whose suffix factorizes,
+    and a greedy forward scan takes a u block wherever the rest stays
+    feasible.
     """
     word, u, v = tuple(word), tuple(u), tuple(v)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
     n, lu, lv = len(word), len(u), len(v)
-    mu, mv = _masks(word, u, v)
-    feasible = _feasible_suffixes(n, lu, mu, lv, mv)
-    if not feasible[0]:
+    chunks = _feasible_chunks(word, n, u, v)
+    if not chunks[0] & 1:
         return None
     cuts = [0]
     i = 0
     while i < n:
-        i += lu if mu[i] and feasible[i + lu] else lv
+        j = i + lu
+        i = j if word[i:j] == u and chunks[j // _CHUNK] >> j % _CHUNK & 1 else i + lv
         cuts.append(i)
     return cuts
 
 
 def parse_reach(word, u, v) -> list[int]:
     """All cut positions reachable by u/v block parses from the left,
-    in ascending order; the last is the furthest cut.
-
-    One forward scan over the blocks' occurrence masks, which stops
-    once no block can reach past the furthest cut found.  Empty blocks
-    are ignored.
+    in ascending order; the last is the furthest cut.  Empty blocks are
+    ignored.
     """
-    word, u, v = tuple(word), tuple(u), tuple(v)
-    mu, mv = _masks(word, u, v)
-    reach = _reach(len(word), len(u), mu, len(v), mv)
-    return list(compress(range(len(reach)), reach))
+    chunks = _reach_chunks(tuple(word), tuple(u), tuple(v))
+    return [c * _CHUNK + j for c, bits in enumerate(chunks) for j in range(bits.bit_length()) if bits >> j & 1]
 
 
 def certified_cut(word, u, v, min_cut: int) -> Optional[int]:
     """The furthest cut parse_reach finds, or None below min_cut, checked
-    by dp_factorize's backward pass up to it on the same masks: a cut the
-    DP cannot factorize raises RankTwoError."""
-    mu, mv = _masks(word, u, v)
-    best = _reach(len(word), len(u), mu, len(v), mv).rfind(1)
+    by dp_factorize's backward DP up to it: a cut the DP cannot
+    factorize raises RankTwoError."""
+    word, u, v = tuple(word), tuple(u), tuple(v)
+    best = _last_cut(_reach_chunks(word, u, v))
     if best < min_cut:
         return None
-    if not _feasible_suffixes(best, len(u), mu, len(v), mv)[0]:
+    if not _feasible_chunks(word, best, u, v)[0] & 1:
         raise RankTwoError(f"cut {best} of u = {list(u)}, v = {list(v)} fails the DP cross-check")
     return best
 
@@ -162,8 +175,7 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
     and is a prefix of one of the blocks, so the word could be a prefix
     of an infinite u/v product.  Candidates are tried in (|u| + |v|, u,
     v) order, so the limit pairs kept, if limit is given, are the
-    shortest; each distinct factor's occurrence mask is computed once
-    and shared by every candidate.
+    shortest; each candidate costs one forward reach.
     """
     if max_total < 0:
         raise ValueError("pair totals are naturals")
@@ -191,23 +203,19 @@ def _factors(word, max_len: int):
 
 def _tiling_pairs(word, max_total: int):
     n = len(word)
-    # factors[l - 1]: the distinct factors of length l in lexicographic
-    # order, each mapped to its occurrence mask
-    factors = [
-        {f: _cut_mask(occ, n) for f, occ in level}
-        for level in _factors(word, min(max_total - 1, n))
-    ]
+    # factors[l - 1]: the distinct factors of length l in lexicographic order
+    factors = [[f for f, _ in level] for level in _factors(word, min(max_total - 1, n))]
     for total in range(2, min(max_total, 2 * n) + 1):
         for lu in range(max(1, total - n), min(total - 1, n) + 1):
             u, lv = word[:lu], total - lu
-            mu = factors[lu - 1][u]
-            for v, mv in factors[lv - 1].items():
+            for v in factors[lv - 1]:
                 if v == u:
                     continue
-                best = _reach(n, lu, mu, lv, mv).rfind(1)
-                rest = word[best:]
-                if len(rest) < max(lu, lv) and (rest == u[:len(rest)] or rest == v[:len(rest)]):
-                    yield u, v
+                best = _last_cut(_reach_chunks(word, u, v))
+                if n - best < max(lu, lv):
+                    rest = word[best:best + max(lu, lv)]
+                    if rest == u[:len(rest)] or rest == v[:len(rest)]:
+                        yield u, v
 
 
 def appearance_values(word, max_n: int) -> list[int]:

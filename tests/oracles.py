@@ -139,8 +139,8 @@ FIXTURE_ORACLES = {
 
 
 # ---------------------------------------------------------------------------
-# word checks by slicing tuples at every position: the loops that
-# ranktwo.oracle replaced with block-occurrence masks
+# word checks by slicing tuples at every position, one letter at a time:
+# the loops that ranktwo.oracle runs one memoized chunk of cuts at a time
 
 
 def ref_parse_reach(word, u, v):

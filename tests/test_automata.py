@@ -720,6 +720,9 @@ def test_dfao_output_on_undeclared_state():
         ("trans 1 1 0\n", "trans 1 1 7\n", 10, "transition 1 1 -> 7 out of range"),
         ("output 0 0\n", "trans 5 0 0\noutput 0 0\n", 5, "transition on undeclared state or digit: (5, 0)"),
         ("output 0 0\n", "trans 0 2 0\noutput 0 0\n", 5, "transition on undeclared state or digit: (0, 2)"),
+        # checked on the built automaton, but named by the line they come from
+        ("initial 0\n", "initial 7\n", 4, "initial state out of range"),
+        ("output 1 1\n", "output 1 5\n", 6, "state 1 outputs 5 outside the alphabet"),
     ],
 )
 def test_dfao_transition_errors_name_their_line(find, repl, line, message):

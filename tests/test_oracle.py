@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ranktwo.analysis import max_exponent
 from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
+    _CHUNK,
     appearance_values,
     brute_appearance,
     certified_cut,
@@ -102,31 +103,51 @@ def test_parse_reach_tracks_every_cut():
 _LETTERS = ((0, 1, 2), (300, 2 ** 70, 0))
 
 
+# word lengths within one letter of one, two and three chunks of the
+# oracle's scans
+_NEAR_CHUNKS = tuple(k * _CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1))
+
+
 @st.composite
 def _words_and_blocks(draw):
     """(w, u, v) over 1 to 3 letters.  Half the time v extends u, so the
     pair is not a prefix code; half the time w is a u/v product with a
-    short tail, so parses run long."""
+    short tail, so parses run long.  About half the words end near a
+    chunk boundary of the scans, and about a quarter of the pairs have
+    blocks of one to two chunks."""
     letter = st.sampled_from(draw(st.sampled_from(_LETTERS))[:draw(st.integers(1, 3))])
-    u = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+    if draw(st.booleans()) and draw(st.booleans()):
+        block = st.lists(letter, min_size=_CHUNK - 1, max_size=2 * _CHUNK + 1)
+    else:
+        block = st.lists(letter, min_size=1, max_size=4)
+    u = tuple(draw(block))
     if draw(st.booleans()):
         v = u + tuple(draw(st.lists(letter, max_size=3)))
     else:
-        v = tuple(draw(st.lists(letter, min_size=1, max_size=4)))
+        v = tuple(draw(block))
+    near = draw(st.sampled_from(_NEAR_CHUNKS)) if draw(st.booleans()) else None
     if draw(st.booleans()):
-        picks = draw(st.lists(st.booleans(), max_size=16))
-        w = sum(((v if b else u) for b in picks), ()) + tuple(draw(st.lists(letter, max_size=3)))
+        picks = draw(st.lists(st.booleans(), min_size=1, max_size=16))
+        w = sum(((v if b else u) for b in picks), ())
+        if near:
+            w = (w * (near // len(w) + 1))[:near]
+        else:
+            w += tuple(draw(st.lists(letter, max_size=3)))
     else:
-        w = tuple(draw(st.lists(letter, max_size=40)))
+        w = tuple(draw(st.lists(letter, min_size=near or 0, max_size=near or 40)))
     return w, u, v
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(_words_and_blocks())
-def test_mask_scans_match_slice_loops(wuv):
+@given(_words_and_blocks(), st.integers(-1, 1))
+def test_chunked_scans_match_slice_loops(wuv, off):
     w, u, v = wuv
-    assert parse_reach(w, u, v) == ref_parse_reach(w, u, v)
+    reach = ref_parse_reach(w, u, v)
+    assert parse_reach(w, u, v) == reach
     assert dp_factorize(w, u, v) == ref_dp_factorize(w, u, v)
+    assert dp_factorize(w[:reach[-1]], u, v) == ref_dp_factorize(w[:reach[-1]], u, v)
+    min_cut = max(reach[-1] + off, 0)
+    assert certified_cut(w, u, v, min_cut) == (reach[-1] if off <= 0 else None)
     assert parse_reach(w[:0], u, v) == [0] and dp_factorize(w[:0], u, v) == [0]
     # an empty block never occurs
     for a, b in ((u, ()), ((), v), ((), ())):

@@ -250,7 +250,7 @@ def test_validate_explicit_pair_cross_check_survives_optimize_flag():
         "from ranktwo.errors import RankTwoError",
         "from ranktwo.fixtures import load_fixture",
         "assert False, 'asserts must be stripped'",
-        "O._feasible_suffixes = lambda *args: bytearray(1)",
+        "O._feasible_chunks = lambda *args: [0]",
         "try:",
         "    R.validate_explicit_pair(load_fixture('ternary-tm'), '01', '20')",
         "except RankTwoError:",
@@ -293,6 +293,21 @@ def test_decide_with_unbounded_short_companion():
     assert pair.validated_prefix >= 2 ** 14
     cuts = dp_factorize(tuple(P2.prefix(pair.validated_prefix)), pair.u, pair.v)
     assert cuts is not None and cuts[-1] == pair.validated_prefix
+
+
+# x[n] = the second binary digit of n, 0 for n < 2: x = 000 1 00 11 0^4 1^4 ...,
+# so both letters have unbounded runs
+RUNS = Dfao(k=2, alphabet=(0, 1), outputs=(0, 0, 0, 1), delta=((0, 1), (2, 3), (2, 2), (3, 3)), initial=0)
+
+
+def test_decide_with_unbounded_companion_from_step2_list():
+    # only stage (i) tries the companion 1: it is a word of Step 2's list,
+    # which stage (iv) skips, and the tail 1 00 11 ... has no prefix in
+    # Fac(0^omega) for stage (iii)
+    unbounded, L = _handoff(RUNS)
+    assert sorted(unbounded) == [(0,), (1,)]
+    pair = decide_with_unbounded(RUNS, (0,), unbounded, L)
+    assert pair == ExplicitPair((0,), (1,), 2 ** 14 + 1)
 
 
 def test_decide_with_unbounded_rejects_periodic_sequences():
