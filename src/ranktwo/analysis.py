@@ -23,7 +23,6 @@ from .logic import (
     and_,
     compile_formula,
     decide,
-    eq,
     exists,
     forall,
     not_,
@@ -91,9 +90,10 @@ def constants(seq: Dfao, limits: Optional[CompileLimits] = None) -> AnalysisCons
 
 def appearance_value(seq: Dfao, n: int, limits: Optional[CompileLimits] = None) -> int:
     """A(n), the least m such that every length-n factor occurs inside
-    x[0..m): one witness of the appearance relation, which constants
-    compiles too, with n fixed."""
-    w = witness(and_(P.appearance_formula("n", "m"), eq("n", n)), seq=seq, limits=limits)
+    x[0..m): the one witness of the appearance relation at the constant
+    n, which costs less to compile than the (n, m) relation that
+    constants builds."""
+    w = witness(P.appearance_formula(Const(n), "m"), seq=seq, limits=limits)
     if w is None:
         raise RankTwoError(f"no least cover length for factors of length {n}")
     return w["m"]
@@ -122,7 +122,14 @@ def unbounded_primitive_factors(
     The set is finite for any automatic sequence, so an infinite language
     here means the surrounding computation is inconsistent and raises
     RankTwoError; more than max_results words raise EnumerationLimitError.
+
+    The set is empty exactly when the one-track relation
+    P.unbounded_period_formula is (argument in its docstring).  That
+    relation costs far less than the (i, p) one, so it is compiled
+    first, and when it is empty the set is returned at once.
     """
+    if is_empty(compile_formula(P.unbounded_period_formula("p"), seq=seq, limits=limits)):
+        return []
     a = compile_formula(
         P.unbounded_primitive_factors_formula("i", "p"), seq=seq, limits=limits
     )

@@ -3,7 +3,7 @@
 Everything in this module works on concrete finite words and makes no
 use of the formula engine, so its answers can be compared against the
 automaton-based ones.  rank2_decide finds and certifies explicit pairs
-here (Steps 0b to 0d): search_pairs proposes them, certified_cut finds
+here (Steps 0b to 0d): tiling_pairs proposes them, certified_cut finds
 the furthest factorization cut and checks it with dp_factorize's DP.
 Both scans run one aligned chunk of _CHUNK cuts at a time, the forward
 reach from the left and the DP from the right, each carrying a window
@@ -175,13 +175,14 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
     and is a prefix of one of the blocks, so the word could be a prefix
     of an infinite u/v product.  Candidates are tried in (|u| + |v|, u,
     v) order, so the limit pairs kept, if limit is given, are the
-    shortest; each candidate costs one forward reach.
+    shortest; each candidate costs one forward reach.  tiling_pairs
+    yields the same pairs one at a time.
     """
     if max_total < 0:
         raise ValueError("pair totals are naturals")
     if limit is not None and limit < 0:
         raise ValueError("pair limits are naturals")
-    return list(islice(_tiling_pairs(tuple(word), max_total), limit))
+    return list(islice(tiling_pairs(tuple(word), max_total), limit))
 
 
 def _factors(word, max_len: int):
@@ -201,7 +202,10 @@ def _factors(word, max_len: int):
         yield level
 
 
-def _tiling_pairs(word, max_total: int):
+def tiling_pairs(word: tuple, max_total: int):
+    """The pairs of search_pairs in its order, as a generator, so a
+    caller that stops at the first pair it proves pays for no later
+    candidate's reach."""
     n = len(word)
     # factors[l - 1]: the distinct factors of length l in lexicographic order
     factors = [[f for f, _ in level] for level in _factors(word, min(max_total - 1, n))]

@@ -170,13 +170,27 @@ def unbounded_powers_formula(i, n, p) -> Formula:
     )
 
 
+def unbounded_period_formula(p="p") -> Formula:
+    """Free p: p >= 1 and for every n some window x[j..j+n+p) has period
+    p, that is x[j..j+n) = x[j+p..j+p+n).
+
+    Nonempty exactly when some word has unbounded exponent: the first p
+    letters of such windows take finitely many values, so one of them
+    heads windows of every length, and its primitive root has unbounded
+    exponent too; a primitive w with unbounded exponent puts |w| here."""
+    p = term(p)
+    n, j = _fresh((p,), 2)
+    return and_(ge(p, 1), forall(n, exists(j, factoreq(j, add(j, p), n))))
+
+
 def unbounded_primitive_factors_formula(i="i", p="p") -> Formula:
     """Free (i, p): x[i..i+p) is primitive, first occurs at i, and occurs
     with unbounded exponent.
 
     "For every m a window n > m" is "every window n", the window relation
-    being downward closed in n; its ∃j part is then the relation
-    analysis.constants compiled, served by the compile cache."""
+    being downward closed in n; its ∃j part is the power relation whose
+    state count analysis.constants reads (the compile cache shares it when
+    both are built for one sequence)."""
     i, p = term(i), term(p)
     (n,) = _fresh((i, p), 1)
     return and_(prim(i, p), forall(n, unbounded_powers_formula(i, n, p)))

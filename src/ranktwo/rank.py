@@ -15,7 +15,11 @@ No constant enters a formula: "occurs as a p-th power" is "is a power
 of a word with unbounded exponent", and each late stage compiles its
 step relations once and iterates them on automata, the run chain of the
 unbounded stage to a fixed point (run_chain) and the pattern stage as
-one depth-first search over pattern prefixes (pattern_prefixes).
+one depth-first search over pattern prefixes (pattern_prefixes).  The
+constants only bound those iterations, so they are computed on demand
+(LemmaConstants): when a run chain passes the floor of L without a fixed
+point, when the pattern search reaches the floor of D, or when an
+Inconclusive verdict names the 2^D patterns it could not search.
 
 Resource pressure never crashes `rank2_decide`: budget breaches become
 Inconclusive verdicts that name the stage and the missing resource.
@@ -26,6 +30,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Optional, Union
 
 from . import automata as A
@@ -54,7 +59,7 @@ from .logic import (
     not_,
     witness,
 )
-from .oracle import certified_cut, parse_step, search_pairs
+from .oracle import certified_cut, parse_step, tiling_pairs
 from .words import Word, WordLike, word
 
 
@@ -70,6 +75,50 @@ def lemma_D_constant(kappa: int, p: int) -> int:
     if kappa < 1 or p < 1:
         raise ValueError("kappa and p must be at least 1")
     return 10 * p * p * kappa + p + 1
+
+
+# Every automaton has a state, so analysis.constants gives C >= k^2 >= 4,
+# kappa = C + 1 >= 5 and B >= k * C >= 8.
+_KAPPA_FLOOR, _B_FLOOR = 5, 8
+
+
+class LemmaConstants:
+    """The lemma constants of one run, computed at most once and only when
+    a stage passes a floor that they reach on every sequence.
+
+    L >= L_floor and D >= D_floor: L >= 620 and D >= 3209 from the floors
+    of kappa and B, or L >= 245 at the hook's p = 3, with D = assume_D.
+    A run chain at its fixed point before round L_floor - 1 is the same at
+    any larger L, and a pattern search that stays above depth D_floor
+    gives the same verdict at any larger D.  view is the report's
+    constants once computed, else None.
+    """
+
+    def __init__(self, seq: Dfao, limits: CompileLimits, assume_D: Optional[int] = None):
+        self._seq, self._limits, self._assume_D = seq, limits, assume_D
+        # the hook assumes p = 3, which enters only L
+        self._p = None if assume_D is None else 3
+        self.L_floor = lemma_L_constant(_KAPPA_FLOOR, self._p or _B_FLOOR)
+        self.D_floor = assume_D or lemma_D_constant(_KAPPA_FLOOR, _B_FLOOR)
+        self.view: Optional[dict] = None
+
+    def _exact(self) -> dict:
+        if self.view is None:
+            c = sequence_constants(self._seq, self._limits)
+            p = self._p or c.B
+            D = self._assume_D or lemma_D_constant(c.kappa, p)
+            self.view = {"C": c.C, "kappa": c.kappa, "p": p, "B": c.B, "D": D, "L": lemma_L_constant(c.kappa, p)}
+        return self.view
+
+    def L(self) -> int:
+        return self._exact()["L"]
+
+    def D(self) -> int:
+        return self._assume_D or self._exact()["D"]
+
+    def known_D(self) -> Optional[int]:
+        """D if it needs no compile (assumed or already computed), else None."""
+        return self._assume_D or (self.view and self.view["D"])
 
 
 @dataclass(frozen=True)
@@ -290,14 +339,15 @@ def _explicit_pair(seq: Dfao, u: Word, v: Word) -> ExplicitPair:
 
 
 def decide_with_unbounded(
-    seq: Dfao, u: WordLike, unbounded: list[Word], L: int, budget: Optional[Budget] = None
+    seq: Dfao, u: WordLike, unbounded: list[Word], L: Union[int, LemmaConstants], budget: Optional[Budget] = None
 ) -> Optional[ExplicitPair]:
     """Find v with x in {u, v}^omega, for aperiodic x.
 
     unbounded is Step 2's list, exactly the primitive words with
-    unbounded exponent, and u must be one of them; L = (15p + 4) kappa is
-    the run-chain depth from Step 1's constants.  Both are computed once
-    by rank2_decide and handed in.
+    unbounded exponent, and u must be one of them; L is the run-chain
+    depth (15p + 4) kappa, or the run's LemmaConstants, which computes it
+    only if run_chain passes its floor.  Both are built once by
+    rank2_decide and handed in.
 
     Returns an ExplicitPair or None when no companion exists.  The search
     is a case split on the shape of v: words of the unbounded set and
@@ -382,7 +432,7 @@ def _step(rel: Dfa, step: Dfa, cap: int) -> Dfa:
     return A.rename_tracks(A.project(A.intersect(rel, step, cap), "q", cap), {"q2": "q"})
 
 
-def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
+def run_chain(seq: Dfao, i: int, d: int, L: Union[int, LemmaConstants], budget: Budget) -> Dfa:
     """Lengths r >= d such that u = x[i..i+d) is neither a prefix nor a
     suffix of v = x[0..r), and x starts with v u^e1 v u^e2 ... v u^eL for
     some exponents e_t >= 0.
@@ -394,9 +444,13 @@ def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
     one _step per round.  The chain only shrinks and canonical automata
     compare structurally, so a round that changes nothing is a fixed point
     for every larger L; max_enumeration rounds without one raise
-    BudgetExceededError("run-tower-depth").
+    BudgetExceededError("run-tower-depth").  Given LemmaConstants for L,
+    the chain runs to L_floor and asks for the exact L only if round
+    L_floor - 1 arrives without a fixed point.
     """
-    if L < 1 or d < 1:
+    lazy = isinstance(L, LemmaConstants)
+    depth = L.L_floor if lazy else L
+    if depth < 1 or d < 1:
         raise ValueError("need L >= 1 and d >= 1")
     limits, cap = budget.limits(), budget.max_automaton_states
     # the run starts at b, where the v-block at q2 ends
@@ -405,9 +459,14 @@ def run_chain(seq: Dfao, i: int, d: int, L: int, budget: Budget) -> Dfa:
     head = and_(eq("q", 0), ge("r", d), not_(P.prefx(i, d, 0, "r")), not_(P.suffx(i, d, 0, "r")))
     back, head = [compile_formula(f, seq=seq, limits=limits) for f in (back, head)]
     chain = A.true_dfa(seq.k, ("q", "r"))
-    for rounds in range(L - 1):
+    for rounds in count():
+        if lazy and rounds == depth - 1:
+            depth, lazy = L.L(), False
+        if rounds == depth - 1:
+            break
         if rounds == budget.max_enumeration:
-            raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L = {bounded_form(L)}")
+            bound = f">= {depth}" if lazy else f"= {bounded_form(depth)}"
+            raise BudgetExceededError("run-tower-depth", budget.max_enumeration, f"L {bound}")
         shorter = _step(chain, back, cap)
         if shorter == chain:
             break
@@ -479,6 +538,14 @@ def rank2_decide(
 ) -> RankReport:
     """Decide Rank1 / RankTwo / RankAtLeastThree, or report Inconclusive.
 
+    Step 1 computes no constant: LemmaConstants computes C, kappa, B, L
+    and D at most once, when the run chain or the pattern search passes
+    a floor or when the pattern search runs out of max_patterns nodes,
+    and the report's constants are null unless that happened.  A
+    wall_time verdict starts no such compile and names D only if it is
+    already known.  Step 2 returns at once when no word has unbounded
+    exponent (analysis.unbounded_primitive_factors).
+
     assume_D overrides the computed pattern length, and with it assumes
     p = 3, which enters only L, the round cap of the run chain, so the
     pattern stage becomes exercisable at desk scale.  Every report of a
@@ -501,12 +568,12 @@ def rank2_decide(
         assumptions.append("fast paths disabled")
     stages: list[str] = []
     notes: list[str] = []
-    consts_view: Optional[dict] = None
+    lemma = LemmaConstants(seq, limits, assume_D)
 
     def report(verdict: RankVerdict) -> RankReport:
         return RankReport(
             verdict=verdict,
-            constants=consts_view,
+            constants=lemma.view,
             budget_report={
                 "max_automaton_states": budget.max_automaton_states,
                 "max_patterns": budget.max_patterns,
@@ -523,6 +590,15 @@ def rank2_decide(
 
     def out_of_time() -> bool:
         return time.monotonic() - started > budget.wall_time
+
+    def step5_stops() -> RankReport:
+        # after the deadline no constants compile starts: D is named only
+        # if it is known; else the run is out of max_patterns nodes
+        if out_of_time():
+            return report(Inconclusive("Step5", "wall_time exhausted", lemma.known_D()))
+        D = lemma.D()
+        required = f"2^{bounded_form(D)} patterns exceed max_patterns = {budget.max_patterns}"
+        return report(Inconclusive("Step5", required, D))
 
     try:
         stages.append("Step0")
@@ -551,18 +627,14 @@ def rank2_decide(
         if not disable_fast_paths:
             stages.append("Step0d")
             probe = tuple(seq.prefix(2 ** 12))
-            for uu, vv in search_pairs(probe, 6, limit=budget.max_enumeration):
+            for uu, vv in islice(tiling_pairs(probe, 6), budget.max_enumeration):
                 if out_of_time():
                     return report(Inconclusive("Step0d", "wall_time exhausted"))
                 if decide_fixed_pair(seq, uu, vv, budget):
                     return report(RankTwo(_explicit_pair(seq, uu, vv)))
 
+        # the constants wait in lemma until a stage passes their floors
         stages.append("Step1")
-        consts = sequence_constants(seq, limits)
-        p = 3 if hooked else consts.B
-        D_used = assume_D if hooked else lemma_D_constant(consts.kappa, p)
-        L = lemma_L_constant(consts.kappa, p)
-        consts_view = {"C": consts.C, "kappa": consts.kappa, "p": p, "B": consts.B, "D": D_used, "L": L}
 
         stages.append("Step2")
         unbounded = [w for _, _, w in unbounded_primitive_factors(
@@ -572,18 +644,19 @@ def rank2_decide(
         for w in unbounded:
             if out_of_time():
                 return report(Inconclusive("Step3", "wall_time exhausted"))
-            pair = decide_with_unbounded(seq, w, unbounded, L, budget)
+            pair = decide_with_unbounded(seq, w, unbounded, lemma, budget)
             if pair is not None:
                 if hooked:
                     notes.append("unbounded-stage pair re-validated exactly")
                 return report(RankTwo(pair))
 
         stages.append("Step4")
-        exhausted = f"2^{bounded_form(D_used)} patterns exceed max_patterns = {budget.max_patterns}"
         if budget.max_patterns == 0:
-            return report(Inconclusive("Step5", exhausted, D_used))
+            return step5_stops()
 
         stages.append("Step5")
+        if out_of_time():
+            return step5_stops()
         # Depth-first over the pattern prefixes that start with 0, pruning
         # at an empty R_w, with children in the order (parity of w, its
         # complement): the leaves come in reflected Gray-code order.  At
@@ -594,23 +667,22 @@ def rank2_decide(
         visited = tries = 0
         while stack:
             visited += 1
-            if visited > budget.max_patterns:
-                return report(Inconclusive("Step5", exhausted, D_used))
-            if out_of_time():
-                return report(Inconclusive("Step5", "wall_time exhausted", D_used))
+            if visited > budget.max_patterns or out_of_time():
+                return step5_stops()
             w, rel = stack.pop()
             depth = len(w)
             rel = extend(rel, w[-1]) if depth > 1 else rel
             if A.is_empty(rel):
                 continue
-            if depth == D_used or (depth & (depth - 1) == 0 and tries < budget.max_enumeration):
+            at_D = depth >= lemma.D_floor and depth == lemma.D()
+            if at_D or (depth & (depth - 1) == 0 and tries < budget.max_enumeration):
                 tries += 1
                 pair, note = _pattern_pair(seq, rel, budget)
                 if pair is not None:
                     if hooked:
                         notes.append("pattern-stage pair re-validated exactly")
                     return report(RankTwo(_explicit_pair(seq, *pair)))
-                if depth == D_used:
+                if at_D:
                     notes.append(note)
                     return report(RankTwo(ExistenceByFormula(w)))
             parity = sum(w) & 1

@@ -71,6 +71,20 @@ def random_word(rng: random.Random, alphabet, min_len, max_len):
     return tuple(rng.choice(alphabet) for _ in range(n))
 
 
+def campaign_draw(i: int):
+    """Draw i of the seeded campaign of random DFAOs: k in {2, 3}, 2 or 3
+    output letters, 2 to 5 states, state 0 initial and fixed by digit 0.
+    Each draw consumes the generator's stream, so draw i is the same for
+    every caller."""
+    r = random.Random(7)
+    for _ in range(i + 1):
+        k, a, n = r.randint(2, 3), r.randint(2, 3), r.randint(2, 5)
+        delta = [[r.randrange(n) for _ in range(k)] for _ in range(n)]
+        delta[0][0] = 0
+        outputs = [r.randrange(a) for _ in range(n)]
+    return A.Dfao(k, tuple(sorted(set(outputs))), tuple(outputs), tuple(map(tuple, delta)), 0)
+
+
 def brute_max_run_exponent(prefix, z):
     """Largest exponent of a z-power occurring in the prefix, as a Fraction.
 

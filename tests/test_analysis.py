@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ranktwo import automata as A, logic as L, predicates as P
 
@@ -29,7 +29,7 @@ from ranktwo.analysis import (
 from ranktwo.automata import Dfao, loads_dfao
 from ranktwo.errors import BudgetExceededError
 from ranktwo.fixtures import load_fixture
-from ranktwo.logic import and_, compile_formula, decide, ge
+from ranktwo.logic import and_, compile_formula, decide, eq, ge, witness
 from ranktwo.oracle import appearance_values
 
 from oracles import (
@@ -280,6 +280,54 @@ def test_step2_after_constants_builds_no_five_track_automaton(monkeypatch):
         assert widths and max(widths) < 5
 
 
+def _unbounded_periods_and_factors(seq, limits=None):
+    # G, Step 2's early exit, and the (i, p) relation it stands in for
+    periods = compile_formula(P.unbounded_period_formula("p"), seq=seq, limits=limits)
+    rel = compile_formula(P.unbounded_primitive_factors_formula("i", "p"), seq=seq, limits=limits)
+    assert periods.var_order == ("p",)
+    assert A.is_empty(periods) == A.is_empty(rel)
+    words = [w for _, _, w in unbounded_primitive_factors(seq, limits)]
+    assert A.is_empty(periods) == (words == [])
+    if words:
+        # G holds at the length of each primitive word with unbounded
+        # exponent, and its least element is the shortest such length
+        assert A.shortest_accepted(periods) == (min(map(len, words)),)
+    return words
+
+
+@pytest.mark.parametrize("name", sorted(SEVEN))
+def test_step2_early_exit_is_exact(name):
+    words = _unbounded_periods_and_factors(SEVEN[name])
+    assert (words == []) == (name not in ("mod3", "pow2-char", "POW23", "TWELVE"))
+
+
+def _random_dfao(seed, k, n, letters):
+    rng = random.Random(seed)
+    delta = [[rng.randrange(n) for _ in range(k)] for _ in range(n)]
+    delta[0][0] = 0  # leading zeros leave the initial state
+    outputs = tuple(rng.randrange(letters) for _ in range(n))
+    return Dfao(k, tuple(range(letters)), outputs, tuple(map(tuple, delta)), 0)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), st.integers(2, 3))
+def test_step2_early_exit_is_exact_on_random_sequences(seed, k, n, letters):
+    seq = _random_dfao(seed, k, n, letters)
+    try:
+        words = _unbounded_periods_and_factors(seq, L.CompileLimits(max_automaton_states=1000))
+    except BudgetExceededError:
+        assume(False)
+    # on a 512-letter prefix a word with unbounded exponent shows a run
+    # of more than 100 copies on these draws, and the short factors of a
+    # sequence without one stay below 10
+    pref = seq.prefix(1 << 9)
+    if words:
+        assert min(brute_max_run_exponent(pref, w) for w in words) >= 32
+    else:
+        factors = {tuple(pref[s:s + ln]) for ln in (1, 2, 3) for s in range(len(pref) - ln + 1)}
+        assert max(brute_max_run_exponent(pref, z) for z in factors) < 32
+
+
 def test_shift_sequence_matches_reindexing():
     n = 1 << 12
     for name, seq in SEVEN.items():
@@ -298,6 +346,17 @@ def test_appearance_value_is_the_least_cover_length(name):
     got = [appearance_value(seq, n) for n in range(1, 13)]
     assert max(got) <= 1 << 11
     assert got == want
+
+
+@settings(max_examples=25, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), st.integers(2, 3))
+def test_appearance_value_at_a_constant_is_the_relations_witness(seed, k, n, letters):
+    # appearance_value compiles the relation at a constant n; conjoining
+    # n = c to the (n, m) relation that constants builds gives the same m
+    seq = _random_dfao(seed, k, n, letters)
+    relation = P.appearance_formula("n", "m")
+    for c in range(1, 5):
+        assert appearance_value(seq, c) == witness(and_(relation, eq("n", c)), seq=seq)["m"]
 
 
 def test_strip_max_power_prefix():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
@@ -19,17 +20,18 @@ from ranktwo import analysis as An
 from ranktwo import automata as A
 from ranktwo import logic as L
 from ranktwo import predicates as P
-from ranktwo.analysis import constants, strip_max_power_prefix, unbounded_primitive_factors
+from ranktwo.analysis import bounded_form, constants, strip_max_power_prefix, unbounded_primitive_factors
 from ranktwo.automata import Dfao
 from ranktwo.errors import BudgetExceededError, EnumerationLimitError, RankTwoError
 from ranktwo.fixtures import load_fixture
 from ranktwo.logic import Exists, compile_formula, decide, witness
-from ranktwo.oracle import dp_factorize, parse_reach
+from ranktwo.oracle import certified_cut, dp_factorize, parse_reach, search_pairs
 from ranktwo.rank import (
     Budget,
     ExistenceByFormula,
     ExplicitPair,
     Inconclusive,
+    LemmaConstants,
     Rank1,
     RankAtLeastThree,
     RankReport,
@@ -45,7 +47,7 @@ from ranktwo.rank import (
     validate_explicit_pair,
 )
 
-from oracles import ref_decide_fixed_pair, setup2_formula, setup_formula
+from oracles import campaign_draw, ref_decide_fixed_pair, setup2_formula, setup_formula
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -235,7 +237,7 @@ def test_step0d_pair_without_a_cut_is_a_fault(monkeypatch):
     # a pair decided true always has a cut, so a missing one raises at
     # Step 0d instead of passing to the next candidate
     monkeypatch.setattr(rank_module, "validate_explicit_pair", lambda *args: None)
-    monkeypatch.setattr(rank_module, "sequence_constants", lambda *args: pytest.fail("Step 0d moved on"))
+    monkeypatch.setattr(rank_module, "unbounded_primitive_factors", lambda *args, **kw: pytest.fail("Step 0d moved on"))
     with pytest.raises(RankTwoError, match=r"u = \[0, 1\], v = \[2, 0\] has no factorization cut"):
         rank2_decide(T3)
 
@@ -371,9 +373,10 @@ def _count_calls(monkeypatch, calls, func):
 
 @pytest.mark.parametrize("seq, off", [(POW23, False), (P2, True)], ids=["POW23", "pow2-char-no-fast-paths"])
 def test_rank_stages_hand_their_results_forward(monkeypatch, seq, off):
-    # Step 1's constants and Step 2's list are computed once and handed
-    # to Step 3, which proves no exponent unbounded again; Step 0b reads
-    # the letters off the canonical DFAO and compiles nothing
+    # Step 2's list is computed once and handed to Step 3, which proves
+    # no exponent unbounded again; no stage passes a floor of the lemma
+    # constants, so none computes them; Step 0b reads the letters off the
+    # canonical DFAO and compiles nothing
     calls = collections.Counter()
     for func in (An.constants, An.unbounded_primitive_factors, An.max_exponent, L.compile_formula):
         _count_calls(monkeypatch, calls, func)
@@ -386,9 +389,10 @@ def test_rank_stages_hand_their_results_forward(monkeypatch, seq, off):
         return out
 
     monkeypatch.setattr(rank_module, "occurring_letters", step0b_letters)
-    stages = rank2_decide(seq, disable_fast_paths=off).budget_report["stages_run"]
+    rep = rank2_decide(seq, disable_fast_paths=off)
+    stages = rep.budget_report["stages_run"]
     assert "Step3" in stages and ("Step0b" in stages) == (not off)
-    assert calls["constants"] == 1
+    assert calls["constants"] == 0 and rep.constants is None
     assert calls["unbounded_primitive_factors"] == 1
     assert calls["max_exponent"] == 0
     assert calls["letter compiles"] == 0
@@ -420,6 +424,42 @@ def test_run_chain_rounds_without_fixed_point_are_capped():
     assert run_chain(tail, i, 1, 3, Budget(max_enumeration=2)) == run_chain(tail, i, 1, 3, Budget())
     with pytest.raises(ValueError):
         run_chain(tail, i, 1, 0, Budget())
+
+
+def test_lemma_floors_bound_the_constants():
+    # C >= k^2 >= 4, kappa >= 5 and B >= 8 on every sequence
+    lemma = LemmaConstants(TM, Budget().limits())
+    assert (lemma.L_floor, lemma.D_floor) == (620, 3209)
+    hooked = LemmaConstants(TM, Budget().limits(), assume_D=4)
+    assert (hooked.L_floor, hooked.D_floor, hooked.D(), hooked.view) == (245, 4, 4, None)
+    for seq in (TM, P2, M3, TWELVE):
+        lemma = LemmaConstants(seq, Budget().limits())
+        assert lemma.known_D() is None
+        assert lemma.L() >= lemma.L_floor and lemma.D() >= lemma.D_floor
+        assert lemma.known_D() == lemma.view["D"]
+
+
+def test_run_chain_asks_for_the_exact_L_only_past_its_floor(monkeypatch):
+    # TWELVE's chain shrinks in two rounds, and the third changes nothing
+    tail, i = _stripped_tail(TWELVE, (0,))
+    c = constants(TWELVE)
+    exact = lemma_L_constant(c.kappa, c.B)
+    deep = run_chain(tail, i, 1, exact, Budget())
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, An.constants)
+    lemma = LemmaConstants(TWELVE, Budget().limits())
+    assert run_chain(tail, i, 1, lemma, Budget()) == deep
+    assert calls["constants"] == 0 and lemma.view is None
+    # a floor of 2 passes round 1 without a fixed point: the chain reads
+    # the exact L and goes on to the relation it gives
+    lemma.L_floor = 2
+    assert run_chain(tail, i, 1, lemma, Budget()) == deep
+    assert calls["constants"] == 1 and lemma.view["L"] == exact
+    # a cap on the rounds below the floor names the floor, not a value
+    with pytest.raises(BudgetExceededError) as ei:
+        run_chain(tail, i, 1, LemmaConstants(TWELVE, Budget().limits()), Budget(max_enumeration=1))
+    assert str(ei.value) == "budget exceeded at run-tower-depth (cap 1): L >= 620"
+    assert calls["constants"] == 1
 
 
 @pytest.mark.parametrize("name", ["mod3", "thue-morse", "pow2-char", "ternary-tm", "POW23", "TWELVE", "vtm"])
@@ -517,7 +557,7 @@ def test_step2_enumeration_breach_is_inconclusive():
     assert rep.budget_report["stages_run"][-1] == "Step2"
 
 
-def test_step2_serves_step1_window_relation_from_cache(monkeypatch):
+def test_step2_builds_its_window_relation_once(monkeypatch):
     # the ∃j relation of unbounded_powers_formula, spelled as the compile
     # cache keys it; each lookup is a miss exactly when it counts one
     exists_j = P.unbounded_powers_formula("i", "n", "p").parts[1]
@@ -537,8 +577,8 @@ def test_step2_serves_step1_window_relation_from_cache(monkeypatch):
     real.cache_clear()
     rep = rank2_decide(P2, disable_fast_paths=True)
     assert "Step2" in rep.budget_report["stages_run"]
-    # built by Step 1's constants, then found by Step 2
-    assert missed == [True, False]
+    # built by Step 2 alone: Step 1 computes no constants on this run
+    assert missed == [True]
 
 
 def test_rank2_decide_budget_breach_names_pattern_stage():
@@ -553,6 +593,76 @@ def test_rank2_decide_budget_breach_names_pattern_stage():
     assert v.patterns_log2 == 10 * p * p * kappa + p + 1
     assert v.patterns_log2 > 10 ** 100
     assert rep.constants["C"] == 65536
+
+
+def test_max_patterns_exit_computes_the_constants_once(monkeypatch):
+    calls = collections.Counter()
+    _count_calls(monkeypatch, calls, An.constants)
+    for budget in (Budget(max_patterns=0), Budget(max_patterns=2)):
+        calls.clear()
+        rep = rank2_decide(T3, budget, disable_fast_paths=True)
+        D = rep.constants["D"]
+        required = f"2^{bounded_form(D)} patterns exceed max_patterns = {budget.max_patterns}"
+        assert rep.verdict == Inconclusive("Step5", required, D)
+        assert calls["constants"] == 1
+
+
+@pytest.mark.parametrize("late", ["unbounded_primitive_factors", "pattern_prefixes"])
+@pytest.mark.parametrize("assume_D", [None, 2])
+def test_wall_time_exits_start_no_constants_compile(monkeypatch, late, assume_D):
+    # the deadline passes inside Step 2, or while Step 5 builds its root
+    # relation: the verdict names D only when it is assumed, and no
+    # constants are computed
+    calls = collections.Counter()
+    for func in (An.constants, rank_module.pattern_prefixes):
+        _count_calls(monkeypatch, calls, func)
+    clock = [0.0]
+    monkeypatch.setattr(rank_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    real = getattr(rank_module, late)
+
+    def deadline_passes(*args, **kwargs):
+        clock[0] = 1e9
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(rank_module, late, deadline_passes)
+    rep = rank2_decide(TM, disable_fast_paths=True, assume_D=assume_D)
+    assert rep.verdict == Inconclusive("Step5", "wall_time exhausted", assume_D)
+    assert rep.constants is None and calls["constants"] == 0
+    # the root relation is not compiled after a deadline that Step 2 passed
+    assert calls["pattern_prefixes"] == (late == "pattern_prefixes")
+
+
+def test_step0d_stops_at_the_first_proven_pair(monkeypatch):
+    drawn = []
+    real = rank_module.tiling_pairs
+
+    def spy(*args):
+        for pair in real(*args):
+            drawn.append(pair)
+            yield pair
+
+    monkeypatch.setattr(rank_module, "tiling_pairs", spy)
+    rep = rank2_decide(TWELVE)
+    assert rep.budget_report["stages_run"][-1] == "Step0d"
+    cert = rep.verdict.certificate
+    assert drawn == [(cert.u, cert.v)]
+    assert search_pairs(TWELVE.prefix(2 ** 12), 6)[0] == drawn[0]
+    assert len(search_pairs(TWELVE.prefix(2 ** 12), 6)) > 1
+
+
+@pytest.mark.parametrize("draw, pair", [(0, ((0,), (1,))), (48, ((1,), (2,)))])
+def test_campaign_frontier_draws_get_certified_pairs(draw, pair):
+    # the campaign's caps with fast paths off; the deadline is raised from
+    # 5 s so that the verdict does not hang on the host's speed (these
+    # runs take about 2 s)
+    seq = campaign_draw(draw)
+    budget = Budget(wall_time=30, max_patterns=256, max_automaton_states=20000)
+    rep = rank2_decide(seq, budget, disable_fast_paths=True)
+    cert = rep.verdict.certificate
+    assert isinstance(cert, ExplicitPair) and (cert.u, cert.v) == pair
+    assert rep.constants is None and rep.budget_report["stages_run"][-1] == "Step5"
+    u, v = pair
+    assert certified_cut(seq.prefix(2 ** 14 + 1), u, v, 2 ** 14) == cert.validated_prefix
 
 
 def test_rank2_decide_small_state_budget_reaches_pattern_stage():
