@@ -72,6 +72,8 @@ def _letter_map(k: int, sup: tuple[str, ...], sub: tuple[str, ...]) -> tuple[int
 
 def digits_of(k: int, n: int) -> tuple[int, ...]:
     """Base-k digits of n, most significant first; empty for n = 0."""
+    if n < 0:
+        raise ValueError("only naturals have base-k digits")
     if n == 0:
         return ()
     ds = []
@@ -518,8 +520,6 @@ class Dfao:
         return len(self.outputs)
 
     def eval(self, n: int) -> int:
-        if n < 0:
-            raise ValueError("sequence positions are naturals")
         q = self.initial
         for d in digits_of(self.k, n):
             q = self.delta[q][d]
@@ -579,30 +579,6 @@ def _canonical_dfao(m: Dfao) -> Dfao:
     reps, new_delta = _minimize(m.delta, m.outputs, m.initial)
     new_out = tuple(m.outputs[q] for q in reps)
     return Dfao(m.k, m.alphabet, new_out, tuple(map(tuple, new_delta)), 0)
-
-
-def validate_dfao(m: Dfao) -> None:
-    """Structural checks plus leading-zero invariance of outputs."""
-    n = m.num_states
-    if not (0 <= m.initial < n):
-        raise ValueError("initial state out of range")
-    if len(m.delta) != n:
-        raise ValueError("transition table size mismatch")
-    for q, row in enumerate(m.delta):
-        if len(row) != m.k:
-            raise ValueError(f"state {q} is missing transitions")
-        for t in row:
-            if not (0 <= t < n):
-                raise ValueError(f"state {q} has a transition out of range")
-    alpha = set(m.alphabet)
-    for q, s in enumerate(m.outputs):
-        if s not in alpha:
-            raise ValueError(f"state {q} outputs {s} outside the alphabet")
-    # leading zeros must not affect any eventual output: the initial state
-    # and its zero-successor must be output-equivalent, that is the
-    # minimized automaton must loop on zero at its initial state
-    if m.canonical().delta[0][0] != 0:
-        raise ValueError("leading zeros change outputs (no zero self-loop up to equivalence)")
 
 
 # ---------------------------------------------------------------------------
@@ -736,12 +712,14 @@ def loads_dfao(text: str) -> Dfao:
 
     Directives: k, alphabet, states, initial, output, trans.  Comments
     start with '#'.  Every directive but alphabet takes exactly its
-    number of integers.  Every state needs one output line and a
-    transition for every digit.  An error in one line, such as an initial
-    state out of range, names that line; a missing directive, output or
-    transition, and any other failed validate_dfao check, name line 0.
+    number of integers, and k, alphabet, states and initial appear once.
+    Every state needs one output line and a transition for every digit.
+    An error in one line, such as an initial state out of range, names
+    that line; a missing directive, output or transition, and leading
+    zeros that change an output, name line 0.
     """
     k = alphabet = n_states = initial = None
+    seen: set[str] = set()
     # each output and transition with the line it is on
     outputs: dict[int, tuple[int, int]] = {}
     trans: dict[tuple[int, int], tuple[int, int]] = {}
@@ -751,6 +729,10 @@ def loads_dfao(text: str) -> Dfao:
             continue
         parts = line.split()
         head, args = parts[0], parts[1:]
+        if head in ("k", "alphabet", "states", "initial"):
+            if head in seen:
+                raise DfaoFormatError(lineno, f"repeated {head!r} directive")
+            seen.add(head)
         try:
             if head == "k":
                 (k,) = map(int, args)
@@ -816,10 +798,10 @@ def loads_dfao(text: str) -> Dfao:
         if s not in alphabet:
             raise DfaoFormatError(lineno, f"state {q} outputs {s} outside the alphabet")
     m = Dfao(k, alphabet, tuple(outputs[q][0] for q in range(n_states)), tuple(delta), initial)
-    try:
-        validate_dfao(m)
-    except ValueError as e:
-        raise DfaoFormatError(0, str(e)) from None
+    # leading zeros must not change any eventual output: the minimized
+    # automaton must loop on zero at its initial state
+    if m.canonical().delta[0][0] != 0:
+        raise DfaoFormatError(0, "leading zeros change outputs (no zero self-loop up to equivalence)")
     return m
 
 

@@ -357,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="rank analysis of k-automatic sequences given as automata with output",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = Budget()
 
     def common(p, needs_sequence=True):
         if needs_sequence:
@@ -368,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget-states",
             type=int,
-            default=200_000,
+            default=defaults.max_automaton_states,
             metavar="N",
             help="cap on intermediate automaton states",
         )
@@ -400,18 +401,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--budget-patterns",
         type=int,
-        default=4096,
+        default=defaults.max_patterns,
         metavar="N",
         help="cap on pattern prefixes the pattern search visits; 0 makes it inconclusive at once",
     )
     p.add_argument(
         "--budget-enumeration",
         type=int,
-        default=4096,
+        default=defaults.max_enumeration,
         metavar="N",
         help="cap on candidate lists, witness loops, run-chain rounds and the levels of each fixed-pair decision",
     )
-    p.add_argument("--wall-time", type=float, default=600.0, metavar="SECONDS")
+    p.add_argument("--wall-time", type=float, default=defaults.wall_time, metavar="SECONDS")
     p.add_argument(
         "--assume-D",
         dest="assume_D",

@@ -4,8 +4,10 @@ to automata.
 Terms are built from variables, constants, addition, and multiplication
 by constants.  Atoms compare two terms or look a term up in an automatic
 sequence (x[t] = symbol, or x[s] = x[t]).  Formulas combine atoms with
-the usual connectives and quantifiers over the naturals.  Every term is
-linear, so a comparison compiles to one automaton for the linear
+Not, And, Or and Exists over the naturals, so a formula has seven node
+types: Cmp, SeqAt, SeqEq and those four.  forall and implies build the
+derived forms Not(Exists(v, Not(b))) and Or((Not(a), b)).  Every term
+is linear, so a comparison compiles to one automaton for the linear
 constraint on the difference of its sides, and a sequence atom to one
 automaton that carries, for each index, the states of the sequence's
 automaton at a finite window of offsets from the index's value read so
@@ -22,7 +24,6 @@ runaway intermediates into BudgetExceededError instead of memory burn.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -107,15 +108,9 @@ def term_vars(t: Term) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # formulas
 
-class CmpOp(enum.Enum):
-    EQ = "="
-    LE = "<="
-    LT = "<"
-
-
 @dataclass(frozen=True)
 class Cmp:
-    op: CmpOp
+    op: str  # "=", "<=" or "<", as automata.linear_rel takes it
     left: Term
     right: Term
 
@@ -148,47 +143,35 @@ class Or:
 
 
 @dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
 class Exists:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
-    var: str
-    body: "Formula"
+Formula = Union[Cmp, SeqAt, SeqEq, Not, And, Or, Exists]
 
-
-Formula = Union[Cmp, SeqAt, SeqEq, Not, And, Or, Implies, Exists, Forall]
-
-TRUE = Cmp(CmpOp.EQ, Const(0), Const(0))
-FALSE = Cmp(CmpOp.LT, Const(0), Const(0))
+TRUE = Cmp("=", Const(0), Const(0))
+FALSE = Cmp("<", Const(0), Const(0))
 
 
 def eq(a, b) -> Formula:
-    return Cmp(CmpOp.EQ, term(a), term(b))
+    return Cmp("=", term(a), term(b))
 
 
 def le(a, b) -> Formula:
-    return Cmp(CmpOp.LE, term(a), term(b))
+    return Cmp("<=", term(a), term(b))
 
 
 def lt(a, b) -> Formula:
-    return Cmp(CmpOp.LT, term(a), term(b))
+    return Cmp("<", term(a), term(b))
 
 
 def ge(a, b) -> Formula:
-    return Cmp(CmpOp.LE, term(b), term(a))
+    return Cmp("<=", term(b), term(a))
 
 
 def gt(a, b) -> Formula:
-    return Cmp(CmpOp.LT, term(b), term(a))
+    return Cmp("<", term(b), term(a))
 
 
 def ne(a, b) -> Formula:
@@ -224,7 +207,7 @@ def or_(*fs) -> Formula:
 
 
 def implies(a: Formula, b: Formula) -> Formula:
-    return Implies(a, b)
+    return Or((Not(a), b))
 
 
 def _varnames(vs) -> tuple[str, ...]:
@@ -243,7 +226,7 @@ def exists(vs, body: Formula) -> Formula:
 def forall(vs, body: Formula) -> Formula:
     f = body
     for v in reversed(_varnames(vs)):
-        f = Forall(v, f)
+        f = Not(Exists(v, Not(f)))
     return f
 
 
@@ -261,9 +244,7 @@ def free_vars(f: Formula) -> frozenset[str]:
         for p in f.parts:
             out |= free_vars(p)
         return out
-    if isinstance(f, Implies):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         return free_vars(f.body) - {f.var}
     raise TypeError(f"not a formula: {f!r}")
 
@@ -273,11 +254,12 @@ def free_vars(f: Formula) -> frozenset[str]:
 #
 # The compile cache is keyed by formulas, so alpha-equivalent subformulas
 # must be spelled alike to share an entry.  _normal spells a formula out
-# by position: each binder becomes %b<depth>, its depth counted from the
-# formula's root, and, when asked, each free variable becomes %f<i>, i
-# counting free variables in order of first occurrence.  compile_formula
-# normalizes binders only, so its result keeps the caller's track names;
-# _compile_child normalizes a quantified subformula fully, compiles it,
+# by position: each binder, an Exists (a forall's is under its Not),
+# becomes %b<depth>, its depth counted from the formula's root, and, when
+# asked, each free variable becomes %f<i>, i counting free variables in
+# order of first occurrence.  compile_formula normalizes binders only, so
+# its result keeps the caller's track names; _compile_child normalizes a
+# quantified subformula (a forall with its Not) fully, compiles it,
 # and renames the tracks back to the names it had at its use site.  So
 # factoreq(i, j, n) and factoreq(i, add(i, p), d), say, compile once.
 # User names cannot start with '%' and free variables become %f names, so
@@ -322,11 +304,9 @@ def _normal(f: Formula, env: dict[str, str], depth: int,
         return And(tuple(_normal(p, env, depth, free) for p in f.parts))
     if isinstance(f, Or):
         return Or(tuple(_normal(p, env, depth, free) for p in f.parts))
-    if isinstance(f, Implies):
-        return Implies(_normal(f.left, env, depth, free), _normal(f.right, env, depth, free))
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, Exists):
         fresh = f"%b{depth}"
-        return type(f)(fresh, _normal(f.body, {**env, f.var: fresh}, depth + 1, free))
+        return Exists(fresh, _normal(f.body, {**env, f.var: fresh}, depth + 1, free))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -383,7 +363,7 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     if isinstance(f, Cmp):
         coeffs: dict[str, int] = {}
         const = _linear(f.left, cap, 1, coeffs) + _linear(f.right, cap, -1, coeffs)
-        return _linear_atom(coeffs, const, f.op.value, k, cap)
+        return _linear_atom(coeffs, const, f.op, k, cap)
     if seq is None:
         raise ValueError("formula inspects sequence values but no sequence was given")
     if isinstance(f, SeqAt):
@@ -407,7 +387,9 @@ def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa
     if isinstance(f, (Cmp, SeqAt, SeqEq)):
         return _compile_atom(f, seq, k, cap)
     if isinstance(f, Not):
-        return A.complement(_compile_child(f.body, seq, k, cap))
+        # a forall's Exists was named along with its Not: no second naming walk
+        compile_body = _compile if isinstance(f.body, Exists) else _compile_child
+        return A.complement(compile_body(f.body, seq, k, cap))
     if isinstance(f, (And, Or)):
         combine = A.intersect if isinstance(f, And) else A.union
         parts = [_compile_child(p, seq, k, cap) for p in f.parts]
@@ -415,24 +397,19 @@ def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa
         for p in parts[1:]:
             out = combine(out, p, cap)
         return out
-    if isinstance(f, Implies):
-        left = A.complement(_compile_child(f.left, seq, k, cap))
-        return A.union(left, _compile_child(f.right, seq, k, cap), cap)
     if isinstance(f, Exists):
         body = _compile_child(f.body, seq, k, cap)
         return A.project(body, f.var, cap) if f.var in body.var_order else body
-    if isinstance(f, Forall):
-        # the dual keeps f's binder and free-variable order: no renaming
-        return A.complement(_compile(Exists(f.var, Not(f.body)), seq, k, cap))
     raise TypeError(f"not a formula: {f!r}")
 
 
 def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     """Compile a subformula; a comparison is compiled with no sequence,
-    and a quantified one under its normal names, its tracks renamed back."""
+    and a quantified one (an Exists, or a forall: a Not over an Exists)
+    under its normal names, its tracks renamed back."""
     if isinstance(f, Cmp):
         return _compile(f, None, k, cap)
-    if not isinstance(f, (Exists, Forall)):
+    if not isinstance(f.body if isinstance(f, Not) else f, Exists):
         return _compile(f, seq, k, cap)
     free: dict[str, str] = {}
     a = _compile(_normal(f, {}, 0, free), seq, k, cap)

@@ -260,7 +260,7 @@ def eval_formula(f, env, prefix, bound):
     def rec(f, env):
         if isinstance(f, L.Cmp):
             a, b = eval_term(f.left, env), eval_term(f.right, env)
-            return {L.CmpOp.EQ: a == b, L.CmpOp.LE: a <= b, L.CmpOp.LT: a < b}[f.op]
+            return {"=": a == b, "<=": a <= b, "<": a < b}[f.op]
         if isinstance(f, L.SeqAt):
             return prefix[eval_term(f.index, env)] == f.symbol
         if isinstance(f, L.SeqEq):
@@ -271,12 +271,8 @@ def eval_formula(f, env, prefix, bound):
             return all(rec(p, env) for p in f.parts)
         if isinstance(f, L.Or):
             return any(rec(p, env) for p in f.parts)
-        if isinstance(f, L.Implies):
-            return (not rec(f.left, env)) or rec(f.right, env)
         if isinstance(f, L.Exists):
             return any(rec(f.body, {**env, f.var: v}) for v in range(bound))
-        if isinstance(f, L.Forall):
-            return all(rec(f.body, {**env, f.var: v}) for v in range(bound))
         raise TypeError(f)
 
     return rec(f, env)

@@ -256,6 +256,19 @@ def test_padding_invariance_random():
         assert rel.accepts_encoded(enc) == rel.accepts_encoded(padded)
 
 
+def test_negative_components_are_refused():
+    # base-k digits of a negative number never run out
+    with pytest.raises(ValueError):
+        A.digits_of(2, -1)
+    with pytest.raises(ValueError):
+        load_fixture("thue-morse").eval(-1)
+    with pytest.raises(ValueError):
+        compile_formula(parse_formula("x < 3"), k=2).accepts((-1,))
+    rel = lin(3, "=", x=1, y=1, z=-1)
+    with pytest.raises(ValueError):
+        rel.accepts({"x": 2, "y": -5, "z": 0})
+
+
 def test_shortest_accepted():
     k = 2
     assert A.shortest_accepted(A.const_rel(k, "x", 13)) == (13,)
@@ -706,6 +719,21 @@ def test_dfao_directives_take_exactly_their_arguments(line, directive):
     assert str(ei.value) == f"line {at + 1}: malformed {directive!r} line"
 
 
+@pytest.mark.parametrize(
+    "line, directive",
+    [("k 3", "k"), ("alphabet 0 1 2", "alphabet"), ("states 2", "states"), ("initial 0", "initial")],
+)
+def test_dfao_directives_appear_once(line, directive):
+    # a repeat is refused even when a later line would be valid on its own
+    good = load_fixture("thue-morse").dumps()
+    lines = good.splitlines()
+    at = next(i for i, text in enumerate(lines) if text.split()[0] == directive)
+    lines.insert(at + 1, line)
+    with pytest.raises(DfaoFormatError) as ei:
+        A.loads_dfao("\n".join(lines) + "\n")
+    assert str(ei.value) == f"line {at + 2}: repeated {directive!r} directive"
+
+
 def test_dfao_output_on_undeclared_state():
     good = load_fixture("thue-morse").dumps()
     assert "states 2\n" in good
@@ -720,7 +748,7 @@ def test_dfao_output_on_undeclared_state():
         ("trans 1 1 0\n", "trans 1 1 7\n", 10, "transition 1 1 -> 7 out of range"),
         ("output 0 0\n", "trans 5 0 0\noutput 0 0\n", 5, "transition on undeclared state or digit: (5, 0)"),
         ("output 0 0\n", "trans 0 2 0\noutput 0 0\n", 5, "transition on undeclared state or digit: (0, 2)"),
-        # checked on the built automaton, but named by the line they come from
+        # checked once every line is read, but named by the line they come from
         ("initial 0\n", "initial 7\n", 4, "initial state out of range"),
         ("output 1 1\n", "output 1 5\n", 6, "state 1 outputs 5 outside the alphabet"),
     ],

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface and the formula grammar."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from ranktwo.cli import main
+from ranktwo.cli import build_parser, main
 from ranktwo.fixtures import load_fixture
 from ranktwo.formula_text import FormulaSyntaxError, parse_formula
 from ranktwo.logic import decide
 from ranktwo.oracle import brute_appearance
+from ranktwo.rank import Budget
 
 
 def run(capsys, argv):
@@ -223,6 +225,21 @@ def test_rank2_assume_hook_taints_any_verdict(capsys):
     code, out, _ = run(capsys, ["rank2", "--fixture", "mod3", "--assume-D", "4"])
     assert code == 0
     assert "UNSOUND-FOR-PRODUCTION" in out
+
+
+def test_budget_options_default_to_the_library_budget():
+    args = build_parser().parse_args(["rank2", "--fixture", "mod3"])
+    got = Budget(
+        max_automaton_states=args.budget_states,
+        max_patterns=args.budget_patterns,
+        max_enumeration=args.budget_enumeration,
+        wall_time=args.wall_time,
+    )
+    assert got == Budget()
+    for command in ("analyze", "factors", "periodic", "decide"):
+        extra = ["E i. x[i] = 0"] if command == "decide" else []
+        args = build_parser().parse_args([command, "--fixture", "mod3", *extra])
+        assert args.budget_states == Budget().max_automaton_states
 
 
 def test_rank2_pattern_budget_breach_is_a_verdict(capsys):
@@ -571,3 +588,16 @@ def test_no_numpy_in_a_full_run():
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_no_assert_statements_in_the_package():
+    """Certificate checks must keep running under python -O, which strips
+    assert statements, so the package raises instead."""
+    src = Path(__file__).resolve().parents[1] / "src" / "ranktwo"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

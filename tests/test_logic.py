@@ -1,8 +1,11 @@
 """Formula compiler against brute-force evaluation and frozen values."""
 
+import dataclasses
 import itertools
 import random
+import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from ranktwo import logic as L
 from ranktwo.automata import is_empty, shortest_accepted
 from ranktwo.errors import BudgetExceededError
 from ranktwo.fixtures import load_fixture
+from ranktwo.formula_text import parse_formula
 from ranktwo.logic import (
     CompileLimits,
     Const,
@@ -107,6 +111,96 @@ def test_quantifier_dualities():
     c = compile_formula(not_(forall("t", implies(lt("t", "n"), seq_at("t", 0)))), seq=TM)
     d = compile_formula(exists("t", and_(lt("t", "n"), not_(seq_at("t", 0)))), seq=TM)
     assert c == d
+
+    # forall and implies spelled by hand as not-exists-not and (not a) or b
+    bodies = [
+        ("t", body),
+        ("t", seq_eq("t", add("t", "n"))),
+        ("j", implies(lt("i", "j"), seq_at("j", 1))),
+        ("d", P.factoreq("i", add("i", "d"), "n")),
+    ]
+    for v, b in bodies:
+        by_hand = compile_formula(not_(exists(v, not_(b))), seq=TM)
+        assert by_hand == compile_formula(forall(v, b), seq=TM), (v, b)
+    sides = [
+        (seq_at("n", 0), lt("n", 9)),
+        (eq(add("i", 1), "j"), seq_eq("i", "j")),
+        (exists("t", lt("n", "t")), forall("t", seq_at(add("n", "t"), 1))),
+    ]
+    for a, b in sides:
+        by_hand = compile_formula(or_(not_(a), b), seq=TM)
+        assert by_hand == compile_formula(implies(a, b), seq=TM), (a, b)
+
+
+_NODE_TYPES = {L.Cmp, L.SeqAt, L.SeqEq, L.Not, L.And, L.Or, L.Exists}
+_TERM_TYPES = (L.Var, L.Const, L.Sum, L.ConstMul)
+
+
+def _formula_node_types(f):
+    """The types of every formula node in f, found by reading the fields
+    of each node rather than by dispatching on the known types."""
+    if isinstance(f, L.Cmp):
+        assert f.op in ("=", "<=", "<"), f
+    found = {type(f)}
+    for field in dataclasses.fields(f):
+        value = getattr(f, field.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if dataclasses.is_dataclass(child) and not isinstance(child, _TERM_TYPES):
+                found |= _formula_node_types(child)
+    return found
+
+
+def _readme_sentences():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = text.split("or another `x[...]`.  Examples:\n\n```\n", 1)[1].split("```", 1)[0]
+    return examples.splitlines() + re.findall(r"ranktwo decide [^']*'([^']+)'", text)
+
+
+def test_formulas_have_seven_node_types():
+    defined = {
+        obj for obj in vars(L).values()
+        if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+        and obj.__module__ == L.__name__ and not issubclass(obj, _TERM_TYPES)
+    }
+    assert defined - {L.CompileLimits} == _NODE_TYPES
+
+    constructed = [
+        L.TRUE, L.FALSE, eq("a", 1), le("a", "b"), lt(2, "b"), ge("a", "b"), gt("a", 3),
+        ne("a", "b"), seq_at("a", 1), seq_eq("a", add("b", 1)), not_(lt("a", "b")),
+        and_(), and_(eq("a", 0)), and_(eq("a", 0), lt("a", "b")),
+        or_(), or_(eq("a", 0)), or_(eq("a", 0), lt("a", "b")),
+        implies(eq("a", 0), lt("a", "b")), exists("a", eq("a", "b")), exists(("a", "b"), le("a", "b")),
+        forall("a", eq("a", "b")), forall(("a", "b"), implies(lt("a", "b"), seq_eq("a", "b"))),
+    ]
+    sentences = _readme_sentences()
+    assert len(sentences) >= 5, sentences
+    sentences += ["A i. x[i] = 0 -> x[i+1] != 1", "E i, j. i >= j & j > 2 -> i <= 7"]
+    parsed = [parse_formula(text) for text in sentences]
+
+    builders = {
+        "appearance_formula": P.appearance_formula(),
+        "block_run": P.block_run("b", "n", 1, 2),
+        "factoreq": P.factoreq("i", "j", "n"),
+        "power_occurs": P.power_occurs("s", "n", [(0, 1), (1,)]),
+        "prefix_in_periodic_orbit": P.prefix_in_periodic_orbit("m", (0, 1, 1)),
+        "prefx": P.prefx("i", "j", "x", "y"),
+        "pure_period_formula": P.pure_period_formula(),
+        "suffx": P.suffx("i", "j", "x", "y"),
+        "u_power_prefix": P.u_power_prefix("m", (0, 1)),
+        "ultimate_period_formula": P.ultimate_period_formula(),
+        "unbounded_period_formula": P.unbounded_period_formula(),
+        "unbounded_powers_formula": P.unbounded_powers_formula("i", "n", "p"),
+        "unbounded_primitive_factors_formula": P.unbounded_primitive_factors_formula(),
+        "word_at": P.word_at("j", (1, 0)),
+    }
+    src = Path(L.__file__).parent
+    used = set()
+    for module in ("rank.py", "analysis.py"):
+        used |= set(re.findall(r"\bP\.(\w+)\(", (src / module).read_text(encoding="utf-8")))
+    assert used == set(builders)
+
+    for f in constructed + parsed + list(builders.values()):
+        assert _formula_node_types(f) <= _NODE_TYPES, f
 
 
 def test_alpha_renaming_shares_cache():
@@ -267,8 +361,6 @@ def _rename_binders(f, env, fresh):
         return L.Not(_rename_binders(f.body, env, fresh))
     if isinstance(f, (L.And, L.Or)):
         return type(f)(tuple(_rename_binders(p, env, fresh) for p in f.parts))
-    if isinstance(f, L.Implies):
-        return L.Implies(_rename_binders(f.left, env, fresh), _rename_binders(f.right, env, fresh))
     name = f"r{next(fresh)}"
     return type(f)(name, _rename_binders(f.body, {**env, f.var: name}, fresh))
 
