@@ -19,11 +19,18 @@ comparison (dataclass ==).  The queries read three facts off it:
   the least-numbered accepting state is the end of the least witness;
 - at most one state is dead (accepts no word), and it is a rejecting
   sink.
+
+rank2_decide puts its deadline (a time.monotonic value) in the context
+variable deadline, None by default.  Every automaton build checks it per
+state or row and past it raises BudgetExceededError("wall_time"), which
+caches nothing; the verdict names the stage that was running.
 """
 
 from __future__ import annotations
 
 import operator
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -34,6 +41,8 @@ from .errors import (
     EnumerationLimitError,
     InfiniteLanguageError,
 )
+
+deadline: ContextVar[Optional[float]] = ContextVar("deadline", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +148,15 @@ def _explore(start, successors, max_states=None, stage="explore"):
     lists its successor states letter by letter.  Returns (order, delta):
     order[i] is the state numbered i and delta[i] the numbers of its
     successors.  More than max_states states raise BudgetExceededError
-    naming the stage.
+    naming the stage, and passing the deadline raises it at "wall_time".
     """
     ids = {start: 0}
     order = [start]
     delta = []
+    stop = deadline.get()
     for state in order:
+        if stop is not None and time.monotonic() > stop:
+            raise BudgetExceededError("wall_time", stop)
         row = []
         for t in successors(state):
             i = ids.get(t)
@@ -252,7 +264,10 @@ def _reversed_rows(delta, letters):
     """
     n = len(delta)
     packed = [0] * n
+    stop = deadline.get()
     for q, row in enumerate(delta):
+        if stop is not None and time.monotonic() > stop:
+            raise BudgetExceededError("wall_time", stop)
         bit = 1 << q
         for t, ell in zip(row, letters):
             packed[t] |= bit << (ell * n)

@@ -28,7 +28,6 @@ Inconclusive verdicts that name the stage and the missing resource.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Optional, Union
@@ -131,7 +130,8 @@ class Budget:
     budget breach.  max_enumeration caps candidate lists, witness loops,
     the rounds of the run-chain iteration that find no fixed point, the
     explicit pairs that the pattern search tries and the levels of each
-    fixed-pair decision (decide_fixed_pair).
+    fixed-pair decision (decide_fixed_pair).  wall_time caps rank2_decide
+    inside every automaton build; its verdict names the running stage.
     The caps other than max_patterns must be positive.
     """
 
@@ -525,6 +525,8 @@ def _pattern_pair(seq: Dfao, found: Dfa, budget: Budget) -> tuple[Optional[tuple
         if decide_fixed_pair(seq, u, v, budget):
             return (u, v), ""
     except (BudgetExceededError, EnumerationLimitError) as exc:
+        if getattr(exc, "stage", None) == "wall_time":
+            raise
         return None, f"pattern witness re-validation stopped early: {exc}"
     return None, f"pattern witness u = {list(u)}, v = {list(v)} failed exact re-validation"
 
@@ -541,10 +543,11 @@ def rank2_decide(
     Step 1 computes no constant: LemmaConstants computes C, kappa, B, L
     and D at most once, when the run chain or the pattern search passes
     a floor or when the pattern search runs out of max_patterns nodes,
-    and the report's constants are null unless that happened.  A
-    wall_time verdict starts no such compile and names D only if it is
-    already known.  Step 2 returns at once when no word has unbounded
-    exponent (analysis.unbounded_primitive_factors).
+    and the report's constants are null unless that happened.  Step 2
+    returns at once when no word has unbounded exponent
+    (analysis.unbounded_primitive_factors).  The wall_time deadline holds
+    inside every automaton build (automata.deadline); its verdict names
+    the stage that was running, and at Step5 D if it is already known.
 
     assume_D overrides the computed pattern length, and with it assumes
     p = 3, which enters only L, the round cap of the run chain, so the
@@ -556,7 +559,6 @@ def rank2_decide(
     """
     budget = budget or Budget()
     limits = budget.limits()
-    started = time.monotonic()
     hooked = assume_D is not None
     if hooked and assume_D < 2:
         raise ValueError("assume_D must be at least 2")
@@ -588,18 +590,12 @@ def rank2_decide(
             },
         )
 
-    def out_of_time() -> bool:
-        return time.monotonic() - started > budget.wall_time
-
     def step5_stops() -> RankReport:
-        # after the deadline no constants compile starts: D is named only
-        # if it is known; else the run is out of max_patterns nodes
-        if out_of_time():
-            return report(Inconclusive("Step5", "wall_time exhausted", lemma.known_D()))
         D = lemma.D()
         required = f"2^{bounded_form(D)} patterns exceed max_patterns = {budget.max_patterns}"
         return report(Inconclusive("Step5", required, D))
 
+    token = A.deadline.set(A.time.monotonic() + budget.wall_time)
     try:
         stages.append("Step0")
         pure = is_purely_periodic(seq, limits)
@@ -628,8 +624,6 @@ def rank2_decide(
             stages.append("Step0d")
             probe = tuple(seq.prefix(2 ** 12))
             for uu, vv in islice(tiling_pairs(probe, 6), budget.max_enumeration):
-                if out_of_time():
-                    return report(Inconclusive("Step0d", "wall_time exhausted"))
                 if decide_fixed_pair(seq, uu, vv, budget):
                     return report(RankTwo(_explicit_pair(seq, uu, vv)))
 
@@ -642,8 +636,6 @@ def rank2_decide(
 
         stages.append("Step3")
         for w in unbounded:
-            if out_of_time():
-                return report(Inconclusive("Step3", "wall_time exhausted"))
             pair = decide_with_unbounded(seq, w, unbounded, lemma, budget)
             if pair is not None:
                 if hooked:
@@ -655,8 +647,6 @@ def rank2_decide(
             return step5_stops()
 
         stages.append("Step5")
-        if out_of_time():
-            return step5_stops()
         # Depth-first over the pattern prefixes that start with 0, pruning
         # at an empty R_w, with children in the order (parity of w, its
         # complement): the leaves come in reflected Gray-code order.  At
@@ -667,7 +657,7 @@ def rank2_decide(
         visited = tries = 0
         while stack:
             visited += 1
-            if visited > budget.max_patterns or out_of_time():
+            if visited > budget.max_patterns:
                 return step5_stops()
             w, rel = stack.pop()
             depth = len(w)
@@ -690,4 +680,8 @@ def rank2_decide(
         return report(RankAtLeastThree())
     except (BudgetExceededError, EnumerationLimitError) as exc:
         stage = stages[-1] if stages else "Step0"
+        if getattr(exc, "stage", None) == "wall_time":
+            return report(Inconclusive(stage, "wall_time exhausted", lemma.known_D() if stage == "Step5" else None))
         return report(Inconclusive(stage, str(exc)))
+    finally:
+        A.deadline.reset(token)

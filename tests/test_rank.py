@@ -610,14 +610,15 @@ def test_max_patterns_exit_computes_the_constants_once(monkeypatch):
 @pytest.mark.parametrize("late", ["unbounded_primitive_factors", "pattern_prefixes"])
 @pytest.mark.parametrize("assume_D", [None, 2])
 def test_wall_time_exits_start_no_constants_compile(monkeypatch, late, assume_D):
-    # the deadline passes inside Step 2, or while Step 5 builds its root
-    # relation: the verdict names D only when it is assumed, and no
-    # constants are computed
+    # the deadline passes as Step 2 starts, or as Step 5 starts building
+    # its root relation: the verdict names the stage that was running and
+    # D only when it is assumed, and no constants are computed
     calls = collections.Counter()
     for func in (An.constants, rank_module.pattern_prefixes):
         _count_calls(monkeypatch, calls, func)
+    # one clock sets the deadline and checks it: the one automata reads
     clock = [0.0]
-    monkeypatch.setattr(rank_module, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    monkeypatch.setattr(A, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
     real = getattr(rank_module, late)
 
     def deadline_passes(*args, **kwargs):
@@ -625,11 +626,134 @@ def test_wall_time_exits_start_no_constants_compile(monkeypatch, late, assume_D)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(rank_module, late, deadline_passes)
+    # a cached compile builds no automaton, so it would not see the deadline
+    L._compile.cache_clear()
     rep = rank2_decide(TM, disable_fast_paths=True, assume_D=assume_D)
-    assert rep.verdict == Inconclusive("Step5", "wall_time exhausted", assume_D)
+    stage = {"unbounded_primitive_factors": "Step2", "pattern_prefixes": "Step5"}[late]
+    assert rep.verdict == Inconclusive(stage, "wall_time exhausted", assume_D if stage == "Step5" else None)
     assert rep.constants is None and calls["constants"] == 0
     # the root relation is not compiled after a deadline that Step 2 passed
     assert calls["pattern_prefixes"] == (late == "pattern_prefixes")
+
+
+@pytest.mark.parametrize("stage", ["Step2", "Step3", "Step5"])
+@pytest.mark.parametrize("where", ["rows", "states"])
+def test_deadline_inside_a_projection_is_a_verdict_and_caches_nothing(monkeypatch, stage, where):
+    # a fake clock passes the deadline inside the first projection of the
+    # stage: in _reversed_rows at its second row, or in _explore at the
+    # first subset of pass 1, after one read per row
+    seq, enter = {
+        "Step2": (TM, "unbounded_primitive_factors"),
+        "Step3": (P2, "decide_with_unbounded"),
+        "Step5": (TM, "pattern_prefixes"),
+    }[stage]
+    clock = {"now": 0.0, "reads_left": None}
+
+    def monotonic():
+        if clock["reads_left"] is not None:
+            clock["reads_left"] -= 1
+            if clock["reads_left"] == 0:
+                clock["now"] = 1e9
+        return clock["now"]
+
+    monkeypatch.setattr(A, "time", types.SimpleNamespace(monotonic=monotonic))
+    in_stage, breached = [], []
+    real_enter = getattr(rank_module, enter)
+
+    def entered(*args, **kwargs):
+        in_stage.append(True)
+        return real_enter(*args, **kwargs)
+
+    monkeypatch.setattr(rank_module, enter, entered)
+    real_project = A.project
+
+    def project(a, var, max_states=None):
+        if in_stage and clock["reads_left"] is None and a.num_states > 2:
+            clock["reads_left"] = 2 if where == "rows" else a.num_states + 1
+        try:
+            return real_project(a, var, max_states)
+        except BudgetExceededError as exc:
+            breached.append(exc.stage)
+            raise
+
+    monkeypatch.setattr(A, "project", project)
+    real_subsets, passes = A._subsets, []
+
+    def subsets(*args):
+        if clock["reads_left"] is not None:
+            passes.append(True)
+        return real_subsets(*args)
+
+    monkeypatch.setattr(A, "_subsets", subsets)
+    # the innermost compile that the breach interrupted, with its arguments
+    real_compile, interrupted = L.compile_formula, []
+
+    def compile_formula(*args, **kwargs):
+        try:
+            return real_compile(*args, **kwargs)
+        except BudgetExceededError as exc:
+            if exc.stage == "wall_time" and not interrupted:
+                interrupted.append((args, kwargs))
+            raise
+
+    for mod in (L, An, rank_module):
+        monkeypatch.setattr(mod, "compile_formula", compile_formula)
+    L._compile.cache_clear()
+    rep = rank2_decide(seq, disable_fast_paths=True)
+    assert rep.verdict == Inconclusive(stage, "wall_time exhausted")
+    assert rep.budget_report["stages_run"][-1] == stage
+    assert breached == ["wall_time"]
+    assert len(passes) == (where == "states")
+    assert A.deadline.get() is None
+    # compiled again with no deadline, the interrupted formula is what a
+    # fresh compile gives: the breach left nothing in the compile cache
+    (args, kwargs), = interrupted
+    again = real_compile(*args, **kwargs)
+    L._compile.cache_clear()
+    assert again == real_compile(*args, **kwargs)
+
+
+def test_deadline_is_reset_when_an_exception_leaves_rank2_decide(monkeypatch):
+    def fails(*args):
+        assert A.deadline.get() is not None
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(rank_module, "is_purely_periodic", fails)
+    with pytest.raises(RuntimeError, match="stop"):
+        rank2_decide(TM)
+    assert A.deadline.get() is None
+
+
+def test_deadline_inside_pattern_witness_is_no_formula_verdict(monkeypatch):
+    # the clock is past the deadline only while a pattern witness is
+    # re-validated; at depth D = 2 a witness that stopped early would
+    # otherwise become an ExistenceByFormula verdict
+    clock = [0.0]
+    monkeypatch.setattr(A, "time", types.SimpleNamespace(monotonic=lambda: clock[0]))
+    real = rank_module._pattern_pair
+
+    def late_witness(*args):
+        clock[0] = 1e9
+        try:
+            return real(*args)
+        finally:
+            clock[0] = 0.0
+
+    monkeypatch.setattr(rank_module, "_pattern_pair", late_witness)
+    rep = rank2_decide(TM, disable_fast_paths=True, assume_D=2)
+    assert rep.verdict == Inconclusive("Step5", "wall_time exhausted", 2)
+    assert rep.soundness_flags["notes"] == []
+
+
+def test_wall_time_stops_step2_of_campaign_draw_23():
+    # with the deadline polled only between stages, this run spent 25 s and
+    # 1.4 GB in one Step 2 compile and was reported as Step5; checked
+    # inside the automaton loops, it stops about when the second passes
+    budget = Budget(wall_time=1, max_patterns=256, max_automaton_states=20000)
+    t0 = time.monotonic()
+    rep = rank2_decide(campaign_draw(23), budget, disable_fast_paths=True)
+    assert time.monotonic() - t0 < 4.0
+    assert rep.verdict == Inconclusive("Step2", "wall_time exhausted")
 
 
 def test_step0d_stops_at_the_first_proven_pair(monkeypatch):
