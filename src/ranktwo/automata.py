@@ -20,10 +20,16 @@ comparison (dataclass ==).  The queries read three facts off it:
 - at most one state is dead (accepts no word), and it is a rejecting
   sink.
 
+Every builder numbers the states it meets breadth-first with _explore,
+and every table it hands the minimizer is _explore's, so minimization
+reads the canonical numbering off the classes' first members instead of
+exploring the quotient again (see _minimize).
+
 rank2_decide puts its deadline (a time.monotonic value) in the context
 variable deadline, None by default.  Every automaton build checks it per
-state or row and past it raises BudgetExceededError("wall_time"), which
-caches nothing; the verdict names the stage that was running.
+state, row or refinement round and past it raises
+BudgetExceededError("wall_time"), which caches nothing; the verdict
+names the stage that was running.
 """
 
 from __future__ import annotations
@@ -170,48 +176,67 @@ def _explore(start, successors, max_states=None, stage="explore"):
     return order, delta
 
 
-def _minimize(delta, labels, initial):
+def _minimize(delta, labels):
     """Moore refinement from hashable state labels, then the quotient.
 
+    delta is a table as _explore returns it: numbered breadth-first from
+    state 0 with letters in ascending order, every state reachable.
     labels are accepting flags or output symbols; two states end in one
     class iff every input word leads them to equal labels.  Each state
     gets one operator.itemgetter over its successors, built once.  Each
     round keys a state by its signature (its class, the classes of its
     successors letter by letter, read by that getter) and numbers the
     distinct signatures in order of first appearance through a dict.
-    Rounds stop when the class count stays put.  Returns (reps,
-    new_delta): classes are numbered breadth-first from the class of
-    initial, reps[i] is the least state of class i and new_delta[i]
-    lists the classes of its successors.  Classes are language classes,
-    so the breadth-first pass also drops every unreachable state.
+    Rounds stop when the class count stays put, and each checks the
+    deadline.  Returns (reps, new_delta): reps[i] is the first state of
+    class i and new_delta[i] lists the classes of its successors.
+
+    Numbering classes by first appearance is the canonical breadth-first
+    numbering of the quotient.  Breadth-first order is the
+    length-lexicographic order of the states' least access words.  A
+    word leads state 0 to a class iff it leads it to a member, so the
+    least access word of a class is that of its first member, and
+    ordering the classes by first member orders them by least access
+    word.
     """
     rows = [operator.itemgetter(*row) for row in delta]
     cls = labels
     n_classes = len(set(labels))
+    stop = deadline.get()
     while True:
+        if stop is not None and time.monotonic() > stop:
+            raise BudgetExceededError("wall_time", stop)
         ids = {}
         new = [ids.setdefault((c, row(cls)), len(ids)) for c, row in zip(cls, rows)]
         if len(ids) == n_classes:
             break
         cls, n_classes = new, len(ids)
-    rep = {}
+    reps = []
     for q, c in enumerate(new):
-        rep.setdefault(c, q)
-    order, new_delta = _explore(new[initial], lambda c: [new[t] for t in delta[rep[c]]])
-    return [rep[c] for c in order], new_delta
+        if c == len(reps):
+            reps.append(q)
+    return reps, [[new[t] for t in delta[q]] for q in reps]
 
 
-def canonical_dfa(k, var_order, delta, accepting, initial) -> Dfa:
-    """Minimize, drop unreachable states, and renumber breadth-first."""
-    if not delta:
-        delta, accepting, initial = [[0]], [False], 0
-    reps, new_delta = _minimize(delta, accepting, initial)
+def _canonical(k, var_order, delta, accepting) -> Dfa:
+    """The canonical Dfa of a table as _explore returns it; accepting[i]
+    is state i's flag."""
+    reps, new_delta = _minimize(delta, accepting)
     return Dfa(
         k,
         tuple(var_order),
         tuple(map(tuple, new_delta)),
         tuple(bool(accepting[q]) for q in reps),
     )
+
+
+def canonical_dfa(k, var_order, delta, accepting, initial) -> Dfa:
+    """The canonical Dfa of any complete table: its states reachable from
+    initial, numbered breadth-first by _explore, then minimized."""
+    if not delta:
+        delta, accepting, initial = [[0]], [False], 0
+    order, delta = _explore(initial, delta.__getitem__)
+    return _canonical(k, var_order, delta, [accepting[q] for q in order])
 
 
 def true_dfa(k: int, var_order: Sequence[str] = ()) -> Dfa:
@@ -226,8 +251,17 @@ def complement(a: Dfa) -> Dfa:
 
 def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
             max_states: Optional[int] = None, stage: str = "product") -> Dfa:
-    """Boolean combination of two recognisers, tracks aligned by name;
-    the pair (qa, qb) is numbered qa * nb + qb."""
+    """Boolean combination of two recognisers, tracks aligned by name.
+
+    The pair (qa, qb) is numbered (qa << s) | qb with s the bit length
+    of nb, so qb < 2**s - 1.  An input state is absorbing when it is a
+    sink labelled op's zero z, the label with op(z, x) = op(x, z) = z
+    for both x: the dead state for intersect, the full state for union.
+    Every pair that holds one has the language of z, so the rows name an
+    absorbing target -1, all ones, and or-ing the two rows sends each
+    such pair to -1, whose row is itself.  max_states caps the pairs
+    explored, -1 included.
+    """
     if a.k != b.k:
         raise ValueError("base mismatch")
     k = a.k
@@ -235,16 +269,24 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
     amap = _letter_map(k, merged, a.var_order)
     bmap = _letter_map(k, merged, b.var_order)
     nb = b.num_states
-    arows = [[row[x] * nb for x in amap] for row in a.delta]
-    brows = [[row[y] for y in bmap] for row in b.delta]
+    s = nb.bit_length()
+    mask = (1 << s) - 1
+    zero = next((z for z in (False, True) if all(op(z, x) == op(x, z) == z for x in (False, True))), None)
+    acode = [-1 if z == zero and row.count(q) == len(row) else q << s
+             for q, (row, z) in enumerate(zip(a.delta, a.accepting))]
+    bcode = [-1 if z == zero and row.count(q) == len(row) else q
+             for q, (row, z) in enumerate(zip(b.delta, b.accepting))]
+    # -1 reads row -1 of arows and row mask of brows
+    ones = [-1] * len(amap)
+    arows = [[acode[row[x]] for x in amap] for row in a.delta] + [ones]
+    brows = [[bcode[row[y]] for y in bmap] for row in b.delta] + [ones] * (mask + 1 - nb)
 
     def successors(pair):
-        qa, qb = divmod(pair, nb)
-        return list(map(operator.add, arows[qa], brows[qb]))
+        return list(map(operator.or_, arows[pair >> s], brows[pair & mask]))
 
-    order, delta = _explore(0, successors, max_states, stage)
-    acc = [op(a.accepting[s // nb], b.accepting[s % nb]) for s in order]
-    return canonical_dfa(k, merged, delta, acc, 0)
+    order, delta = _explore(acode[0] | bcode[0], successors, max_states, stage)
+    acc = [op(a.accepting[p >> s], b.accepting[p & mask]) if p >= 0 else zero for p in order]
+    return _canonical(k, merged, delta, acc)
 
 
 def intersect(a: Dfa, b: Dfa, max_states=None) -> Dfa:
@@ -476,7 +518,7 @@ def linear_rel(k: int, coeffs: Mapping[str, int], op: str,
         return [min(hi, t) if t > lo else below for t in [k * g + s for s in steps]]
 
     order, delta = _explore(0, successors, max_states, "linear")
-    return canonical_dfa(k, names, delta, [compare(g, 0) for g in order], 0)
+    return _canonical(k, names, delta, [compare(g, 0) for g in order])
 
 
 def const_rel(k: int, x: str, c: int) -> Dfa:
@@ -591,9 +633,10 @@ class Dfao:
 
 @lru_cache(maxsize=64)
 def _canonical_dfao(m: Dfao) -> Dfao:
-    reps, new_delta = _minimize(m.delta, m.outputs, m.initial)
-    new_out = tuple(m.outputs[q] for q in reps)
-    return Dfao(m.k, m.alphabet, new_out, tuple(map(tuple, new_delta)), 0)
+    order, delta = _explore(m.initial, m.delta.__getitem__)
+    outputs = [m.outputs[q] for q in order]
+    reps, new_delta = _minimize(delta, outputs)
+    return Dfao(m.k, m.alphabet, tuple(outputs[q] for q in reps), tuple(map(tuple, new_delta)), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +759,7 @@ def seq_rel(m: Dfao, indices: Sequence[tuple[Mapping[str, int], int]],
 
         order, delta = _explore((0, 0), successors, max_states, "sequence-index")
         acc = [w1.output(i) == w2.output(j) for i, j in order]
-    return canonical_dfa(k, names, delta, acc, 0)
+    return _canonical(k, names, delta, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ membership by regex, factorizations by explicit dynamic programming.
 
 from __future__ import annotations
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -343,6 +344,34 @@ def ref_canonical_dfa(delta, accepting, initial):
     """(delta, accepting) of the minimal breadth-first-numbered recogniser."""
     reps, new_delta = ref_minimize(delta, [bool(a) for a in accepting], initial)
     return new_delta, tuple(bool(accepting[q]) for q in reps)
+
+
+def ref_product(a: Dfa, b: Dfa, op):
+    """(delta, accepting) of the canonical op-combination of a and b:
+    every pair of states reachable from (0, 0) explored through a dict,
+    a column of digits read per track name, then ref_canonical_dfa."""
+    merged = sorted(set(a.var_order) | set(b.var_order))
+    columns = [dict(zip(merged, ds)) for ds in itertools.product(range(a.k), repeat=len(merged))]
+
+    def letter(m, column):
+        idx = 0
+        for v in m.var_order:
+            idx = idx * m.k + column[v]
+        return idx
+
+    ids = {(0, 0): 0}
+    order = [(0, 0)]
+    delta = []
+    for qa, qb in order:
+        row = []
+        for column in columns:
+            pair = (a.delta[qa][letter(a, column)], b.delta[qb][letter(b, column)])
+            if pair not in ids:
+                ids[pair] = len(order)
+                order.append(pair)
+            row.append(ids[pair])
+        delta.append(row)
+    return ref_canonical_dfa(delta, [op(a.accepting[p], b.accepting[q]) for p, q in order], 0)
 
 
 def ref_seq_rel(m, indices, symbol=None):

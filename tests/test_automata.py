@@ -3,6 +3,7 @@ combinators checked for language preservation and zero closure, and the
 automaton-with-output text format round-tripped bit for bit."""
 
 import itertools
+import operator
 import random
 import time
 from pathlib import Path
@@ -29,6 +30,7 @@ from oracles import (
     ref_enumerate_accepted,
     ref_minimize,
     ref_prefix,
+    ref_product,
     ref_seq_rel,
     ref_shortest_accepted,
     ref_subsets,
@@ -455,24 +457,36 @@ def _quotient_classes(delta, initial, new_delta):
 def test_minimize_classes_are_nerode_classes(seed, n_letters, n, n_labels):
     rng = random.Random(seed)
     delta, labels, initial = _random_table(rng, n, n_letters, n_labels)
-    reps, new_delta = A._minimize(delta, labels, initial)
+    # the minimizer takes a table numbered breadth-first from state 0
+    order, table = A._explore(initial, delta.__getitem__)
+    bfs_labels = [labels[q] for q in order]
+    reps, new_delta = A._minimize(table, bfs_labels)
+    assert (reps, tuple(map(tuple, new_delta))) == ref_minimize(table, bfs_labels, 0)
     cls = _quotient_classes(delta, initial, new_delta)
+    assert sorted(cls) == sorted(order)
     assert sorted(set(cls.values())) == list(range(len(reps)))
     apart = ref_distinguishable(delta, labels)
+
+    def same(p, q):
+        return p == q or (min(p, q), max(p, q)) not in apart
+
     # one class iff no word tells the two states apart
     for p, q in itertools.combinations(sorted(cls), 2):
-        assert (cls[p] == cls[q]) == ((p, q) not in apart)
-    # reps[c] is the least state, reachable or not, equivalent to class c
+        assert (cls[p] == cls[q]) == same(p, q)
+    # reps[c] is the first state of class c in the breadth-first numbering
     for q, c in cls.items():
-        assert reps[c] == min(s for s in range(n) if s == q or (min(s, q), max(s, q)) not in apart)
+        assert reps[c] == min(i for i, s in enumerate(order) if same(s, q))
 
 
 def test_minimize_edge_cases():
     # zero tracks: one letter, so a state's successor getter returns an
-    # int, not a tuple; state 3 is unreachable
+    # int, not a tuple
+    assert A._minimize([[1], [2], [2]], [False, True, False]) == ([0, 1, 2], [[1], [2], [2]])
+    # all labels equal: one class
+    assert A._minimize([[1, 2], [2, 0], [0, 0]], [True] * 3) == ([0], [[0, 0]])
+    # state 3 is unreachable
     a = A.canonical_dfa(2, (), [[1], [2], [2], [0]], [False, True, False, True], 0)
     assert (a.delta, a.accepting) == (((1,), (2,), (2,)), (False, True, False))
-    # all labels equal: one class
     delta = [[1, 2], [2, 0], [0, 0]]
     assert A.canonical_dfa(2, ("x",), delta, [True] * 3, 1) == A.true_dfa(2, ("x",))
     c = A.Dfao(2, (0,), (0,) * 3, tuple(map(tuple, delta)), 1).canonical()
@@ -556,6 +570,80 @@ def test_project_budget_counts_raw_subsets():
         with pytest.raises(BudgetExceededError) as ei:
             A.project(a, "x", max_states=cap)
         assert (ei.value.stage, ei.value.cap) == ("project", cap)
+
+
+def _pairs(a, b, absorbing):
+    """The pairs of states reachable from (0, 0) in the product of a and b,
+    not going on past a pair that holds a state in absorbing[0] (of a) or
+    absorbing[1] (of b)."""
+    merged = tuple(sorted(set(a.var_order) | set(b.var_order)))
+    letters = list(zip(A._letter_map(a.k, merged, a.var_order), A._letter_map(a.k, merged, b.var_order)))
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    for qa, qb in frontier:
+        if qa in absorbing[0] or qb in absorbing[1]:
+            continue
+        for x, y in letters:
+            pair = (a.delta[qa][x], b.delta[qb][y])
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+    return seen
+
+
+def test_product_budget_counts_live_pairs():
+    # every pair that holds the dead state (intersect) or the full state
+    # (union) is one absorbing state, so the cap counts the other pairs
+    # and that one: x + y = z and x < y meet 9 pairs, 5 of them absorbing,
+    # and so do x < y and y < z
+    k = 2
+    lt_xy = lin(k, "<", x=1, y=-1)
+    cases = [
+        (A.intersect, lin(k, "=", x=1, y=1, z=-1), lt_xy, False, "intersect"),
+        (A.union, lt_xy, lin(k, "<", y=1, z=-1), True, "union"),
+    ]
+    for combine, a, b, label, stage in cases:
+        absorbing = [{q for q, row in enumerate(m.delta) if set(row) == {q} and m.accepting[q] == label}
+                     for m in (a, b)]
+        assert all(len(s) == 1 for s in absorbing)
+        every = _pairs(a, b, (set(), set()))
+        live = {p for p in _pairs(a, b, absorbing) if p[0] not in absorbing[0] and p[1] not in absorbing[1]}
+        assert (len(every), len(live)) == (9, 4)
+        got = combine(a, b, max_states=len(live) + 1)
+        assert got == combine(a, b)
+        with pytest.raises(BudgetExceededError) as ei:
+            combine(a, b, max_states=len(live))
+        assert (ei.value.stage, ei.value.cap) == (stage, len(live))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.integers(0, 2**32), st.sampled_from((2, 3)),
+    st.integers(0, 2), st.integers(0, 2), st.integers(1, 7), st.integers(1, 7),
+    st.integers(0, 2), st.booleans(), st.booleans(),
+)
+def test_product_matches_reference(seed_a, seed_b, k, tracks_a, tracks_b, n_a, n_b, shift, full_a, full_b):
+    # canonical inputs with a dead sink, or with a full sink when
+    # complemented; b's tracks start shift letters after a's, so the
+    # track sets overlap, or at shift 2 are disjoint; n = 1 gives the
+    # empty and the full relation
+    a = _random_canonical(seed_a, k, tracks_a, n_a, sink=True)
+    b = _random_canonical(seed_b, k, tracks_b, n_b, sink=True)
+    b = A.rename_tracks(b, dict(zip(_TRACKS, "abcdef"[shift:])))
+    if full_a:
+        a = A.complement(a)
+    if full_b:
+        b = A.complement(b)
+    merged = tuple(sorted(set(a.var_order) | set(b.var_order)))
+    ops = [
+        (A.intersect, lambda x, y: x and y),
+        (A.union, lambda x, y: x or y),
+        (lambda a, b: A.product(a, b, operator.xor), operator.xor),  # no absorbing state
+    ]
+    for combine, op in ops:
+        got = combine(a, b)
+        assert (got.delta, got.accepting) == ref_product(a, b, op)
+        assert got.var_order == merged
 
 
 def _is_canonical(a):
