@@ -264,10 +264,12 @@ def strip_max_power_prefix(
     u = tuple(int(a) for a in u)
     if not u:
         raise ValueError("cannot strip powers of the empty word")
-    blocked = witness(not_(P.u_power_prefix("m", u)), seq=seq, limits=limits)
+    # the least n with x[0..n) not a prefix of u^omega is one more than
+    # the length of their longest common prefix
+    blocked = witness(not_(P.agrees_with_rotation("n", u, 0)), seq=seq, limits=limits)
     if blocked is None:
         raise ValueError("sequence is periodic under the given word")
-    if blocked["m"] == 0:
-        raise RankTwoError("u^0 is a prefix of every sequence, yet m = 0 was rejected")
-    i_max = blocked["m"] - 1
+    if blocked["n"] == 0:
+        raise RankTwoError("the empty word is a prefix of u^omega, yet n = 0 was rejected")
+    i_max = (blocked["n"] - 1) // len(u)
     return i_max, shift_sequence(seq, i_max * len(u), limits=limits)

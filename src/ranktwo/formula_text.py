@@ -72,6 +72,9 @@ class _SeqRef:
         self.index = index
 
 
+_COMPARISONS = {"=": L.eq, "!=": L.ne, "<=": L.le, "<": L.lt, ">=": L.ge, ">": L.gt}
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
@@ -91,24 +94,25 @@ class _Parser:
         if val != value:
             raise FormulaSyntaxError(pos, f"expected {value!r}, found {val or 'end of input'!r}")
 
-    def _fail(self, message: str):
-        _, _, pos = self._peek()
-        raise FormulaSyntaxError(pos, message)
+    def _joined(self, sep: str, item, build):
+        """item { sep item }: a lone item as it is, several through build."""
+        parts = [item()]
+        while self._peek()[1] == sep:
+            self._next()
+            parts.append(item())
+        return parts[0] if len(parts) == 1 else build(*parts)
 
     def parse(self) -> L.Formula:
         f = self.formula()
         if self.i != len(self.tokens):
-            self._fail("trailing input after formula")
+            raise FormulaSyntaxError(self._peek()[2], "trailing input after formula")
         return f
 
     def formula(self) -> L.Formula:
         kind, val, _ = self._peek()
         if kind == "quant":
             self._next()
-            names = [self.name()]
-            while self._peek()[1] == ",":
-                self._next()
-                names.append(self.name())
+            names = self._joined(",", self.name, lambda *names: names)
             self._expect(".")
             body = self.formula()
             return L.exists(names, body) if val == "E" else L.forall(names, body)
@@ -122,18 +126,10 @@ class _Parser:
         return left
 
     def disjunction(self) -> L.Formula:
-        parts = [self.conjunction()]
-        while self._peek()[1] == "|":
-            self._next()
-            parts.append(self.conjunction())
-        return parts[0] if len(parts) == 1 else L.or_(*parts)
+        return self._joined("|", self.conjunction, L.or_)
 
     def conjunction(self) -> L.Formula:
-        parts = [self.negation()]
-        while self._peek()[1] == "&":
-            self._next()
-            parts.append(self.negation())
-        return parts[0] if len(parts) == 1 else L.and_(*parts)
+        return self._joined("&", self.negation, L.and_)
 
     def negation(self) -> L.Formula:
         kind, val, _ = self._peek()
@@ -150,7 +146,7 @@ class _Parser:
     def atom(self) -> L.Formula:
         left = self.operand()
         kind, op, pos = self._next()
-        if op not in ("=", "!=", "<=", "<", ">=", ">"):
+        if op not in _COMPARISONS:
             raise FormulaSyntaxError(pos, f"expected a comparison, found {op or 'end of input'!r}")
         right = self.operand()
         seq_left = isinstance(left, _SeqRef)
@@ -169,8 +165,7 @@ class _Parser:
                     )
                 f = L.seq_at(ref.index, other.value)
             return L.not_(f) if op == "!=" else f
-        table = {"=": L.eq, "!=": L.ne, "<=": L.le, "<": L.lt, ">=": L.ge, ">": L.gt}
-        return table[op](left, right)
+        return _COMPARISONS[op](left, right)
 
     def operand(self):
         kind, val, pos = self._peek()
@@ -183,13 +178,7 @@ class _Parser:
         return self.term()
 
     def term(self):
-        parts = [self.part()]
-        while self._peek()[1] == "+":
-            self._next()
-            parts.append(self.part())
-        if len(parts) == 1:
-            return parts[0]
-        return L.add(*parts)
+        return self._joined("+", self.part, L.add)
 
     def part(self):
         kind, val, pos = self._next()

@@ -147,17 +147,6 @@ def prefix_in_periodic_orbit(m, letters) -> Formula:
     return or_(*phases)
 
 
-def u_power_prefix(m, letters) -> Formula:
-    """w^m is a prefix, with m free and w concrete."""
-    letters = tuple(int(a) for a in letters)
-    ell = len(letters)
-    if ell == 0:
-        raise ValueError("empty word")
-    m = term(m)
-    (n,) = _fresh((m,), 1)
-    return exists(n, and_(eq(n, mul(ell, m)), agrees_with_rotation(n, letters, 0)))
-
-
 def unbounded_powers_formula(i, n, p) -> Formula:
     """Some block equal to x[i..i+p) (with i its first occurrence) has a
     p-periodic continuation of window length n; p = 0 is excluded.

@@ -146,7 +146,7 @@ class Budget:
             raise ValueError("max_patterns must be nonnegative")
         if self.max_enumeration < 1:
             raise ValueError("max_enumeration must be positive")
-        if self.wall_time <= 0:
+        if not self.wall_time > 0:  # also refuses NaN, which no deadline check would trip
             raise ValueError("wall_time must be positive")
 
     def limits(self) -> CompileLimits:

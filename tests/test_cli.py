@@ -493,6 +493,12 @@ def test_state_budget_below_one_is_rejected(capsys, command, cap):
     assert err == "error: max_automaton_states must be positive\n"
 
 
+def test_nan_wall_time_is_rejected(capsys):
+    # NaN compares false with everything, so a NaN deadline would never expire
+    code, out, err = run(capsys, ["rank2", "--fixture", "mod3", "--wall-time", "nan"])
+    assert (code, out, err) == (2, "", "error: wall_time must be positive\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -178,6 +178,7 @@ def test_formulas_have_seven_node_types():
     parsed = [parse_formula(text) for text in sentences]
 
     builders = {
+        "agrees_with_rotation": P.agrees_with_rotation("n", (0, 1), 0),
         "appearance_formula": P.appearance_formula(),
         "block_run": P.block_run("b", "n", 1, 2),
         "factoreq": P.factoreq("i", "j", "n"),
@@ -186,7 +187,6 @@ def test_formulas_have_seven_node_types():
         "prefx": P.prefx("i", "j", "x", "y"),
         "pure_period_formula": P.pure_period_formula(),
         "suffx": P.suffx("i", "j", "x", "y"),
-        "u_power_prefix": P.u_power_prefix("m", (0, 1)),
         "ultimate_period_formula": P.ultimate_period_formula(),
         "unbounded_period_formula": P.unbounded_period_formula(),
         "unbounded_powers_formula": P.unbounded_powers_formula("i", "n", "p"),
@@ -530,9 +530,10 @@ def test_word_at_and_rotation_predicates():
     got = [m for m in range(10) if c.accepts((m,))]
     assert got == [0, 1]
 
-    e = compile_formula(P.u_power_prefix("m", (0, 1)), seq=TM)
-    got = [m for m in range(8) if e.accepts((m,))]
-    assert got == [0, 1]
+    # thue-morse 0110... agrees with (01)^omega on its first two letters
+    e = compile_formula(P.agrees_with_rotation("n", (0, 1), 0), seq=TM)
+    got = [n for n in range(8) if e.accepts((n,))]
+    assert got == [0, 1, 2]
 
 
 def test_witness_values():

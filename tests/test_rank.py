@@ -147,6 +147,8 @@ def test_budget_validation():
         Budget(max_enumeration=0)
     with pytest.raises(ValueError):
         Budget(wall_time=0)
+    with pytest.raises(ValueError):
+        Budget(wall_time=float("nan"))
     assert Budget(max_patterns=0).max_patterns == 0
 
 
