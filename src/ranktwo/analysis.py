@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .automata import Dfao, _explore, _Windows, enumerate_accepted, is_empty
+from .automata import Dfao, _windows, enumerate_accepted, is_empty
 from .errors import InfiniteLanguageError, RankTwoError
 from .logic import (
     CompileLimits,
@@ -235,18 +235,18 @@ def occurring_letters(seq: Dfao) -> tuple[int, ...]:
 
 def shift_sequence(seq: Dfao, t: int, limits: Optional[CompileLimits] = None) -> Dfao:
     """The sequence n -> x[n + t], as an automaton in canonical form: the
-    windows of the index n + t (automata._Windows), each state's output
-    read at offset t.  More than the state cap of limits raise
-    BudgetExceededError at "sequence-index"."""
+    table of the windows of the index n + t over the digits
+    (automata._windows), each state's output read at offset t.  More
+    than the state cap of limits raise BudgetExceededError at
+    "sequence-index"."""
     if t < 0:
         raise ValueError("shift must be nonnegative")
-    windows = _Windows(seq.canonical(), range(seq.k), t)
     cap = limits.max_automaton_states if limits is not None else None
-    order, delta = _explore(0, windows.row, cap, "sequence-index")
+    delta, outputs = _windows(seq.canonical(), range(seq.k), t, cap)
     shifted = Dfao(
         k=seq.k,
         alphabet=tuple(sorted(set(seq.alphabet))),
-        outputs=tuple(windows.output(w) for w in order),
+        outputs=tuple(outputs),
         delta=tuple(map(tuple, delta)),
         initial=0,
     )

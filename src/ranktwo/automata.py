@@ -20,10 +20,15 @@ comparison (dataclass ==).  The queries read three facts off it:
 - at most one state is dead (accepts no word), and it is a rejecting
   sink.
 
-Every builder numbers the states it meets breadth-first with _explore,
-and every table it hands the minimizer is _explore's, so minimization
-reads the canonical numbering off the classes' first members instead of
-exploring the quotient again (see _minimize).
+Every builder is written one way: a successor function that _explore
+runs breadth-first from the start state, numbering the states it meets,
+and the table it returns goes to _canonical (or, for a Dfao, to
+_minimize), which reads the canonical numbering off the classes' first
+members instead of exploring the quotient again.  project's two subset
+constructions and rename_tracks are _explore runs too, whose results
+are minimal already.  Pairs of states are numbered (qa << s) | qb by
+one loop, _pair_explore, which both product and seq_rel for two
+indices run.
 
 rank2_decide puts its deadline (a time.monotonic value) in the context
 variable deadline, None by default.  Every automaton build checks it per
@@ -127,10 +132,6 @@ class Dfa:
     def num_states(self) -> int:
         return len(self.delta)
 
-    @property
-    def alphabet_size(self) -> int:
-        return letter_count(self.k, len(self.var_order))
-
     def accepts_encoded(self, letters: Iterable[int]) -> bool:
         q = 0
         for a in letters:
@@ -230,15 +231,6 @@ def _canonical(k, var_order, delta, accepting) -> Dfa:
     )
 
 
-def canonical_dfa(k, var_order, delta, accepting, initial) -> Dfa:
-    """The canonical Dfa of any complete table: its states reachable from
-    initial, numbered breadth-first by _explore, then minimized."""
-    if not delta:
-        delta, accepting, initial = [[0]], [False], 0
-    order, delta = _explore(initial, delta.__getitem__)
-    return _canonical(k, var_order, delta, [accepting[q] for q in order])
-
-
 def true_dfa(k: int, var_order: Sequence[str] = ()) -> Dfa:
     t = len(var_order)
     return Dfa(k, tuple(var_order), ((0,) * letter_count(k, t),), (True,))
@@ -249,18 +241,33 @@ def complement(a: Dfa) -> Dfa:
     return Dfa(a.k, a.var_order, a.delta, tuple(not x for x in a.accepting))
 
 
+def _pair_explore(arows, brows, s, start, max_states, stage):
+    """_explore over pairs of states numbered (qa << s) | qb.
+
+    arows[qa] lists qa's successors letter by letter, each already
+    shifted left by s, and brows[qb] lists qb's, each below 2**s, so a
+    pair's successors are the two rows or-ed letter by letter.
+    """
+    mask = (1 << s) - 1
+
+    def successors(pair):
+        return list(map(operator.or_, arows[pair >> s], brows[pair & mask]))
+
+    return _explore(start, successors, max_states, stage)
+
+
 def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
             max_states: Optional[int] = None, stage: str = "product") -> Dfa:
     """Boolean combination of two recognisers, tracks aligned by name.
 
-    The pair (qa, qb) is numbered (qa << s) | qb with s the bit length
-    of nb, so qb < 2**s - 1.  An input state is absorbing when it is a
-    sink labelled op's zero z, the label with op(z, x) = op(x, z) = z
-    for both x: the dead state for intersect, the full state for union.
-    Every pair that holds one has the language of z, so the rows name an
-    absorbing target -1, all ones, and or-ing the two rows sends each
-    such pair to -1, whose row is itself.  max_states caps the pairs
-    explored, -1 included.
+    _pair_explore numbers the pair (qa, qb) as (qa << s) | qb, with s
+    the bit length of nb, so qb < 2**s - 1.  An input state is absorbing
+    when it is a sink labelled op's zero z, the label with op(z, x) =
+    op(x, z) = z for both x: the dead state for intersect, the full
+    state for union.  Every pair that holds one has the language of z,
+    so the rows name an absorbing target -1, all ones, and or-ing the
+    two rows sends each such pair to -1, whose row is itself.
+    max_states caps the pairs explored, -1 included.
     """
     if a.k != b.k:
         raise ValueError("base mismatch")
@@ -280,11 +287,7 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
     ones = [-1] * len(amap)
     arows = [[acode[row[x]] for x in amap] for row in a.delta] + [ones]
     brows = [[bcode[row[y]] for y in bmap] for row in b.delta] + [ones] * (mask + 1 - nb)
-
-    def successors(pair):
-        return list(map(operator.or_, arows[pair >> s], brows[pair & mask]))
-
-    order, delta = _explore(acode[0] | bcode[0], successors, max_states, stage)
+    order, delta = _pair_explore(arows, brows, s, acode[0] | bcode[0], max_states, stage)
     acc = [op(a.accepting[p >> s], b.accepting[p & mask]) if p >= 0 else zero for p in order]
     return _canonical(k, merged, delta, acc)
 
@@ -522,36 +525,21 @@ def linear_rel(k: int, coeffs: Mapping[str, int], op: str,
 
 
 def const_rel(k: int, x: str, c: int) -> Dfa:
-    """{x : x = c}; accepts every padding of the representation of c."""
+    """{x : x = c}; accepts every padding of the representation of c.
+
+    With n the digit count of c, state i has matched the first i digits,
+    state 0 also reads leading zeros, and state n + 1 is dead.
+    """
     if c < 0:
         raise ValueError("c must be a natural number")
     rep = digits_of(k, c)
     n = len(rep)
-    # states: 0..n progress through rep (0 also absorbs leading zeros),
-    # n+1 dead
-    delta, acc = [], []
-    for q in range(n + 2):
-        row = []
-        for d in range(k):
-            if q == n + 1:
-                row.append(n + 1)
-            elif q == 0:
-                if d == 0:
-                    row.append(0)
-                elif n > 0 and d == rep[0]:
-                    row.append(1)
-                else:
-                    row.append(n + 1)
-            elif q < n:
-                row.append(q + 1 if d == rep[q] else n + 1)
-            else:  # q == n, representation complete
-                row.append(n + 1)
-        delta.append(row)
-        acc.append(q == n)
-    # for c = 0 state 0 is both start and accept
-    if n == 0:
-        acc[0] = True
-    return canonical_dfa(k, (x,), delta, acc, 0)
+
+    def successors(i):
+        return [i if i == 0 == d else i + 1 if i < n and d == rep[i] else n + 1 for d in range(k)]
+
+    order, delta = _explore(0, successors)
+    return _canonical(k, (x,), delta, [i == n for i in order])
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +630,7 @@ def _canonical_dfao(m: Dfao) -> Dfao:
 # ---------------------------------------------------------------------------
 # sequence relations
 
-class _Windows:
+def _windows(m: Dfao, col_sums: Sequence[int], c: int, max_states: Optional[int] = None):
     """The windows of one sequence index t = sum of a_x * v_x + c.
 
     Write state(n) for the state of the canonical form m reached on the
@@ -661,58 +649,41 @@ class _Windows:
     holds at most (sum of a_x + 1) * (log_k c + 2) offsets; a lone
     variable has O = {0} and its windows are the states of m.
 
-    Windows are interned as ints in order of discovery, 0 the start;
-    row(w) lists w's successors per column sum, in the order of sums,
-    and columns gives each letter's position in that order.
+    col_sums[ell] is the column sum of letter ell.  _explore numbers the
+    windows over the letters, computing one successor per distinct sum;
+    returns its table and each window's output at offset c.  More than
+    max_states windows raise BudgetExceededError at "sequence-index".
     """
+    k = m.k
+    sums = sorted(set(col_sums))
+    offsets = {c}
+    frontier = [c]
+    for e in frontier:
+        for s in sums:
+            f = (e + s) // k
+            if f not in offsets:
+                offsets.add(f)
+                frontier.append(f)
+    offsets = sorted(offsets)
+    slot = {e: i for i, e in enumerate(offsets)}
+    pos = {s: i for i, s in enumerate(sums)}
+    columns = [pos[s] for s in col_sums]
+    plans = [[(slot[(e + s) // k], (e + s) % k) for e in offsets] for s in sums]
+    delta = m.delta
+    # the all-zero letter makes 0 the least column sum; its plan reads
+    # state(e // k) for offset e, filled in before e since offsets
+    # ascend, and offset 0 reads the initial state's zero loop
+    start = [m.initial] * len(offsets)
+    for i, (j, d) in enumerate(plans[0]):
+        start[i] = delta[start[j]][d]
 
-    def __init__(self, m: Dfao, col_sums: Sequence[int], c: int):
-        k = m.k
-        sums = sorted(set(col_sums))
-        offsets = {c}
-        frontier = [c]
-        for e in frontier:
-            for s in sums:
-                f = (e + s) // k
-                if f not in offsets:
-                    offsets.add(f)
-                    frontier.append(f)
-        offsets = sorted(offsets)
-        slot = {e: i for i, e in enumerate(offsets)}
-        pos = {s: i for i, s in enumerate(sums)}
-        self.columns = [pos[s] for s in col_sums]
-        self._plans = [[(slot[(e + s) // k], (e + s) % k) for e in offsets] for s in sums]
-        self._delta = m.delta
-        self._outputs = m.outputs
-        self._at = slot[c]
-        # the all-zero letter makes 0 the least column sum; its plan
-        # reads state(e // k) for offset e, filled in before e since
-        # offsets ascend, and offset 0 reads the initial state's zero loop
-        start = [m.initial] * len(offsets)
-        for i, (j, d) in enumerate(self._plans[0]):
-            start[i] = m.delta[start[j]][d]
-        self._windows = [tuple(start)]
-        self._ids = {self._windows[0]: 0}
-        self._rows: dict[int, list[int]] = {}
+    def successors(win):
+        row = [tuple([delta[win[j]][d] for j, d in plan]) for plan in plans]
+        return [row[j] for j in columns]
 
-    def output(self, w: int) -> int:
-        return self._outputs[self._windows[w][self._at]]
-
-    def row(self, w: int) -> list[int]:
-        row = self._rows.get(w)
-        if row is None:
-            delta, ids, windows = self._delta, self._ids, self._windows
-            win = windows[w]
-            row = []
-            for plan in self._plans:
-                t = tuple([delta[win[j]][d] for j, d in plan])
-                i = ids.get(t)
-                if i is None:
-                    i = ids[t] = len(windows)
-                    windows.append(t)
-                row.append(i)
-            self._rows[w] = row
-        return row
+    order, table = _explore(tuple(start), successors, max_states, "sequence-index")
+    at = slot[c]
+    return table, [m.outputs[win[at]] for win in order]
 
 
 def seq_rel(m: Dfao, indices: Sequence[tuple[Mapping[str, int], int]],
@@ -721,13 +692,16 @@ def seq_rel(m: Dfao, indices: Sequence[tuple[Mapping[str, int], int]],
 
     An index (coeffs, c) stands for sum of coeffs[x] * v_x + c, with
     natural coefficients and c; the tracks are every name of every
-    coeffs, a zero coefficient included.  One breadth-first exploration
-    runs the index's windows (see _Windows), or the pair of both
-    indices' windows, over the columns; a state accepts when its output
-    at offset c equals symbol, or the other index's output.  Each new
-    window costs one step per offset, so a huge constant makes every
-    state slower, and more than max_states states raise
-    BudgetExceededError at "sequence-index".
+    coeffs, a zero coefficient included.  Each index's windows (see
+    _windows) are explored over the columns.  One index's table goes to
+    _canonical, a window accepting when its output at offset c equals
+    symbol; two indices' tables are paired by _pair_explore, a pair
+    accepting when both outputs agree.  Each new window costs one step
+    per offset, so a huge constant makes every state slower.  More than
+    max_states windows of either index, or pairs of them, raise
+    BudgetExceededError at "sequence-index"; every reachable window lies
+    in a reachable pair, so the cap trips exactly when the pairs exceed
+    it.
     """
     if len(indices) != (1 if symbol is not None else 2):
         raise ValueError("give one index and a symbol, or two indices")
@@ -735,31 +709,20 @@ def seq_rel(m: Dfao, indices: Sequence[tuple[Mapping[str, int], int]],
     k = c.k
     names = tuple(sorted({x for coeffs, _ in indices for x in coeffs}))
     letters = [decode_letter(k, len(names), ell) for ell in range(letter_count(k, len(names)))]
-    wins = [
-        _Windows(c, [sum(coeffs.get(x, 0) * d for x, d in zip(names, digits)) for digits in letters], const)
+    tables = [
+        _windows(c, [sum(coeffs.get(x, 0) * d for x, d in zip(names, digits)) for digits in letters],
+                 const, max_states)
         for coeffs, const in indices
     ]
-    if len(wins) == 1:
-        (w,) = wins
-        cols = w.columns
-
-        def successors(i):
-            row = w.row(i)
-            return [row[j] for j in cols]
-
-        order, delta = _explore(0, successors, max_states, "sequence-index")
-        acc = [w.output(i) == symbol for i in order]
-    else:
-        w1, w2 = wins
-        cols = list(zip(w1.columns, w2.columns))
-
-        def successors(pair):
-            r1, r2 = w1.row(pair[0]), w2.row(pair[1])
-            return [(r1[a], r2[b]) for a, b in cols]
-
-        order, delta = _explore((0, 0), successors, max_states, "sequence-index")
-        acc = [w1.output(i) == w2.output(j) for i, j in order]
-    return _canonical(k, names, delta, acc)
+    if symbol is not None:
+        ((delta, outputs),) = tables
+        return _canonical(k, names, delta, [out == symbol for out in outputs])
+    (delta1, out1), (delta2, out2) = tables
+    s = len(delta2).bit_length()
+    mask = (1 << s) - 1
+    arows = [[q << s for q in row] for row in delta1]
+    order, delta = _pair_explore(arows, delta2, s, 0, max_states, "sequence-index")
+    return _canonical(k, names, delta, [out1[p >> s] == out2[p & mask] for p in order])
 
 
 # ---------------------------------------------------------------------------

@@ -230,25 +230,6 @@ def forall(vs, body: Formula) -> Formula:
     return f
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, Cmp):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, SeqAt):
-        return term_vars(f.index)
-    if isinstance(f, SeqEq):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or)):
-        out = frozenset()
-        for p in f.parts:
-            out |= free_vars(p)
-        return out
-    if isinstance(f, Exists):
-        return free_vars(f.body) - {f.var}
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # naming
 #

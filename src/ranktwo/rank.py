@@ -28,6 +28,7 @@ Inconclusive verdicts that name the stage and the missing resource.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from itertools import count, islice
 from typing import Optional, Union
@@ -132,7 +133,8 @@ class Budget:
     explicit pairs that the pattern search tries and the levels of each
     fixed-pair decision (decide_fixed_pair).  wall_time caps rank2_decide
     inside every automaton build; its verdict names the running stage.
-    The caps other than max_patterns must be positive.
+    The caps other than max_patterns must be positive, and wall_time
+    finite.
     """
 
     max_automaton_states: int = 200_000
@@ -148,6 +150,8 @@ class Budget:
             raise ValueError("max_enumeration must be positive")
         if not self.wall_time > 0:  # also refuses NaN, which no deadline check would trip
             raise ValueError("wall_time must be positive")
+        if not math.isfinite(self.wall_time):  # JSON has no infinity to report it as
+            raise ValueError("wall_time must be finite")
 
     def limits(self) -> CompileLimits:
         return CompileLimits(max_automaton_states=self.max_automaton_states)
@@ -679,7 +683,7 @@ def rank2_decide(
             stack += [(w + (1 - parity,), rel), (w + (parity,), rel)]
         return report(RankAtLeastThree())
     except (BudgetExceededError, EnumerationLimitError) as exc:
-        stage = stages[-1] if stages else "Step0"
+        stage = stages[-1]
         if getattr(exc, "stage", None) == "wall_time":
             return report(Inconclusive(stage, "wall_time exhausted", lemma.known_D() if stage == "Step5" else None))
         return report(Inconclusive(stage, str(exc)))

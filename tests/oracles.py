@@ -279,6 +279,28 @@ def eval_formula(f, env, prefix, bound):
     return rec(f, env)
 
 
+def free_vars(f) -> frozenset[str]:
+    """The names a formula leaves free, by structural recursion."""
+    from ranktwo import logic as L
+
+    if isinstance(f, L.Cmp):
+        return L.term_vars(f.left) | L.term_vars(f.right)
+    if isinstance(f, L.SeqAt):
+        return L.term_vars(f.index)
+    if isinstance(f, L.SeqEq):
+        return L.term_vars(f.left) | L.term_vars(f.right)
+    if isinstance(f, L.Not):
+        return free_vars(f.body)
+    if isinstance(f, (L.And, L.Or)):
+        out = frozenset()
+        for p in f.parts:
+            out |= free_vars(p)
+        return out
+    if isinstance(f, L.Exists):
+        return free_vars(f.body) - {f.var}
+    raise TypeError(f"not a formula: {f!r}")
+
+
 # ---------------------------------------------------------------------------
 # reference automaton constructions: plain dicts, tuples and frozensets
 
@@ -338,6 +360,14 @@ def ref_distinguishable(delta, labels):
                         marked.add(pair)
                         stack.append(pair)
     return marked
+
+
+def canonical_dfa(k, var_order, delta, accepting, initial) -> Dfa:
+    """The tests' Dfa from any complete table: the library's canonical
+    form of its states reachable from initial, numbered breadth-first by
+    automata._explore, then minimized by automata._canonical."""
+    order, delta = A._explore(initial, delta.__getitem__)
+    return A._canonical(k, var_order, delta, [accepting[q] for q in order])
 
 
 def ref_canonical_dfa(delta, accepting, initial):
@@ -401,7 +431,7 @@ def ref_seq_rel(m, indices, symbol=None):
     if symbol is not None:
         (name,) = names
         acc = [out == symbol for out in c.outputs]
-        rel = A.canonical_dfa(k, (name,), [list(row) for row in c.delta], acc, 0)
+        rel = canonical_dfa(k, (name,), [list(row) for row in c.delta], acc, 0)
     elif names[0] == names[1]:
         rel = A.true_dfa(k, (names[0],))
     else:
@@ -420,7 +450,7 @@ def ref_seq_rel(m, indices, symbol=None):
                 row.append(ids[t])
             delta.append(row)
         acc = [c.outputs[qa] == c.outputs[qb] for qa, qb in order]
-        rel = A.canonical_dfa(k, tracks, delta, acc, 0)
+        rel = canonical_dfa(k, tracks, delta, acc, 0)
     for name, h in helpers:
         rel = A.project(A.intersect(rel, h), name)
     return rel
@@ -567,7 +597,7 @@ def ref_useful_states(a: Dfa) -> tuple[set[int], set[int]]:
     # minimal encodings never begin with the all-zero column
     reach: set[int] = set()
     frontier = set()
-    for ell in range(1, a.alphabet_size):
+    for ell in range(1, len(a.delta[0])):
         frontier.add(a.delta[0][ell])
     while frontier:
         reach |= frontier
@@ -653,7 +683,7 @@ def ref_enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
     t = len(a.var_order)
     steps = 0
     stack: list[tuple[int, tuple[int, ...]]] = []
-    for ell in range(1, a.alphabet_size):
+    for ell in range(1, len(a.delta[0])):
         q = a.delta[0][ell]
         if q in useful:
             stack.append((q, A.decode_letter(a.k, t, ell)))
@@ -666,7 +696,7 @@ def ref_enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:
             results.append(values)
             if len(results) > limit:
                 raise EnumerationLimitError(f"more than {limit} accepted tuples")
-        for ell in range(a.alphabet_size):
+        for ell in range(len(a.delta[0])):
             nq = a.delta[q][ell]
             if nq in useful:
                 digits = A.decode_letter(a.k, t, ell)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranktwo import automata as A
+from ranktwo.analysis import shift_sequence
 from ranktwo.errors import (
     BudgetExceededError,
     DfaoFormatError,
@@ -20,10 +21,11 @@ from ranktwo.errors import (
 )
 from ranktwo.fixtures import FIXTURE_NAMES, load_fixture
 from ranktwo.formula_text import parse_formula
-from ranktwo.logic import compile_formula
+from ranktwo.logic import CompileLimits, compile_formula
 
 from oracles import (
     FIXTURE_ORACLES,
+    canonical_dfa,
     ref_canonical_dfa,
     ref_distinguishable,
     ref_double_reversal,
@@ -162,8 +164,8 @@ def test_boolean_ops_language_level():
 def test_canonical_dfa_ignores_unreachable_states():
     # {x : x odd}; in the second table states 0 and 1 are unreachable from
     # the initial state 2, and each has a language of its own
-    trimmed = A.canonical_dfa(2, ("x",), [[0, 1], [0, 1]], [False, True], 0)
-    full = A.canonical_dfa(
+    trimmed = canonical_dfa(2, ("x",), [[0, 1], [0, 1]], [False, True], 0)
+    full = canonical_dfa(
         2, ("x",), [[1, 0], [1, 1], [2, 3], [2, 3]], [False, True, False, True], 2
     )
     assert full == trimmed
@@ -340,7 +342,7 @@ def _random_canonical(seed, k, tracks, n, sink):
                 row.append(rng.randrange(n))
         delta.append(row)
     accepting = [rng.random() < 0.4 and not (sink and q == n - 1) for q in range(n)]
-    return A.canonical_dfa(k, _TRACKS[:tracks], delta, accepting, 0)
+    return canonical_dfa(k, _TRACKS[:tracks], delta, accepting, 0)
 
 
 def _enumeration(enumerate_accepted, a, limit):
@@ -433,7 +435,7 @@ def _initial_first(delta, accepting, initial):
 @given(st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), _SIZES)
 def test_canonical_dfa_matches_reference(seed, k, tracks, n):
     delta, accepting, initial = _random_dfa(seed, k, tracks, n)
-    got = A.canonical_dfa(k, _TRACKS[:tracks], delta, accepting, initial)
+    got = canonical_dfa(k, _TRACKS[:tracks], delta, accepting, initial)
     assert (got.delta, got.accepting) == ref_canonical_dfa(delta, accepting, initial)
     assert got.var_order == _TRACKS[:tracks]
 
@@ -485,10 +487,10 @@ def test_minimize_edge_cases():
     # all labels equal: one class
     assert A._minimize([[1, 2], [2, 0], [0, 0]], [True] * 3) == ([0], [[0, 0]])
     # state 3 is unreachable
-    a = A.canonical_dfa(2, (), [[1], [2], [2], [0]], [False, True, False, True], 0)
+    a = canonical_dfa(2, (), [[1], [2], [2], [0]], [False, True, False, True], 0)
     assert (a.delta, a.accepting) == (((1,), (2,), (2,)), (False, True, False))
     delta = [[1, 2], [2, 0], [0, 0]]
-    assert A.canonical_dfa(2, ("x",), delta, [True] * 3, 1) == A.true_dfa(2, ("x",))
+    assert canonical_dfa(2, ("x",), delta, [True] * 3, 1) == A.true_dfa(2, ("x",))
     c = A.Dfao(2, (0,), (0,) * 3, tuple(map(tuple, delta)), 1).canonical()
     assert (c.delta, c.outputs) == (((0, 0),), (0,))
 
@@ -501,7 +503,7 @@ def test_minimize_long_chain_against_table_filling():
     delta = [[min(q + 1, n - 1)] * 2 for q in range(n)]
     accepting = [q == n - 1 for q in range(n)]
     assert len(ref_distinguishable(delta, accepting)) == n * (n - 1) // 2
-    a = A.canonical_dfa(2, ("x",), delta, accepting, 0)
+    a = canonical_dfa(2, ("x",), delta, accepting, 0)
     assert (a.delta, a.accepting) == (tuple(map(tuple, delta)), tuple(accepting))
 
 
@@ -647,7 +649,7 @@ def test_product_matches_reference(seed_a, seed_b, k, tracks_a, tracks_b, n_a, n
 
 
 def _is_canonical(a):
-    return A.canonical_dfa(a.k, a.var_order, a.delta, a.accepting, 0) == a
+    return canonical_dfa(a.k, a.var_order, a.delta, a.accepting, 0) == a
 
 
 def test_compiled_formulas_are_canonical():
@@ -676,7 +678,7 @@ def test_project_and_rename_tracks_are_minimal_by_construction(seed, k, tracks, 
         pass
     else:
         assert _is_canonical(projected)
-    a = A.canonical_dfa(k, names, delta, accepting, 0)
+    a = canonical_dfa(k, names, delta, accepting, 0)
     for new in itertools.permutations("xyz"[:tracks]):
         got = A.rename_tracks(a, dict(zip(names, new)))
         assert _is_canonical(got)
@@ -687,7 +689,7 @@ def test_project_and_rename_tracks_are_minimal_by_construction(seed, k, tracks, 
             for x in range(k ** tracks)
         ]
         permuted = [[row[ell] for ell in perm] for row in a.delta]
-        assert got == A.canonical_dfa(k, order, permuted, a.accepting, 0)
+        assert got == canonical_dfa(k, order, permuted, a.accepting, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -890,6 +892,22 @@ def test_seq_rel_pair_of_indices():
         A.seq_rel(tm, [({"n": 1}, 0)])
     with pytest.raises(ValueError):
         A.seq_rel(tm, [({"n": 1}, 0), ({"m": 1}, 0)], 1)
+
+
+def test_sequence_builders_least_caps():
+    # the least raw-state caps that succeed; one less trips at the index
+    tm, t3 = load_fixture("thue-morse"), load_fixture("ternary-tm")
+    cases = [
+        (lambda cap: A.seq_rel(tm, [({"s": 1}, 0), ({"t": 1}, 1)], max_states=cap), 8),
+        (lambda cap: A.seq_rel(t3, [({"i": 1, "j": 1}, 0), ({"j": 2}, 3)], max_states=cap), 24),
+        (lambda cap: A.seq_rel(tm, [({"n": 2}, 5)], 1, max_states=cap), 6),
+        (lambda cap: shift_sequence(t3, 37, CompileLimits(max_automaton_states=cap)), 88),
+    ]
+    for build, least in cases:
+        build(least)
+        with pytest.raises(BudgetExceededError) as ei:
+            build(least - 1)
+        assert (ei.value.stage, ei.value.cap) == ("sequence-index", least - 1)
 
 
 def _seq_indices(draw, n_vars, count):

@@ -499,6 +499,13 @@ def test_nan_wall_time_is_rejected(capsys):
     assert (code, out, err) == (2, "", "error: wall_time must be positive\n")
 
 
+@pytest.mark.parametrize("seconds", ["inf", "1e400"])
+def test_infinite_wall_time_is_rejected(capsys, seconds):
+    # JSON has no infinity, so the budget report could not print the cap
+    code, out, err = run(capsys, ["rank2", "--fixture", "mod3", "--wall-time", seconds, "--format", "json"])
+    assert (code, out, err) == (2, "", "error: wall_time must be finite\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

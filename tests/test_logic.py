@@ -42,7 +42,7 @@ from ranktwo.logic import (
 from ranktwo import predicates as P
 from ranktwo.rank import Budget, pattern_prefixes, run_chain
 
-from oracles import FIXTURE_ORACLES, eval_formula, setup2_formula, setup_formula
+from oracles import FIXTURE_ORACLES, eval_formula, free_vars, setup2_formula, setup_formula
 
 TM = load_fixture("thue-morse")
 T3 = load_fixture("ternary-tm")
@@ -264,7 +264,7 @@ def test_linear_atoms_match_brute_evaluation():
     ]
     for f in cases:
         a = compile_formula(f, seq=TM)
-        names = sorted(L.free_vars(f))
+        names = sorted(free_vars(f))
         assert a.var_order == tuple(names)
         for vals in itertools.product(range(30), repeat=len(names)):
             env = dict(zip(names, vals))
@@ -366,7 +366,7 @@ def _rename_binders(f, env, fresh):
 
 
 def _assert_matches_brute(f, a):
-    free = sorted(L.free_vars(f))
+    free = sorted(free_vars(f))
     assert a.var_order == tuple(free)
     for values in itertools.product(range(_BOUND), repeat=len(free)):
         env = dict(zip(free, values))
@@ -388,7 +388,7 @@ def test_renamed_free_variables_match_renamed_tracks(f, targets):
     # targets in every order, so some renamings re-sort the tracks
     L._compile.cache_clear()
     a = compile_formula(f, seq=TM)
-    names = dict(zip(sorted(L.free_vars(f)), targets))
+    names = dict(zip(sorted(free_vars(f)), targets))
     g = _rename_binders(f, names, itertools.count())
     b = compile_formula(g, seq=TM)
     assert b == automata.rename_tracks(a, names)

@@ -149,6 +149,8 @@ def test_budget_validation():
         Budget(wall_time=0)
     with pytest.raises(ValueError):
         Budget(wall_time=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        Budget(wall_time=float("inf"))
     assert Budget(max_patterns=0).max_patterns == 0
 
 
