@@ -27,8 +27,9 @@ _minimize), which reads the canonical numbering off the classes' first
 members instead of exploring the quotient again.  project's two subset
 constructions and rename_tracks are _explore runs too, whose results
 are minimal already.  Pairs of states are numbered (qa << s) | qb by
-one loop, _pair_explore, which both product and seq_rel for two
-indices run.
+one loop, _pair_explore, which product, meets and seq_rel for two
+indices run; meets stops it at the first pair with the label it asks
+for and builds no automaton.
 
 rank2_decide puts its deadline (a time.monotonic value) in the context
 variable deadline, None by default.  Every automaton build checks it per
@@ -148,7 +149,7 @@ class Dfa:
         return self.accepts_encoded(encode_tuple(self.k, values))
 
 
-def _explore(start, successors, max_states=None, stage="explore"):
+def _explore(start, successors, max_states=None, stage="explore", until=None):
     """Number the states reachable from start breadth-first.
 
     successors(state) is called once per state, in numbering order, and
@@ -156,7 +157,11 @@ def _explore(start, successors, max_states=None, stage="explore"):
     order[i] is the state numbered i and delta[i] the numbers of its
     successors.  More than max_states states raise BudgetExceededError
     naming the stage, and passing the deadline raises it at "wall_time".
+    Given until, the walk ends at the first state met (start included)
+    for which until(state) is true, and returns None.
     """
+    if until is not None and until(start):
+        return None
     ids = {start: 0}
     order = [start]
     delta = []
@@ -172,6 +177,8 @@ def _explore(start, successors, max_states=None, stage="explore"):
                 order.append(t)
                 if max_states is not None and len(order) > max_states:
                     raise BudgetExceededError(stage, max_states)
+                if until is not None and until(t):
+                    return None
             row.append(i)
         delta.append(row)
     return order, delta
@@ -241,7 +248,7 @@ def complement(a: Dfa) -> Dfa:
     return Dfa(a.k, a.var_order, a.delta, tuple(not x for x in a.accepting))
 
 
-def _pair_explore(arows, brows, s, start, max_states, stage):
+def _pair_explore(arows, brows, s, start, max_states, stage, until=None):
     """_explore over pairs of states numbered (qa << s) | qb.
 
     arows[qa] lists qa's successors letter by letter, each already
@@ -253,12 +260,11 @@ def _pair_explore(arows, brows, s, start, max_states, stage):
     def successors(pair):
         return list(map(operator.or_, arows[pair >> s], brows[pair & mask]))
 
-    return _explore(start, successors, max_states, stage)
+    return _explore(start, successors, max_states, stage, until)
 
 
-def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
-            max_states: Optional[int] = None, stage: str = "product") -> Dfa:
-    """Boolean combination of two recognisers, tracks aligned by name.
+def _pair_walk(a, b, op, max_states, stage, want=None):
+    """Explore the pairs of a's and b's states, tracks aligned by name.
 
     _pair_explore numbers the pair (qa, qb) as (qa << s) | qb, with s
     the bit length of nb, so qb < 2**s - 1.  An input state is absorbing
@@ -267,14 +273,16 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
     state for union.  Every pair that holds one has the language of z,
     so the rows name an absorbing target -1, all ones, and or-ing the
     two rows sends each such pair to -1, whose row is itself.
-    max_states caps the pairs explored, -1 included.
+    max_states caps the pairs explored, -1 included.  Returns the merged
+    tracks, label (a pair's op of the two flags) and _pair_explore's
+    result, which is None when want is given and a pair labelled want was
+    met.
     """
     if a.k != b.k:
         raise ValueError("base mismatch")
-    k = a.k
     merged = tuple(sorted(set(a.var_order) | set(b.var_order)))
-    amap = _letter_map(k, merged, a.var_order)
-    bmap = _letter_map(k, merged, b.var_order)
+    amap = _letter_map(a.k, merged, a.var_order)
+    bmap = _letter_map(a.k, merged, b.var_order)
     nb = b.num_states
     s = nb.bit_length()
     mask = (1 << s) - 1
@@ -287,17 +295,41 @@ def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
     ones = [-1] * len(amap)
     arows = [[acode[row[x]] for x in amap] for row in a.delta] + [ones]
     brows = [[bcode[row[y]] for y in bmap] for row in b.delta] + [ones] * (mask + 1 - nb)
-    order, delta = _pair_explore(arows, brows, s, acode[0] | bcode[0], max_states, stage)
-    acc = [op(a.accepting[p >> s], b.accepting[p & mask]) if p >= 0 else zero for p in order]
-    return _canonical(k, merged, delta, acc)
+
+    def label(p):
+        return op(a.accepting[p >> s], b.accepting[p & mask]) if p >= 0 else zero
+
+    until = None if want is None else lambda p: label(p) == want
+    return merged, label, _pair_explore(arows, brows, s, acode[0] | bcode[0], max_states, stage, until)
+
+
+def product(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool],
+            max_states: Optional[int] = None, stage: str = "product") -> Dfa:
+    """Boolean combination of two recognisers, tracks aligned by name;
+    _pair_walk explores the pairs and _canonical minimizes them."""
+    merged, label, (order, delta) = _pair_walk(a, b, op, max_states, stage)
+    return _canonical(a.k, merged, delta, list(map(label, order)))
+
+
+def meets(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool], want: bool,
+          max_states: Optional[int] = None, stage: str = "product") -> bool:
+    """Whether op(a accepts, b accepts) is want for some tuple.
+
+    Explores the pairs of product(a, b, op) and stops at the first one
+    labelled want, so a witness met early leaves the rest unexplored and
+    nothing is minimized.  Every pair met is reachable, and a reachable
+    pair is reached by the encoding of some tuple.  The pairs met, that
+    one included, count against max_states as in product.
+    """
+    return _pair_walk(a, b, op, max_states, stage, want)[2] is None
 
 
 def intersect(a: Dfa, b: Dfa, max_states=None) -> Dfa:
-    return product(a, b, lambda x, y: x and y, max_states, "intersect")
+    return product(a, b, operator.and_, max_states, "intersect")
 
 
 def union(a: Dfa, b: Dfa, max_states=None) -> Dfa:
-    return product(a, b, lambda x, y: x or y, max_states, "union")
+    return product(a, b, operator.or_, max_states, "union")
 
 
 def _reversed_rows(delta, letters):

@@ -15,15 +15,21 @@ far (automata.seq_rel).
 
 Compiling a formula yields a canonical Dfa over one digit track per free
 variable, reading base-k digit columns most significant first: the
-automaton accepts exactly the satisfying assignments.  Sentences compile
-to zero-track automata and are decided by inspecting the initial state.
-Every intermediate product and projection is minimized, so the automata
-stay as small as the languages allow, and an optional state budget turns
+automaton accepts exactly the satisfying assignments.  Every
+intermediate product and projection is minimized, so the automata stay
+as small as the languages allow, and an optional state budget turns
 runaway intermediates into BudgetExceededError instead of memory burn.
+
+A sentence is decided without compiling its root: decide walks it top
+down to its outermost quantifiers and asks of each body whether some
+assignment gives it a value, which for a conjunction (or a disjunction)
+is a pair walk over its parts' automata that stops at the first witness
+(automata.meets) in place of a minimized product and its projections.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
@@ -336,6 +342,9 @@ def _linear_atom(coeffs: dict[str, int], const: int, op: str, k: int,
     return A.project(A.intersect(rel, A.const_rel(k, "%c", abs(const)), cap), "%c", cap)
 
 
+_NO_SEQUENCE = "formula inspects sequence values but no sequence was given"
+
+
 def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     """A comparison is one linear relation of left - right.  A sequence
     atom folds each index to its coefficients and constant and is one
@@ -346,7 +355,7 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
         const = _linear(f.left, cap, 1, coeffs) + _linear(f.right, cap, -1, coeffs)
         return _linear_atom(coeffs, const, f.op, k, cap)
     if seq is None:
-        raise ValueError("formula inspects sequence values but no sequence was given")
+        raise ValueError(_NO_SEQUENCE)
     if isinstance(f, SeqAt):
         indices, symbol = (f.index,), f.symbol
     elif isinstance(f, SeqEq):
@@ -412,12 +421,66 @@ def compile_formula(
     renamed too, so one that recurs under other argument names (a
     predicate applied to new variables) is compiled once per process.
     """
+    k, cap = _base_and_cap(seq, k, limits)
+    return _compile(_normal(f, {}, 0, None), seq, k, cap)
+
+
+def _base_and_cap(seq: Optional[Dfao], k: Optional[int],
+                  limits: Optional[CompileLimits]) -> tuple[int, Optional[int]]:
     if k is None:
         k = seq.k if seq is not None else 2
     if seq is not None and seq.k != k:
         raise ValueError("base of the sequence disagrees with requested base")
-    cap = limits.max_automaton_states if limits is not None else None
-    return _compile(_normal(f, {}, 0, None), seq, k, cap)
+    return k, limits.max_automaton_states if limits is not None else None
+
+
+def _atoms(f: Formula):
+    if isinstance(f, (Not, Exists)):
+        yield from _atoms(f.body)
+    elif isinstance(f, (And, Or)):
+        for p in f.parts:
+            yield from _atoms(p)
+    else:
+        yield f
+
+
+def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
+    """Whether some assignment of f's free variables gives f the value
+    want.
+
+    Some assignment makes Exists(v, b) true iff some assignment, v's
+    included, makes b true.  An And is false (an Or true) for some
+    assignment iff some part is.  An And true (an Or false) needs one
+    assignment for all parts: the parts before the last are combined as
+    _compile combines them, and automata.meets looks for a pair of states
+    of that and the last part labelled want.  Any other f is compiled;
+    every state of a canonical automaton is reached by some assignment.
+    """
+    if isinstance(f, Not):
+        return _some(f.body, not want, seq, k, cap)
+    if isinstance(f, Exists) and want:
+        return _some(f.body, True, seq, k, cap)
+    if isinstance(f, (And, Or)):
+        if want != isinstance(f, And):
+            return any(_some(p, want, seq, k, cap) for p in f.parts)
+        op, stage = (operator.and_, "intersect") if want else (operator.or_, "union")
+        parts = [_compile_child(p, seq, k, cap) for p in f.parts]
+        out = parts[0]
+        for p in parts[1:-1]:
+            out = A.product(out, p, op, cap, stage)
+        return A.meets(out, parts[-1], op, want, cap, stage)
+    return want in _compile_child(f, seq, k, cap).accepting
+
+
+def _true(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
+    """Truth of a closed formula; its connectives combine closed parts."""
+    if isinstance(f, Not):
+        return not _true(f.body, seq, k, cap)
+    if isinstance(f, And):
+        return all(_true(p, seq, k, cap) for p in f.parts)
+    if isinstance(f, Or):
+        return any(_true(p, seq, k, cap) for p in f.parts)
+    return _some(f, True, seq, k, cap)
 
 
 def decide(
@@ -426,11 +489,24 @@ def decide(
     k: Optional[int] = None,
     limits: Optional[CompileLimits] = None,
 ) -> bool:
-    """Truth value of a sentence."""
-    a = compile_formula(f, seq, k, limits)
-    if a.var_order:
-        raise ValueError(f"not a sentence; free variables {', '.join(a.var_order)}")
-    return a.accepting[0]
+    """Truth value of a sentence.
+
+    The sentence is named as compile_formula names it and walked top down
+    (_true, then _some below its outermost quantifiers), so only the
+    quantifier bodies' parts are compiled, through the one cache, and no
+    root automaton is built.  A part that all or any skips is not
+    compiled, and its budget breach is not raised; the input errors are
+    raised before the walk: a base mismatch, a sequence atom without a
+    sequence, free variables.
+    """
+    k, cap = _base_and_cap(seq, k, limits)
+    free: dict[str, str] = {}
+    g = _normal(f, {}, 0, free)
+    if seq is None and not all(isinstance(a, Cmp) for a in _atoms(g)):
+        raise ValueError(_NO_SEQUENCE)
+    if free:
+        raise ValueError(f"not a sentence; free variables {', '.join(sorted(free))}")
+    return _true(g, seq, k, cap)
 
 
 def witness(

@@ -225,7 +225,7 @@ def test_equal_subtrees_at_equal_depth_compile_once(monkeypatch):
     calls = _count_projections(monkeypatch)
     L._compile.cache_clear()
     f = or_(exists("i", seq_at("i", 1)), exists("j", seq_at("j", 1)))
-    assert decide(f, seq=TM)
+    assert compile_formula(f, seq=TM).accepting == (True,)
     assert len(calls) == 1
 
 
@@ -393,6 +393,87 @@ def test_renamed_free_variables_match_renamed_tracks(f, targets):
     b = compile_formula(g, seq=TM)
     assert b == automata.rename_tracks(a, names)
     _assert_matches_brute(g, b)
+
+
+def _closed(f, universal, order, bounded):
+    """f under a quantifier prefix over its free variables, the innermost
+    first in order; universal[i] picks the i-th one's kind."""
+    free = free_vars(f)
+    kinds = (_bounded_exists, _bounded_forall) if bounded else (exists, forall)
+    for v, a in zip(order, universal):
+        if v in free:
+            f = kinds[a](v, f)
+    return f
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_FORMULAS, st.lists(st.booleans(), min_size=3, max_size=3), st.permutations(_NAMES))
+def test_decide_matches_compile_and_brute_evaluation(f, universal, order):
+    s = _closed(f, universal, order, bounded=True)
+    want = eval_formula(s, {}, TM_PREF, bound=_BOUND)
+    assert decide(s, seq=TM) == want
+    assert compile_formula(s, seq=TM).accepting == (want,)
+    # unbounded binders reach the body's connectives and Nots directly
+    u = _closed(f, universal, order, bounded=False)
+    assert compile_formula(u, seq=TM).accepting == (decide(u, seq=TM),)
+
+
+def test_decide_walk_cases():
+    cases = [
+        # true forall over an Or: the pair walk meets every pair
+        (forall("i", or_(seq_at("i", 0), seq_at("i", 1))), True),
+        # exists over an And, witnessed early (i = 1)
+        (exists("i", and_(seq_at("i", 1), seq_at(add("i", 1), 1))), True),
+        # false forall over an Or: an Or asked to be false
+        (forall("i", or_(lt("i", 5), seq_at("i", 0))), False),
+        # forall over an And: any part that can be false
+        (forall("i", and_(le(0, "i"), seq_at("i", 0))), False),
+        (forall("i", and_(le(0, "i"), lt("i", add("i", 1)))), True),
+        # vacuous binders
+        (forall("j", exists("i", seq_at("i", 1))), True),
+        (exists("j", forall("i", seq_at("i", 1))), False),
+        (exists("j", and_(lt("j", 3), exists("i", seq_at("i", 1)))), True),
+        # a closed part compiles to a zero-track automaton
+        (exists("i", and_(seq_at("i", 1), exists("j", seq_at("j", 2)))), False),
+        (exists("i", and_(seq_at("i", 1), forall("j", lt("j", add("j", 1))))), True),
+        # closed connectives at the root, an Exists asked to be false
+        (and_(exists("i", seq_at("i", 1)), not_(exists("i", seq_at("i", 2)))), True),
+        (or_(L.FALSE, forall("i", not_(exists("j", and_(lt("i", "j"), seq_at("j", 1)))))), False),
+        (exists("i", not_(exists("j", and_(lt("i", "j"), seq_at("j", 1))))), False),
+    ]
+    for f, want in cases:
+        L._compile.cache_clear()
+        assert decide(f, seq=TM) is want, f
+        assert compile_formula(f, seq=TM).accepting == (want,), f
+
+
+def test_decide_stops_at_the_first_witness():
+    # both equations hold at i = j = m = n = 0, the first pair
+    f = exists(("i", "j", "m", "n"), and_(eq("i", mul(7, "j")), eq("m", mul(11, "n"))))
+    cap = CompileLimits(max_automaton_states=12)
+    L._compile.cache_clear()
+    assert decide(f, limits=cap)
+    with pytest.raises(BudgetExceededError) as ei:
+        compile_formula(f, limits=cap)
+    assert ei.value.stage == "intersect" and ei.value.cap == 12
+
+
+def test_decide_walk_over_every_pair_keeps_the_cap():
+    # 3i < 5j and 7j < 4i never hold together: the walk meets all 36
+    # pairs of the product, as the intersection does
+    a, b = lt(mul(3, "i"), mul(5, "j")), lt(mul(7, "j"), mul(4, "i"))
+    for f, want, stage in (
+        (exists(("i", "j"), and_(a, b)), False, "intersect"),
+        (forall(("i", "j"), or_(not_(a), not_(b))), True, "union"),
+    ):
+        for build in (decide, compile_formula):
+            L._compile.cache_clear()
+            with pytest.raises(BudgetExceededError) as ei:
+                build(f, limits=CompileLimits(max_automaton_states=35))
+            assert (ei.value.stage, ei.value.cap) == (stage, 35), (f, build)
+        L._compile.cache_clear()
+        assert decide(f, limits=CompileLimits(max_automaton_states=36)) is want
+        assert compile_formula(f, limits=CompileLimits(max_automaton_states=36)).accepting == (want,)
 
 
 def test_shadowing_and_capture():
@@ -653,6 +734,15 @@ def test_huge_index_constant_breaches_the_state_cap_quickly():
 def test_error_on_free_variables_and_missing_sequence():
     with pytest.raises(ValueError, match="free"):
         decide(lt("x", "y"), k=2)
+    # input errors are raised even where the walk would skip the part
+    for f in (lt("y", "x"), and_(L.FALSE, lt("y", "x")), or_(L.TRUE, exists("i", lt("i", add("x", "y"))))):
+        with pytest.raises(ValueError) as ei:
+            decide(f, k=2)
+        assert str(ei.value) == "not a sentence; free variables x, y"
+    with pytest.raises(ValueError, match="no sequence was given"):
+        decide(and_(L.FALSE, exists("i", seq_at("i", 0))), k=2)
+    with pytest.raises(ValueError, match="base of the sequence"):
+        decide(and_(L.FALSE, exists("i", seq_at("i", 0))), seq=TM, k=3)
     with pytest.raises(ValueError):
         compile_formula(seq_at("n", 1), k=2)
     with pytest.raises(ValueError):
