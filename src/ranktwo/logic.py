@@ -21,10 +21,11 @@ as small as the languages allow, and an optional state budget turns
 runaway intermediates into BudgetExceededError instead of memory burn.
 
 A sentence is decided without compiling its root: decide walks it top
-down to its outermost quantifiers and asks of each body whether some
-assignment gives it a value, which for a conjunction (or a disjunction)
-is a pair walk over its parts' automata that stops at the first witness
-(automata.meets) in place of a minimized product and its projections.
+down through its closed connectives and outermost quantifiers and asks
+of each body whether some assignment gives it a value, which for a
+conjunction (or a disjunction) is a pair walk over its parts' automata
+that stops at the first witness (automata.meets) in place of a
+minimized product and its projections.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ class Cmp:
     left: Term
     right: Term
 
+    def __post_init__(self):
+        if self.op not in ("=", "<=", "<"):
+            raise ValueError(f"comparison operator must be =, <= or <, not {self.op!r}")
+
 
 @dataclass(frozen=True)
 class SeqAt:
@@ -142,10 +147,18 @@ class Not:
 class And:
     parts: tuple
 
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("And needs a part; and_() with none is TRUE")
+
 
 @dataclass(frozen=True)
 class Or:
     parts: tuple
+
+    def __post_init__(self):
+        if not self.parts:
+            raise ValueError("Or needs a part; or_() with none is FALSE")
 
 
 @dataclass(frozen=True)
@@ -342,9 +355,6 @@ def _linear_atom(coeffs: dict[str, int], const: int, op: str, k: int,
     return A.project(A.intersect(rel, A.const_rel(k, "%c", abs(const)), cap), "%c", cap)
 
 
-_NO_SEQUENCE = "formula inspects sequence values but no sequence was given"
-
-
 def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     """A comparison is one linear relation of left - right.  A sequence
     atom folds each index to its coefficients and constant and is one
@@ -355,7 +365,7 @@ def _compile_atom(f, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
         const = _linear(f.left, cap, 1, coeffs) + _linear(f.right, cap, -1, coeffs)
         return _linear_atom(coeffs, const, f.op, k, cap)
     if seq is None:
-        raise ValueError(_NO_SEQUENCE)
+        raise ValueError("formula inspects sequence values but no sequence was given")
     if isinstance(f, SeqAt):
         indices, symbol = (f.index,), f.symbol
     elif isinstance(f, SeqEq):
@@ -434,36 +444,23 @@ def _base_and_cap(seq: Optional[Dfao], k: Optional[int],
     return k, limits.max_automaton_states if limits is not None else None
 
 
-def _atoms(f: Formula):
-    if isinstance(f, (Not, Exists)):
-        yield from _atoms(f.body)
-    elif isinstance(f, (And, Or)):
-        for p in f.parts:
-            yield from _atoms(p)
-    else:
-        yield f
-
-
 def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
     """Whether some assignment of f's free variables gives f the value
     want.
 
     Some assignment makes Exists(v, b) true iff some assignment, v's
-    included, makes b true.  An And is false (an Or true) for some
-    assignment iff some part is.  An And true (an Or false) needs one
-    assignment for all parts: the parts before the last are combined as
-    _compile combines them, and automata.meets looks for a pair of states
-    of that and the last part labelled want.  Any other f is compiled;
-    every state of a canonical automaton is reached by some assignment.
+    included, makes b true.  An And or an Or compiles its parts: those
+    before the last are combined as _compile combines them, and
+    automata.meets looks for a pair of states of that and the last part
+    labelled want.  Any other f is compiled; every state of a canonical
+    automaton is reached by some assignment.
     """
     if isinstance(f, Not):
         return _some(f.body, not want, seq, k, cap)
     if isinstance(f, Exists) and want:
         return _some(f.body, True, seq, k, cap)
     if isinstance(f, (And, Or)):
-        if want != isinstance(f, And):
-            return any(_some(p, want, seq, k, cap) for p in f.parts)
-        op, stage = (operator.and_, "intersect") if want else (operator.or_, "union")
+        op, stage = (operator.and_, "intersect") if isinstance(f, And) else (operator.or_, "union")
         parts = [_compile_child(p, seq, k, cap) for p in f.parts]
         out = parts[0]
         for p in parts[1:-1]:
@@ -473,13 +470,14 @@ def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int
 
 
 def _true(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
-    """Truth of a closed formula; its connectives combine closed parts."""
+    """Truth of a closed formula.  A closed Not(b) is true iff b is not,
+    so a forall's Exists is asked to be true, and a closed And or Or
+    decides every part, skipping none, so each raises its own errors."""
     if isinstance(f, Not):
         return not _true(f.body, seq, k, cap)
-    if isinstance(f, And):
-        return all(_true(p, seq, k, cap) for p in f.parts)
-    if isinstance(f, Or):
-        return any(_true(p, seq, k, cap) for p in f.parts)
+    if isinstance(f, (And, Or)):
+        values = [_true(p, seq, k, cap) for p in f.parts]
+        return all(values) if isinstance(f, And) else any(values)
     return _some(f, True, seq, k, cap)
 
 
@@ -491,19 +489,16 @@ def decide(
 ) -> bool:
     """Truth value of a sentence.
 
-    The sentence is named as compile_formula names it and walked top down
-    (_true, then _some below its outermost quantifiers), so only the
-    quantifier bodies' parts are compiled, through the one cache, and no
-    root automaton is built.  A part that all or any skips is not
-    compiled, and its budget breach is not raised; the input errors are
-    raised before the walk: a base mismatch, a sequence atom without a
-    sequence, free variables.
+    The sentence is named as compile_formula names it and walked top
+    down: _true through its closed connectives, then _some, which
+    compiles the parts of the connectives below the outermost
+    quantifiers through the one cache, so no root automaton is built.
+    A base mismatch and free variables are refused before the walk, a
+    sequence atom without a sequence when it compiles.
     """
     k, cap = _base_and_cap(seq, k, limits)
     free: dict[str, str] = {}
     g = _normal(f, {}, 0, free)
-    if seq is None and not all(isinstance(a, Cmp) for a in _atoms(g)):
-        raise ValueError(_NO_SEQUENCE)
     if free:
         raise ValueError(f"not a sentence; free variables {', '.join(sorted(free))}")
     return _true(g, seq, k, cap)

@@ -426,9 +426,12 @@ def test_decide_walk_cases():
         (exists("i", and_(seq_at("i", 1), seq_at(add("i", 1), 1))), True),
         # false forall over an Or: an Or asked to be false
         (forall("i", or_(lt("i", 5), seq_at("i", 0))), False),
-        # forall over an And: any part that can be false
+        # forall over an And: an And asked to be false
         (forall("i", and_(le(0, "i"), seq_at("i", 0))), False),
         (forall("i", and_(le(0, "i"), lt("i", add("i", 1)))), True),
+        # exists over an Or: an Or asked to be true
+        (exists("i", or_(seq_at("i", 2), lt("i", 0))), False),
+        (exists("i", or_(seq_at("i", 2), seq_at(add("i", 3), 1))), True),
         # vacuous binders
         (forall("j", exists("i", seq_at("i", 1))), True),
         (exists("j", forall("i", seq_at("i", 1))), False),
@@ -438,6 +441,8 @@ def test_decide_walk_cases():
         (exists("i", and_(seq_at("i", 1), forall("j", lt("j", add("j", 1))))), True),
         # closed connectives at the root, an Exists asked to be false
         (and_(exists("i", seq_at("i", 1)), not_(exists("i", seq_at("i", 2)))), True),
+        (and_(exists("i", seq_at("i", 1)), exists("i", seq_at("i", 2))), False),
+        (or_(exists("i", seq_at("i", 2)), exists("i", seq_at("i", 1))), True),
         (or_(L.FALSE, forall("i", not_(exists("j", and_(lt("i", "j"), seq_at("j", 1)))))), False),
         (exists("i", not_(exists("j", and_(lt("i", "j"), seq_at("j", 1))))), False),
     ]
@@ -471,6 +476,10 @@ def test_decide_walk_over_every_pair_keeps_the_cap():
             with pytest.raises(BudgetExceededError) as ei:
                 build(f, limits=CompileLimits(max_automaton_states=35))
             assert (ei.value.stage, ei.value.cap) == (stage, 35), (f, build)
+        # a closed part that the other parts settle is still decided
+        L._compile.cache_clear()
+        with pytest.raises(BudgetExceededError):
+            decide(or_(L.TRUE, f), limits=CompileLimits(max_automaton_states=35))
         L._compile.cache_clear()
         assert decide(f, limits=CompileLimits(max_automaton_states=36)) is want
         assert compile_formula(f, limits=CompileLimits(max_automaton_states=36)).accepting == (want,)
@@ -734,13 +743,18 @@ def test_huge_index_constant_breaches_the_state_cap_quickly():
 def test_error_on_free_variables_and_missing_sequence():
     with pytest.raises(ValueError, match="free"):
         decide(lt("x", "y"), k=2)
-    # input errors are raised even where the walk would skip the part
+    # input errors are raised whatever the other parts decide
     for f in (lt("y", "x"), and_(L.FALSE, lt("y", "x")), or_(L.TRUE, exists("i", lt("i", add("x", "y"))))):
         with pytest.raises(ValueError) as ei:
             decide(f, k=2)
         assert str(ei.value) == "not a sentence; free variables x, y"
     with pytest.raises(ValueError, match="no sequence was given"):
         decide(and_(L.FALSE, exists("i", seq_at("i", 0))), k=2)
+    with pytest.raises(ValueError, match="comparison operator"):
+        L.Cmp("!=", L.Var("i"), L.Const(1))
+    for connective in (L.And, L.Or):
+        with pytest.raises(ValueError, match="needs a part"):
+            connective(())
     with pytest.raises(ValueError, match="base of the sequence"):
         decide(and_(L.FALSE, exists("i", seq_at("i", 0))), seq=TM, k=3)
     with pytest.raises(ValueError):
