@@ -769,53 +769,64 @@ def loads_dfao(text: str) -> Dfao:
     Every state needs one output line and a transition for every digit.
     An error in one line, such as an initial state out of range, names
     that line; a missing directive, output or transition, and leading
-    zeros that change an output, name line 0.
+    zeros that change an output, name line 0, and a missing output or
+    transition names the first state (and digit) that lacks one.
+
+    One pass over the lines files each output and transition with its
+    line; the checks after it look only at what the text holds, so the
+    work is bounded by the text, not by the declared number of states.
     """
     k = alphabet = n_states = initial = None
     seen: set[str] = set()
     # each output and transition with the line it is on
     outputs: dict[int, tuple[int, int]] = {}
     trans: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    comments = "#" in text
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if comments and "#" in line:
+            line = line[:line.index("#")]
         parts = line.split()
-        head, args = parts[0], parts[1:]
-        if head in ("k", "alphabet", "states", "initial"):
-            if head in seen:
-                raise DfaoFormatError(lineno, f"repeated {head!r} directive")
-            seen.add(head)
+        if not parts:
+            continue
+        head = parts[0]
         try:
-            if head == "k":
-                (k,) = map(int, args)
-                if k < 2:
-                    raise DfaoFormatError(lineno, "base must be at least 2")
-            elif head == "alphabet":
-                if not args:
-                    raise DfaoFormatError(lineno, "empty alphabet")
-                alphabet = tuple(int(a) for a in args)
-                if any(a < 0 for a in alphabet):
-                    raise DfaoFormatError(lineno, "symbols are non-negative integers")
-                if len(set(alphabet)) != len(alphabet):
-                    raise DfaoFormatError(lineno, "duplicate symbol in alphabet")
-            elif head == "states":
-                (n_states,) = map(int, args)
-                if n_states <= 0:
-                    raise DfaoFormatError(lineno, "need at least one state")
-            elif head == "initial":
-                (initial,) = map(int, args)
-                initial_line = lineno
+            if head == "trans":
+                _, q, d, t = parts
+                key, t = (int(q), int(d)), int(t)
+                if key in trans:
+                    raise DfaoFormatError(lineno, f"duplicate transition {key[0]} {key[1]}")
+                trans[key] = t, lineno
             elif head == "output":
-                q, s = map(int, args)
+                _, q, sym = parts
+                q, sym = int(q), int(sym)
                 if q in outputs:
                     raise DfaoFormatError(lineno, f"duplicate output for state {q}")
-                outputs[q] = s, lineno
-            elif head == "trans":
-                q, d, t = map(int, args)
-                if (q, d) in trans:
-                    raise DfaoFormatError(lineno, f"duplicate transition {q} {d}")
-                trans[(q, d)] = t, lineno
+                outputs[q] = sym, lineno
+            elif head in ("k", "alphabet", "states", "initial"):
+                if head in seen:
+                    raise DfaoFormatError(lineno, f"repeated {head!r} directive")
+                seen.add(head)
+                if head == "alphabet":
+                    if len(parts) == 1:
+                        raise DfaoFormatError(lineno, "empty alphabet")
+                    alphabet = tuple(map(int, parts[1:]))
+                    if min(alphabet) < 0:
+                        raise DfaoFormatError(lineno, "symbols are non-negative integers")
+                    if len(set(alphabet)) != len(alphabet):
+                        raise DfaoFormatError(lineno, "duplicate symbol in alphabet")
+                    continue
+                _, value = parts
+                value = int(value)
+                if head == "k":
+                    if value < 2:
+                        raise DfaoFormatError(lineno, "base must be at least 2")
+                    k = value
+                elif head == "states":
+                    if value <= 0:
+                        raise DfaoFormatError(lineno, "need at least one state")
+                    n_states = value
+                else:
+                    initial, initial_line = value, lineno
             else:
                 raise DfaoFormatError(lineno, f"unknown directive {head!r}")
         except DfaoFormatError:
@@ -825,31 +836,34 @@ def loads_dfao(text: str) -> Dfao:
     for name, val in (("k", k), ("alphabet", alphabet), ("states", n_states), ("initial", initial)):
         if val is None:
             raise DfaoFormatError(0, f"missing {name!r} directive")
-    undeclared = sorted(set(outputs) - set(range(n_states)))
+    undeclared = [q for q in outputs if not 0 <= q < n_states]
     if undeclared:
-        raise DfaoFormatError(outputs[undeclared[0]][1], f"output for undeclared state {undeclared[0]}")
+        q = min(undeclared)
+        raise DfaoFormatError(outputs[q][1], f"output for undeclared state {q}")
     if len(outputs) != n_states:
-        missing = sorted(set(range(n_states)) - set(outputs))
-        raise DfaoFormatError(0, f"missing output for states {missing}")
+        q = next(q for q in range(n_states) if q not in outputs)
+        raise DfaoFormatError(0, f"missing output for state {q}")
     delta = []
     for q in range(n_states):
         row = []
         for d in range(k):
-            if (q, d) not in trans:
+            got = trans.get((q, d))
+            if got is None:
                 raise DfaoFormatError(0, f"missing transition for state {q} digit {d}")
-            t, lineno = trans[(q, d)]
-            if not (0 <= t < n_states):
+            t, lineno = got
+            if not 0 <= t < n_states:
                 raise DfaoFormatError(lineno, f"transition {q} {d} -> {t} out of range")
             row.append(t)
         delta.append(tuple(row))
-    extra = sorted(set(trans) - {(q, d) for q in range(n_states) for d in range(k)})
-    if extra:
-        raise DfaoFormatError(trans[extra[0]][1], f"transition on undeclared state or digit: {extra[0]}")
+    if len(trans) != n_states * k:
+        extra = min(key for key in trans if not (0 <= key[0] < n_states and 0 <= key[1] < k))
+        raise DfaoFormatError(trans[extra][1], f"transition on undeclared state or digit: {extra}")
     if not 0 <= initial < n_states:
         raise DfaoFormatError(initial_line, "initial state out of range")
-    for q, (s, lineno) in sorted(outputs.items()):
-        if s not in alphabet:
-            raise DfaoFormatError(lineno, f"state {q} outputs {s} outside the alphabet")
+    for q in range(n_states):
+        sym, lineno = outputs[q]
+        if sym not in alphabet:
+            raise DfaoFormatError(lineno, f"state {q} outputs {sym} outside the alphabet")
     m = Dfao(k, alphabet, tuple(outputs[q][0] for q in range(n_states)), tuple(delta), initial)
     # leading zeros must not change any eventual output: the minimized
     # automaton must loop on zero at its initial state

@@ -31,7 +31,7 @@ minimized product and its projections.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -115,7 +115,35 @@ def term_vars(t: Term) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # formulas
 
-@dataclass(frozen=True)
+def _node(cls):
+    """A frozen dataclass for a formula node, whose instances hash their
+    class and fields once, on the first hash, and keep the value: the
+    compile cache hashes a subtree at every lookup, and its children are
+    hashed already.  The class is hashed too, so Not(f) and f, or And(ps)
+    and Or(ps), do not collide in the cache.  Terms keep the dataclass
+    hash: they are small, and a stored hash costs an int per node."""
+    cls = dataclass(frozen=True)(cls)
+    fields_of = operator.attrgetter(*(f.name for f in fields(cls)))
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.__class__, fields_of(self)))
+            # stored as an attribute: reading self.__dict__ would give
+            # every hashed node a dict object of its own
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):
+        # string and class hashes differ between processes: a copy hashes afresh
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls._hash = None
+    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    return cls
+
+
+@_node
 class Cmp:
     op: str  # "=", "<=" or "<", as automata.linear_rel takes it
     left: Term
@@ -126,24 +154,24 @@ class Cmp:
             raise ValueError(f"comparison operator must be =, <= or <, not {self.op!r}")
 
 
-@dataclass(frozen=True)
+@_node
 class SeqAt:
     index: Term
     symbol: int
 
 
-@dataclass(frozen=True)
+@_node
 class SeqEq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@_node
 class Not:
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@_node
 class And:
     parts: tuple
 
@@ -152,7 +180,7 @@ class And:
             raise ValueError("And needs a part; and_() with none is TRUE")
 
 
-@dataclass(frozen=True)
+@_node
 class Or:
     parts: tuple
 
@@ -161,7 +189,7 @@ class Or:
             raise ValueError("Or needs a part; or_() with none is FALSE")
 
 
-@dataclass(frozen=True)
+@_node
 class Exists:
     var: str
     body: "Formula"
@@ -263,7 +291,10 @@ def forall(vs, body: Formula) -> Formula:
 # and renames the tracks back to the names it had at its use site.  So
 # factoreq(i, j, n) and factoreq(i, add(i, p), d), say, compile once.
 # User names cannot start with '%' and free variables become %f names, so
-# a %b binder never captures a name from outside its subtree.
+# a %b binder never captures a name from outside its subtree.  decide
+# never names the whole sentence: it names each part it compiles, once,
+# from the sentence as written, with env mapping the names bound around
+# the part to the %b variables the whole sentence would give them.
 
 class _ReservedVar(Var):
     """Variable with a reserved name, constructible only internally."""
@@ -272,41 +303,44 @@ class _ReservedVar(Var):
         pass
 
 
-def _normal_term(t: Term, env: dict[str, str], free: Optional[dict[str, str]]) -> Term:
-    if isinstance(t, Var):
+def _normal_term(t: Term, env: dict[str, Var], free: Optional[dict[str, Var]]) -> Term:
+    cls = type(t)
+    if cls is Var or cls is _ReservedVar:
         new = env.get(t.name)
         if new is None:
             if free is None:
                 return t
-            new = free.setdefault(t.name, f"%f{len(free)}")
-        return _ReservedVar(new)
-    if isinstance(t, Const):
-        return t
-    if isinstance(t, Sum):
+            new = free.get(t.name)
+            if new is None:
+                new = free[t.name] = _ReservedVar(f"%f{len(free)}")
+        return new
+    if cls is Sum:
         return Sum(_normal_term(t.left, env, free), _normal_term(t.right, env, free))
-    return ConstMul(t.c, _normal_term(t.arg, env, free))
+    if cls is ConstMul:
+        return ConstMul(t.c, _normal_term(t.arg, env, free))
+    return t
 
 
-def _normal(f: Formula, env: dict[str, str], depth: int,
-            free: Optional[dict[str, str]]) -> Formula:
+def _normal(f: Formula, env: dict[str, Var], depth: int,
+            free: Optional[dict[str, Var]]) -> Formula:
     """f with its binders named by depth and, if free is a dict, its free
-    variables named by first occurrence; free collects each old free name
-    with its new one."""
-    if isinstance(f, Cmp):
+    variables named by first occurrence; env maps each name bound around
+    f to its variable, and free collects each old free name with its new
+    variable."""
+    cls = type(f)
+    if cls is Cmp:
         return Cmp(f.op, _normal_term(f.left, env, free), _normal_term(f.right, env, free))
-    if isinstance(f, SeqAt):
+    if cls is SeqAt:
         return SeqAt(_normal_term(f.index, env, free), f.symbol)
-    if isinstance(f, SeqEq):
+    if cls is SeqEq:
         return SeqEq(_normal_term(f.left, env, free), _normal_term(f.right, env, free))
-    if isinstance(f, Not):
+    if cls is Not:
         return Not(_normal(f.body, env, depth, free))
-    if isinstance(f, And):
-        return And(tuple(_normal(p, env, depth, free) for p in f.parts))
-    if isinstance(f, Or):
-        return Or(tuple(_normal(p, env, depth, free) for p in f.parts))
-    if isinstance(f, Exists):
+    if cls is And or cls is Or:
+        return cls(tuple([_normal(p, env, depth, free) for p in f.parts]))
+    if cls is Exists:
         fresh = f"%b{depth}"
-        return Exists(fresh, _normal(f.body, {**env, f.var: fresh}, depth + 1, free))
+        return Exists(fresh, _normal(f.body, {**env, f.var: _ReservedVar(fresh)}, depth + 1, free))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -403,17 +437,20 @@ def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
+def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int],
+                   env: Optional[dict[str, Var]] = None, depth: int = 0) -> Dfa:
     """Compile a subformula; a comparison is compiled with no sequence,
     and a quantified one (an Exists, or a forall: a Not over an Exists)
-    under its normal names, its tracks renamed back."""
-    if isinstance(f, Cmp):
-        return _compile(f, None, k, cap)
+    under its normal names, its tracks renamed back.  Given env, f is
+    spelled as written, under depth binders that env names, and is named
+    here, once, as _normal would name it there."""
     if not isinstance(f.body if isinstance(f, Not) else f, Exists):
-        return _compile(f, seq, k, cap)
-    free: dict[str, str] = {}
+        if env is not None:
+            f = _normal(f, env, depth, None)
+        return _compile(f, None if isinstance(f, Cmp) else seq, k, cap)
+    free: dict[str, Var] = {}
     a = _compile(_normal(f, {}, 0, free), seq, k, cap)
-    return A.rename_tracks(a, {new: old for old, new in free.items()})
+    return A.rename_tracks(a, {new.name: env[old].name if env else old for old, new in free.items()})
 
 
 def compile_formula(
@@ -444,9 +481,10 @@ def _base_and_cap(seq: Optional[Dfao], k: Optional[int],
     return k, limits.max_automaton_states if limits is not None else None
 
 
-def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
+def _some(f: Formula, want: bool, env: dict[str, Var], depth: int,
+          seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
     """Whether some assignment of f's free variables gives f the value
-    want.
+    want; f is spelled as written, under depth binders named by env.
 
     Some assignment makes Exists(v, b) true iff some assignment, v's
     included, makes b true.  An And or an Or compiles its parts: those
@@ -455,30 +493,62 @@ def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int
     labelled want.  Any other f is compiled; every state of a canonical
     automaton is reached by some assignment.
     """
-    if isinstance(f, Not):
-        return _some(f.body, not want, seq, k, cap)
+    while isinstance(f, Not):
+        f, want = f.body, not want
     if isinstance(f, Exists) and want:
-        return _some(f.body, True, seq, k, cap)
+        return _some(f.body, True, {**env, f.var: _ReservedVar(f"%b{depth}")}, depth + 1, seq, k, cap)
     if isinstance(f, (And, Or)):
         op, stage = (operator.and_, "intersect") if isinstance(f, And) else (operator.or_, "union")
-        parts = [_compile_child(p, seq, k, cap) for p in f.parts]
+        parts = [_compile_child(p, seq, k, cap, env, depth) for p in f.parts]
         out = parts[0]
         for p in parts[1:-1]:
             out = A.product(out, p, op, cap, stage)
         return A.meets(out, parts[-1], op, want, cap, stage)
-    return want in _compile_child(f, seq, k, cap).accepting
+    return want in _compile_child(f, seq, k, cap, env, depth).accepting
 
 
 def _true(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
     """Truth of a closed formula.  A closed Not(b) is true iff b is not,
     so a forall's Exists is asked to be true, and a closed And or Or
     decides every part, skipping none, so each raises its own errors."""
-    if isinstance(f, Not):
-        return not _true(f.body, seq, k, cap)
+    negated = False
+    while isinstance(f, Not):
+        f, negated = f.body, not negated
     if isinstance(f, (And, Or)):
         values = [_true(p, seq, k, cap) for p in f.parts]
-        return all(values) if isinstance(f, And) else any(values)
-    return _some(f, True, seq, k, cap)
+        value = all(values) if isinstance(f, And) else any(values)
+    else:
+        value = _some(f, True, {}, 0, seq, k, cap)
+    return value != negated
+
+
+def _free_names(f: Formula, bound: frozenset, out: set) -> None:
+    """Add to out the names of f's variables that neither bound nor a
+    binder of f binds."""
+    cls = type(f)
+    while cls is Not or cls is Exists:
+        if cls is Exists:
+            bound |= {f.var}
+        f = f.body
+        cls = type(f)
+    if cls is And or cls is Or:
+        for p in f.parts:
+            _free_names(p, bound, out)
+        return
+    if cls is SeqAt:
+        stack = [f.index]
+    elif cls is Cmp or cls is SeqEq:
+        stack = [f.left, f.right]
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    for t in stack:
+        if isinstance(t, Var):
+            if t.name not in bound:
+                out.add(t.name)
+        elif isinstance(t, Sum):
+            stack += (t.left, t.right)
+        elif isinstance(t, ConstMul):
+            stack.append(t.arg)
 
 
 def decide(
@@ -489,19 +559,24 @@ def decide(
 ) -> bool:
     """Truth value of a sentence.
 
-    The sentence is named as compile_formula names it and walked top
-    down: _true through its closed connectives, then _some, which
+    The sentence is walked top down as written: _true through its closed
+    connectives, then _some, which names each part it compiles as
+    compile_formula would name it in the whole sentence, once, and
     compiles the parts of the connectives below the outermost
     quantifiers through the one cache, so no root automaton is built.
     A base mismatch and free variables are refused before the walk, a
-    sequence atom without a sequence when it compiles.
+    sequence atom without a sequence when it compiles, and a sentence
+    nested too deeply for the interpreter's stack with a ValueError.
     """
     k, cap = _base_and_cap(seq, k, limits)
-    free: dict[str, str] = {}
-    g = _normal(f, {}, 0, free)
-    if free:
-        raise ValueError(f"not a sentence; free variables {', '.join(sorted(free))}")
-    return _true(g, seq, k, cap)
+    try:
+        free: set[str] = set()
+        _free_names(f, frozenset(), free)
+        if free:
+            raise ValueError(f"not a sentence; free variables {', '.join(sorted(free))}")
+        return _true(f, seq, k, cap)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
 
 
 def witness(

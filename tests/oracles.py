@@ -14,8 +14,10 @@ from fractions import Fraction
 from typing import Optional
 
 from ranktwo import automata as A
+from ranktwo import logic as L
 from ranktwo.automata import Dfa
-from ranktwo.errors import EnumerationLimitError, InfiniteLanguageError
+from ranktwo.errors import DfaoFormatError, EnumerationLimitError, InfiniteLanguageError
+from ranktwo.formula_text import FormulaSyntaxError
 from ranktwo.oracle import parse_step
 from ranktwo.words import word
 
@@ -914,3 +916,275 @@ def ref_decide_fixed_pair(seq, u, v, budget=None):
         if not pair_omega_membership(seq, (red.a, red.b), max_levels=cap):
             return False
     return pair_omega_membership(seq, (u, v), max_levels=cap)
+
+
+# ---------------------------------------------------------------------------
+# the text front ends as they were written before the one-pass versions
+
+_REF_TOKEN = re.compile(
+    r"""\s*(?:
+        (?P<nat>\d+)
+      | (?P<quant>[EA])\b
+      | (?P<name>[a-z_][a-z0-9_']*)
+      | (?P<op>->|!=|<=|>=|[=<>+*().,&|~!\[\]])
+    )""",
+    re.VERBOSE,
+)
+
+
+def _ref_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _REF_TOKEN.match(text, pos)
+        if m is None or m.end() == pos:
+            rest = text[pos:].lstrip()
+            if not rest:
+                break
+            raise FormulaSyntaxError(len(text) - len(rest), f"unexpected character {rest[0]!r}")
+        kind = m.lastgroup
+        tokens.append((kind, m.group(kind), m.start(kind)))
+        pos = m.end()
+    return tokens
+
+
+class _RefSeqRef:
+    """Marker for an x[t] operand before the comparison is known."""
+
+    def __init__(self, index):
+        self.index = index
+
+
+_REF_COMPARISONS = {"=": L.eq, "!=": L.ne, "<=": L.le, "<": L.lt, ">=": L.ge, ">": L.gt}
+
+
+class _RefParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _ref_tokenize(text)
+        self.i = 0
+
+    def _peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else ("end", "", len(self.text))
+
+    def _next(self):
+        tok = self._peek()
+        self.i += 1
+        return tok
+
+    def _expect(self, value: str):
+        kind, val, pos = self._next()
+        if val != value:
+            raise FormulaSyntaxError(pos, f"expected {value!r}, found {val or 'end of input'!r}")
+
+    def _joined(self, sep: str, item, build):
+        """item { sep item }: a lone item as it is, several through build."""
+        parts = [item()]
+        while self._peek()[1] == sep:
+            self._next()
+            parts.append(item())
+        return parts[0] if len(parts) == 1 else build(*parts)
+
+    def parse(self) -> L.Formula:
+        f = self.formula()
+        if self.i != len(self.tokens):
+            raise FormulaSyntaxError(self._peek()[2], "trailing input after formula")
+        return f
+
+    def formula(self) -> L.Formula:
+        kind, val, _ = self._peek()
+        if kind == "quant":
+            self._next()
+            names = self._joined(",", self.name, lambda *names: names)
+            self._expect(".")
+            body = self.formula()
+            return L.exists(names, body) if val == "E" else L.forall(names, body)
+        return self.implication()
+
+    def implication(self) -> L.Formula:
+        left = self.disjunction()
+        if self._peek()[1] == "->":
+            self._next()
+            return L.implies(left, self.implication())
+        return left
+
+    def disjunction(self) -> L.Formula:
+        return self._joined("|", self.conjunction, L.or_)
+
+    def conjunction(self) -> L.Formula:
+        return self._joined("&", self.negation, L.and_)
+
+    def negation(self) -> L.Formula:
+        kind, val, _ = self._peek()
+        if val in ("~", "!"):
+            self._next()
+            return L.not_(self.negation())
+        if val == "(":
+            self._next()
+            inner = self.formula()
+            self._expect(")")
+            return inner
+        return self.atom()
+
+    def atom(self) -> L.Formula:
+        left = self.operand()
+        kind, op, pos = self._next()
+        if op not in _REF_COMPARISONS:
+            raise FormulaSyntaxError(pos, f"expected a comparison, found {op or 'end of input'!r}")
+        right = self.operand()
+        seq_left = isinstance(left, _RefSeqRef)
+        seq_right = isinstance(right, _RefSeqRef)
+        if seq_left or seq_right:
+            if op not in ("=", "!="):
+                raise FormulaSyntaxError(pos, "sequence letters compare only with = or !=")
+            if seq_left and seq_right:
+                f = L.seq_eq(left.index, right.index)
+            else:
+                ref = left if seq_left else right
+                other = right if seq_left else left
+                if not isinstance(other, L.Const):
+                    raise FormulaSyntaxError(
+                        pos, "a sequence letter compares only to a numeral or another x[...]"
+                    )
+                f = L.seq_at(ref.index, other.value)
+            return L.not_(f) if op == "!=" else f
+        return _REF_COMPARISONS[op](left, right)
+
+    def operand(self):
+        kind, val, pos = self._peek()
+        if kind == "name" and val == "x":
+            self._next()
+            self._expect("[")
+            t = self.term()
+            self._expect("]")
+            return _RefSeqRef(t)
+        return self.term()
+
+    def term(self):
+        return self._joined("+", self.part, L.add)
+
+    def part(self):
+        kind, val, pos = self._next()
+        if kind == "nat":
+            if self._peek()[1] == "*":
+                self._next()
+                return L.mul(int(val), self.part())
+            return L.Const(int(val))
+        if kind == "name":
+            if val == "x":
+                raise FormulaSyntaxError(pos, "'x' is reserved for the sequence; use x[term]")
+            return L.term(val)
+        raise FormulaSyntaxError(pos, f"expected a term, found {val or 'end of input'!r}")
+
+    def name(self) -> str:
+        kind, val, pos = self._next()
+        if kind != "name" or val == "x":
+            raise FormulaSyntaxError(pos, "expected a variable name")
+        return val
+
+
+def ref_parse_formula(text: str) -> L.Formula:
+    """The recursive-descent parser, one method per grammar rule, over a
+    tokenizer that matches one token at a time."""
+    if not text.strip():
+        raise FormulaSyntaxError(0, "empty formula")
+    return _RefParser(text).parse()
+
+
+def ref_loads_dfao(text: str) -> A.Dfao:
+    """The automaton text format read line by line into dicts, then
+    validated against sets of every state and digit.
+
+    Directives: k, alphabet, states, initial, output, trans.  Comments
+    start with '#'.  Every directive but alphabet takes exactly its
+    number of integers, and k, alphabet, states and initial appear once.
+    Every state needs one output line and a transition for every digit.
+    An error in one line, such as an initial state out of range, names
+    that line; a missing directive, output or transition, and leading
+    zeros that change an output, name line 0.
+    """
+    k = alphabet = n_states = initial = None
+    seen: set[str] = set()
+    # each output and transition with the line it is on
+    outputs: dict[int, tuple[int, int]] = {}
+    trans: dict[tuple[int, int], tuple[int, int]] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        head, args = parts[0], parts[1:]
+        if head in ("k", "alphabet", "states", "initial"):
+            if head in seen:
+                raise DfaoFormatError(lineno, f"repeated {head!r} directive")
+            seen.add(head)
+        try:
+            if head == "k":
+                (k,) = map(int, args)
+                if k < 2:
+                    raise DfaoFormatError(lineno, "base must be at least 2")
+            elif head == "alphabet":
+                if not args:
+                    raise DfaoFormatError(lineno, "empty alphabet")
+                alphabet = tuple(int(a) for a in args)
+                if any(a < 0 for a in alphabet):
+                    raise DfaoFormatError(lineno, "symbols are non-negative integers")
+                if len(set(alphabet)) != len(alphabet):
+                    raise DfaoFormatError(lineno, "duplicate symbol in alphabet")
+            elif head == "states":
+                (n_states,) = map(int, args)
+                if n_states <= 0:
+                    raise DfaoFormatError(lineno, "need at least one state")
+            elif head == "initial":
+                (initial,) = map(int, args)
+                initial_line = lineno
+            elif head == "output":
+                q, s = map(int, args)
+                if q in outputs:
+                    raise DfaoFormatError(lineno, f"duplicate output for state {q}")
+                outputs[q] = s, lineno
+            elif head == "trans":
+                q, d, t = map(int, args)
+                if (q, d) in trans:
+                    raise DfaoFormatError(lineno, f"duplicate transition {q} {d}")
+                trans[(q, d)] = t, lineno
+            else:
+                raise DfaoFormatError(lineno, f"unknown directive {head!r}")
+        except DfaoFormatError:
+            raise
+        except ValueError:
+            raise DfaoFormatError(lineno, f"malformed {head!r} line") from None
+    for name, val in (("k", k), ("alphabet", alphabet), ("states", n_states), ("initial", initial)):
+        if val is None:
+            raise DfaoFormatError(0, f"missing {name!r} directive")
+    undeclared = sorted(set(outputs) - set(range(n_states)))
+    if undeclared:
+        raise DfaoFormatError(outputs[undeclared[0]][1], f"output for undeclared state {undeclared[0]}")
+    if len(outputs) != n_states:
+        missing = sorted(set(range(n_states)) - set(outputs))
+        raise DfaoFormatError(0, f"missing output for states {missing}")
+    delta = []
+    for q in range(n_states):
+        row = []
+        for d in range(k):
+            if (q, d) not in trans:
+                raise DfaoFormatError(0, f"missing transition for state {q} digit {d}")
+            t, lineno = trans[(q, d)]
+            if not (0 <= t < n_states):
+                raise DfaoFormatError(lineno, f"transition {q} {d} -> {t} out of range")
+            row.append(t)
+        delta.append(tuple(row))
+    extra = sorted(set(trans) - {(q, d) for q in range(n_states) for d in range(k)})
+    if extra:
+        raise DfaoFormatError(trans[extra[0]][1], f"transition on undeclared state or digit: {extra[0]}")
+    if not 0 <= initial < n_states:
+        raise DfaoFormatError(initial_line, "initial state out of range")
+    for q, (s, lineno) in sorted(outputs.items()):
+        if s not in alphabet:
+            raise DfaoFormatError(lineno, f"state {q} outputs {s} outside the alphabet")
+    m = A.Dfao(k, alphabet, tuple(outputs[q][0] for q in range(n_states)), tuple(delta), initial)
+    # leading zeros must not change any eventual output: the minimized
+    # automaton must loop on zero at its initial state
+    if m.canonical().delta[0][0] != 0:
+        raise DfaoFormatError(0, "leading zeros change outputs (no zero self-loop up to equivalence)")
+    return m

@@ -4,7 +4,10 @@ automaton-with-output text format round-tripped bit for bit."""
 
 import itertools
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -830,6 +833,27 @@ def test_dfao_output_on_undeclared_state():
     with pytest.raises(DfaoFormatError, match="undeclared state 5") as ei:
         A.loads_dfao(good + "output 5 1\n")
     assert ei.value.line == good.count("\n") + 1
+
+
+def test_dfao_missing_output_costs_what_the_text_holds():
+    # a set of every declared state would not fit under the 1 GiB limit
+    # of the child process, and its message would list millions of states
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ranktwo.automata import loads_dfao\n"
+        "from ranktwo.errors import DfaoFormatError\n"
+        "for n in (3, 3000000, 1000000000):\n"
+        "    try:\n"
+        "        loads_dfao(f'k 2\\nalphabet 0\\nstates {n}\\ninitial 0\\noutput 0 0\\n')\n"
+        "    except DfaoFormatError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "line 0: missing output for state 1\n" * 3
 
 
 @pytest.mark.parametrize(

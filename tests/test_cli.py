@@ -390,6 +390,46 @@ def test_decide_command_rejects_bad_input(capsys):
     assert code == 2 and "free variable" in err
 
 
+def _parens(n):
+    return "(" * n + "x[0] = 0" + ")" * n
+
+
+def _index(terms):
+    return "x[" + "+".join(["1"] * terms) + "] = 0"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        (_parens(141), "true"),
+        (_parens(200), "true"),
+        ("~" * 981 + "x[0] = 0", "false"),
+        ("~" * 5000 + "x[0] = 0", "true"),
+        (_index(300), "true"),  # 300 has four ones
+    ],
+    ids=["141 parentheses", "200 parentheses", "981 negations", "5000 negations", "300 terms"],
+)
+def test_decide_command_decides_deep_formulas(capsys, text, value):
+    code, out, err = run(capsys, ["decide", "--fixture", "thue-morse", text])
+    assert (code, out, err) == (0, value + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_parens(201), "column 201: more than 200 nested parentheses"),
+        (_parens(5000), "column 201: more than 200 nested parentheses"),
+        (_index(5000), "nested too deeply"),
+        # a negation chain inside a part is compiled node by node
+        ("E i. x[i] = 1 & " + "~" * 5000 + "x[i] = 0", "nested too deeply"),
+    ],
+    ids=["201 parentheses", "5000 parentheses", "5000 terms", "5000 negations in a part"],
+)
+def test_decide_command_refuses_formulas_too_deep_to_decide(capsys, text, message):
+    code, out, err = run(capsys, ["decide", "--fixture", "thue-morse", text])
+    assert (code, out, err) == (2, "", f"error: formula: {message}\n")
+
+
 # ---------------------------------------------------------------- oracle
 
 
