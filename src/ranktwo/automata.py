@@ -603,17 +603,26 @@ class Dfao:
         return self.outputs[q]
 
     def prefix(self, n: int) -> list[int]:
-        """First n symbols, one gather per base-k digit level.
+        """First n symbols: the outputs of prefix_states' states, by one
+        translate when those are a byte string and the outputs all fall
+        below 256."""
+        states, outputs = self.prefix_states(n), self.canonical().outputs
+        if isinstance(states, bytearray) and all(0 <= s < 256 for s in outputs):
+            return list(states.translate(bytes(outputs).ljust(256, b"\0")))
+        return list(map(outputs.__getitem__, states))
 
-        Uses the canonical form, whose initial state carries a genuine
-        zero self-loop, so state_of(k*m + d) = delta[state_of(m)][d] holds
-        for every m >= 0: the states of positions 0..k^(j+1) - 1 are the
-        rows delta[state_of(m)] for m < k^j, laid end to end.  Only the
+    def prefix_states(self, n: int):
+        """The states of self.canonical() at positions 0..n - 1, one
+        gather per base-k digit level; oracle.rank_prefix reads them too.
+
+        The canonical form's initial state carries a genuine zero
+        self-loop, so state_of(k*m + d) = delta[state_of(m)][d] holds for
+        every m >= 0: the states of positions 0..k^(j+1) - 1 are the rows
+        delta[state_of(m)] for m < k^j, laid end to end.  Only the
         positions whose children fall below n are expanded.  With at most
-        256 states a level is a byte string, expanded by one translate
+        256 states a level is a bytearray, expanded by one translate
         through column d of delta per digit d, written to every k-th byte
-        from d; with more it is a list.  One translate through the outputs
-        then gives the symbols when they are all below 256.
+        from d; with more it is a list.
         """
         if n < 0:
             raise ValueError("prefix lengths are naturals")
@@ -627,13 +636,11 @@ class Dfao:
                 states = bytearray(k * len(up))
                 for d, column in enumerate(columns):
                     states[d::k] = up.translate(column)
-            if all(0 <= s < 256 for s in c.outputs):
-                return list(states[:n].translate(bytes(c.outputs).ljust(256, b"\0")))
         else:
             states = [c.initial]
             while len(states) < n:
                 states = [t for q in states[:parents] for t in c.delta[q]]
-        return list(map(c.outputs.__getitem__, states[:n]))
+        return states[:n]
 
     def canonical(self) -> "Dfao":
         return _canonical_dfao(self)

@@ -31,7 +31,7 @@ minimized product and its projections.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
@@ -115,15 +115,56 @@ def term_vars(t: Term) -> frozenset[str]:
 # ---------------------------------------------------------------------------
 # formulas
 
+def _same(a, b) -> bool:
+    """a == b for formula or term trees, walked with a stack of pairs
+    instead of recursion."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if x.__class__ is not y.__class__:
+            return False
+        if isinstance(x, tuple):
+            if len(x) != len(y):
+                return False
+            stack += zip(x, y)
+        elif is_dataclass(x):
+            stack += [(getattr(x, f.name), getattr(y, f.name)) for f in fields(x)]
+        elif x != y:
+            return False
+    return True
+
+
 def _node(cls):
     """A frozen dataclass for a formula node, whose instances hash their
     class and fields once, on the first hash, and keep the value: the
     compile cache hashes a subtree at every lookup, and its children are
     hashed already.  The class is hashed too, so Not(f) and f, or And(ps)
     and Or(ps), do not collide in the cache.  Terms keep the dataclass
-    hash: they are small, and a stored hash costs an int per node."""
+    hash: they are small, and a stored hash costs an int per node.
+
+    == compares field tuples as the dataclass's own does, and a tree too
+    deep for that goes to _same: a cache hit's comparison takes more
+    stack per term level than hashing and compiling the key took, and
+    must not fail where the miss passed.  It is generated, as the
+    dataclass's is, since attrgetter calls cost a fifth more per hit."""
     cls = dataclass(frozen=True)(cls)
-    fields_of = operator.attrgetter(*(f.name for f in fields(cls)))
+    names = [f.name for f in fields(cls)]
+    fields_of = operator.attrgetter(*names)
+    mine, theirs = ("".join(f"{who}.{n}, " for n in names) for who in ("self", "other"))
+    scope = {"_same": _same}
+    exec(
+        "def __eq__(self, other):\n"
+        "    if other.__class__ is not self.__class__:\n"
+        "        return NotImplemented\n"
+        "    try:\n"
+        f"        return ({mine}) == ({theirs})\n"
+        "    except RecursionError:\n"
+        "        return _same(self, other)\n",
+        scope,
+    )
+    __eq__ = scope["__eq__"]
 
     def __hash__(self):
         h = self._hash
@@ -139,7 +180,7 @@ def _node(cls):
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     cls._hash = None
-    cls.__hash__, cls.__getstate__ = __hash__, __getstate__
+    cls.__eq__, cls.__hash__, cls.__getstate__ = __eq__, __hash__, __getstate__
     return cls
 
 
@@ -467,9 +508,14 @@ def compile_formula(
     the root, quantified subformulas are cached with their free variables
     renamed too, so one that recurs under other argument names (a
     predicate applied to new variables) is compiled once per process.
+    A formula nested too deeply for the interpreter's stack is refused
+    with a ValueError, as decide refuses it.
     """
     k, cap = _base_and_cap(seq, k, limits)
-    return _compile(_normal(f, {}, 0, None), seq, k, cap)
+    try:
+        return _compile(_normal(f, {}, 0, None), seq, k, cap)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
 
 
 def _base_and_cap(seq: Optional[Dfao], k: Optional[int],

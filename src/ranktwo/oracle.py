@@ -5,6 +5,19 @@ use of the formula engine, so its answers can be compared against the
 automaton-based ones.  rank2_decide finds and certifies explicit pairs
 here (Steps 0b to 0d): tiling_pairs proposes them, certified_cut finds
 the furthest factorization cut and checks it with dp_factorize's DP.
+
+The scans run on rank strings: a word over naturals is written as a str
+with one character chr(r) per letter, r the letter's position in the
+sorted alphabet (its code), so slicing, comparing and hashing a piece
+of a word happens in C, and a letter past 255, or 2**70, is a wider
+character on the same path.  The public functions take words and blocks
+as sequences of naturals, encode them once on entry, and answer in
+letters and cut positions; rank_prefix writes a Dfao prefix straight
+into a rank string from Dfao.prefix_states' gather.  A block letter
+outside the code is chr(len(code)), which no word in that code holds.
+Rank strings stay inside this module and rank: words.word reads a str
+as a digit string.
+
 Both scans run one aligned chunk of _CHUNK cuts at a time, the forward
 reach from the left and the DP from the right, each carrying a window
 of cut bits between chunks and memoizing a chunk's result within the
@@ -21,36 +34,58 @@ from functools import lru_cache
 from itertools import islice, product
 from typing import Optional
 
+from .automata import Dfao
 from .errors import RankTwoError
 
 
-_ZEROS = b"0" * 256
 _CHUNK = 64  # cuts per chunk of the two scans
 
-
-def _letter_sets(word, letters) -> dict:
-    """Occurrence set of each given letter that occurs in word: an int
-    with bit i set where word[i] is that letter.
-
-    The word's letters are first relabelled to ranks, which keeps the
-    sets exact for naturals of any size.  The ranks are written as
-    base-256 digit planes, one byte string per digit (one string for up
-    to 256 letters), last letter first so that int(..., 2) puts word[0]
-    at bit 0; a letter's set is the AND over the planes of the positions
-    holding its digit, each read off by one translate to "0"/"1".
-    """
-    index = {a: r for r, a in enumerate(set(word))}
-    sets = {a: -1 for a in letters if a in index}
-    for shift in range(0, max(len(index) - 1, 1).bit_length(), 8):
-        digit = {a: r >> shift & 255 for a, r in index.items()}
-        plane = bytes(map(digit.__getitem__, reversed(word)))
-        for a in sets:
-            d = digit[a]
-            sets[a] &= int(b"0" + plane.translate(_ZEROS[:d] + b"1" + _ZEROS[d + 1:]), 2)
-    return sets
+# A ranked word: a rank string and its code, which maps each letter of
+# the sorted alphabet to its character.
+Ranked = tuple[str, dict]
 
 
-def _reach_chunks(word: tuple, u: tuple, v: tuple) -> list[int]:
+def _code(letters) -> dict:
+    """Each of the letters to the character of its rank among them."""
+    return {a: chr(r) for r, a in enumerate(sorted(set(letters)))}
+
+
+def _ranked(word) -> Ranked:
+    """word, naturals, as a rank string over its own letters."""
+    word = tuple(word)
+    code = _code(word)
+    return "".join(map(code.__getitem__, word)), code
+
+
+def _encode(code: dict, block) -> str:
+    """A block in a word's code; a letter the code lacks is chr(len(code))."""
+    absent = chr(len(code))
+    return "".join([code.get(a, absent) for a in block])
+
+
+def rank_prefix(seq: Dfao, n: int) -> Ranked:
+    """seq's first n letters as a rank string, coded over the outputs of
+    its canonical states.  At most 256 states come as a bytearray, which
+    one translate takes to their ranks, below 256 as well."""
+    outputs = seq.canonical().outputs
+    code = _code(outputs)
+    chars = "".join(map(code.__getitem__, outputs))  # chars[q]: state q's letter
+    states = seq.prefix_states(n)
+    if isinstance(states, bytearray):
+        return states.translate(chars.encode("latin-1").ljust(256, b"\0")).decode("latin-1"), code
+    return "".join(map(chars.__getitem__, states)), code
+
+
+def _letter_sets(word: str) -> dict:
+    """Occurrence set of each letter of a rank string: an int with bit i
+    set where word[i] is that letter, read off by one translate of the
+    reversed word to "0"/"1", so that int(..., 2) puts word[0] at bit 0."""
+    letters = set(word)
+    backward, zeros = word[::-1], dict.fromkeys(map(ord, letters), "0")
+    return {a: int("0" + backward.translate({**zeros, ord(a): "1"}), 2) for a in letters}
+
+
+def _reach_chunks(word: str, u: str, v: str) -> list[int]:
     """The cuts that u/v block parses reach from the left, one int per
     chunk: bit j of the c-th is cut c * _CHUNK + j.  Empty blocks are
     ignored.
@@ -83,7 +118,7 @@ def _reach_chunks(word: tuple, u: tuple, v: tuple) -> list[int]:
     return chunks
 
 
-def _feasible_chunks(word: tuple, end: int, u: tuple, v: tuple) -> list[int]:
+def _feasible_chunks(word: str, end: int, u: str, v: str) -> list[int]:
     """The cuts i <= end where word[i:end] splits into u/v blocks
     exactly, one int per chunk as in _reach_chunks.
 
@@ -94,11 +129,12 @@ def _feasible_chunks(word: tuple, end: int, u: tuple, v: tuple) -> list[int]:
     """
     lu, lv = len(u), len(v)
     span = max(lu, lv, 1)
-    memo, chunks = {}, []
+    look, low, carry = _CHUNK + span - 1, (1 << _CHUNK) - 1, (1 << span) - 1
+    word, memo, chunks = word[:end], {}, []
     s = end - end % _CHUNK
     feasible = 1 << end - s
     while s >= 0:
-        key = (feasible, word[s:min(s + _CHUNK + span - 1, end)])
+        key = (feasible, word[s:s + look])
         got = memo.get(key)
         if got is None:
             seg = key[1]
@@ -107,9 +143,9 @@ def _feasible_chunks(word: tuple, end: int, u: tuple, v: tuple) -> list[int]:
                     feasible >> j + lv & 1 and seg[j:j + lv] == v
                 ):
                     feasible |= 1 << j
-            got = memo[key] = feasible
-        chunks.append(got & (1 << _CHUNK) - 1)
-        feasible = (got & (1 << span) - 1) << _CHUNK
+            got = memo[key] = (feasible & low, (feasible & carry) << _CHUNK)
+        bits, feasible = got
+        chunks.append(bits)
         s -= _CHUNK
     return chunks[::-1]
 
@@ -128,7 +164,8 @@ def dp_factorize(word, u, v) -> Optional[list[int]]:
     and a greedy forward scan takes a u block wherever the rest stays
     feasible.
     """
-    word, u, v = tuple(word), tuple(u), tuple(v)
+    word, code = _ranked(word)
+    u, v = _encode(code, u), _encode(code, v)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
     n, lu, lv = len(word), len(u), len(v)
@@ -149,7 +186,8 @@ def parse_reach(word, u, v) -> list[int]:
     in ascending order; the last is the furthest cut.  Empty blocks are
     ignored.
     """
-    chunks = _reach_chunks(tuple(word), tuple(u), tuple(v))
+    word, code = _ranked(word)
+    chunks = _reach_chunks(word, _encode(code, u), _encode(code, v))
     return [c * _CHUNK + j for c, bits in enumerate(chunks) for j in range(bits.bit_length()) if bits >> j & 1]
 
 
@@ -157,11 +195,17 @@ def certified_cut(word, u, v, min_cut: int) -> Optional[int]:
     """The furthest cut parse_reach finds, or None below min_cut, checked
     by dp_factorize's backward DP up to it: a cut the DP cannot
     factorize raises RankTwoError."""
-    word, u, v = tuple(word), tuple(u), tuple(v)
-    best = _last_cut(_reach_chunks(word, u, v))
+    return ranked_cut(_ranked(word), tuple(u), tuple(v), min_cut)
+
+
+def ranked_cut(ranked: Ranked, u: tuple, v: tuple, min_cut: int) -> Optional[int]:
+    """certified_cut of a ranked word, for blocks of naturals."""
+    word, code = ranked
+    eu, ev = _encode(code, u), _encode(code, v)
+    best = _last_cut(_reach_chunks(word, eu, ev))
     if best < min_cut:
         return None
-    if not _feasible_chunks(word, best, u, v)[0] & 1:
+    if not _feasible_chunks(word, best, eu, ev)[0] & 1:
         raise RankTwoError(f"cut {best} of u = {list(u)}, v = {list(v)} fails the DP cross-check")
     return best
 
@@ -182,30 +226,33 @@ def search_pairs(word, max_total: int, limit: Optional[int] = None) -> list[tupl
         raise ValueError("pair totals are naturals")
     if limit is not None and limit < 0:
         raise ValueError("pair limits are naturals")
-    return list(islice(tiling_pairs(tuple(word), max_total), limit))
+    return list(islice(tiling_pairs(_ranked(word), max_total), limit))
 
 
-def _factors(word, max_len: int):
-    """For ln = 1..max_len, the distinct length-ln factors of word in
-    lexicographic order, each with its occurrence set.
+def _factors(word: str, max_len: int):
+    """For ln = 1..max_len, the distinct length-ln factors of a rank
+    string in lexicographic order, each with its occurrence set.
 
     A length-(ln + 1) factor extends a length-ln one by a letter, and its
     set is the parent's AND the letter's set shifted right by ln, so
     extending each factor by each letter in order keeps the order.
     """
-    sets = _letter_sets(word, set(word))
+    sets = _letter_sets(word)
     letters = sorted(sets)
-    level = [((), -1)]
+    level = [("", -1)]
     for ln in range(max_len):
         shifted = [(a, sets[a] >> ln) for a in letters]
-        level = [(f + (a,), occ) for f, parent in level for a, s in shifted if (occ := parent & s)]
+        level = [(f + a, occ) for f, parent in level for a, s in shifted if (occ := parent & s)]
         yield level
 
 
-def tiling_pairs(word: tuple, max_total: int):
-    """The pairs of search_pairs in its order, as a generator, so a
-    caller that stops at the first pair it proves pays for no later
-    candidate's reach."""
+def tiling_pairs(ranked: Ranked, max_total: int):
+    """The pairs of search_pairs in its order, as a generator of pairs of
+    naturals, so a caller that stops at the first pair it proves pays for
+    no later candidate's reach.  Ranks order like their letters, so the
+    rank strings' order is the pairs' order."""
+    word, code = ranked
+    letters = tuple(code)  # letters[r]: the letter of rank r
     n = len(word)
     # factors[l - 1]: the distinct factors of length l in lexicographic order
     factors = [[f for f, _ in level] for level in _factors(word, min(max_total - 1, n))]
@@ -216,17 +263,15 @@ def tiling_pairs(word: tuple, max_total: int):
                 if v == u:
                     continue
                 best = _last_cut(_reach_chunks(word, u, v))
-                if n - best < max(lu, lv):
-                    rest = word[best:best + max(lu, lv)]
-                    if rest == u[:len(rest)] or rest == v[:len(rest)]:
-                        yield u, v
+                if n - best < max(lu, lv) and (u.startswith(rest := word[best:]) or v.startswith(rest)):
+                    yield tuple(letters[ord(a)] for a in u), tuple(letters[ord(a)] for a in v)
 
 
 def appearance_values(word, max_n: int) -> list[int]:
     """[brute_appearance(word, n) for n = 1..max_n], in one pass over the
     factors: the value for n is the largest first start of a length-n
     factor, the lowest bit of its set, plus n."""
-    word = tuple(word)
+    word, _ = _ranked(word)
     if max_n > len(word):
         raise ValueError("word too short to cover its own factors")
     return [
@@ -250,10 +295,12 @@ def brute_appearance(word, n: int) -> int:
 def in_pair_star(word, a, b) -> bool:
     """word splits exactly into a/b blocks (empty blocks are ignored);
     only a word that starts and ends with a block is parsed."""
-    word, blocks = tuple(word), [tuple(x) for x in (a, b) if x]
-    if word and not (any(word[:len(x)] == x for x in blocks) and any(word[-len(x):] == x for x in blocks)):
+    word, code = _ranked(word)
+    a, b = _encode(code, a), _encode(code, b)
+    blocks = [x for x in (a, b) if x]
+    if word and not (any(map(word.startswith, blocks)) and any(map(word.endswith, blocks))):
         return False
-    return parse_reach(word, a, b)[-1] == len(word)
+    return _last_cut(_reach_chunks(word, a, b)) == len(word)
 
 
 def is_minimal_pair(u, v) -> bool:

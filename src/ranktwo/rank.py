@@ -59,7 +59,7 @@ from .logic import (
     not_,
     witness,
 )
-from .oracle import certified_cut, parse_step, tiling_pairs
+from .oracle import parse_step, rank_prefix, ranked_cut, tiling_pairs
 from .words import Word, WordLike, word
 
 
@@ -330,7 +330,7 @@ def validate_explicit_pair(seq: Dfao, u: WordLike, v: WordLike, min_prefix: int 
     u, v = word(u), word(v)
     if not u or not v:
         raise ValueError("blocks must be nonempty")
-    return certified_cut(seq.prefix(min_prefix + max(len(u), len(v))), u, v, min_prefix)
+    return ranked_cut(rank_prefix(seq, min_prefix + max(len(u), len(v))), u, v, min_prefix)
 
 
 def _explicit_pair(seq: Dfao, u: Word, v: Word) -> ExplicitPair:
@@ -626,7 +626,7 @@ def rank2_decide(
 
         if not disable_fast_paths:
             stages.append("Step0d")
-            probe = tuple(seq.prefix(2 ** 12))
+            probe = rank_prefix(seq, 2 ** 12)
             for uu, vv in islice(tiling_pairs(probe, 6), budget.max_enumeration):
                 if decide_fixed_pair(seq, uu, vv, budget):
                     return report(RankTwo(_explicit_pair(seq, uu, vv)))

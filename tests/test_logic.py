@@ -763,3 +763,62 @@ def test_error_on_free_variables_and_missing_sequence():
         L.Var("%oops")
     with pytest.raises(ValueError):
         L.Const(-1)
+
+
+def _deep_sum(n):
+    # an n-term sum nests its terms n deep
+    return parse_formula("E i. i = " + "+".join(["1"] * n))
+
+
+def _ask(ask, n):
+    try:
+        return ask(_deep_sum(n), seq=TM)
+    except ValueError as e:
+        return str(e)
+
+
+def _cold(ask, n):
+    L._compile.cache_clear()
+    return _ask(ask, n)
+
+
+def _deepest(ask):
+    # the deepest sum that ask compiles from a cold cache, by bisection
+    lo, hi = 1, 2000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if isinstance(_cold(ask, mid), str):
+            hi = mid - 1
+        else:
+            lo = mid
+    return lo
+
+
+@pytest.mark.parametrize("first", [decide, compile_formula], ids=["decide", "compile_formula"])
+@pytest.mark.parametrize("then", [decide, compile_formula], ids=["decide", "compile_formula"])
+def test_deep_sentence_hits_the_cache_wherever_it_compiled(first, then):
+    # at the deepest sum both calls compile from a cold cache (at this
+    # test's stack depth), asking then after first hits the cache, whose
+    # key comparison must not fail where the compile that stored it passed
+    n = min(_deepest(first), _deepest(then))
+    assert n > 100
+    want = _cold(then, n)
+    L._compile.cache_clear()
+    _ask(first, n)
+    assert _ask(then, n) == want and not isinstance(want, str)
+
+
+def test_deep_formula_trees_compare_without_recursion():
+    a, b = _deep_sum(5000), _deep_sum(5000)
+    assert a == b and not a != b
+    assert a != _deep_sum(4999) and a != parse_formula("E i. i = " + "+".join(["1"] * 4999 + ["2"]))
+    # the fallback on shapes the sums lack
+    x, y = eq("i", 1), eq("i", 2)
+    for f, g in ((and_(x, y), and_(x, y, x)), (and_(x, y), or_(x, y)), (x, y), (exists("i", x), exists("j", x))):
+        assert L._same(f, f) and not L._same(f, g) and not L._same(g, f)
+
+
+@pytest.mark.parametrize("ask", [decide, compile_formula, witness])
+def test_formulas_too_deep_for_the_stack_are_value_errors(ask):
+    with pytest.raises(ValueError, match="^nested too deeply$"):
+        ask(_deep_sum(3000), seq=TM)

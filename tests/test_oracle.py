@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ranktwo.analysis import max_exponent
+from ranktwo.automata import Dfao
 from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
     _CHUNK,
@@ -18,10 +19,13 @@ from ranktwo.oracle import (
     is_minimal_pair,
     minimal_pairs,
     parse_reach,
+    rank_prefix,
     search_comb_counterexample,
     search_depsilon_counterexample,
     search_pairs,
 )
+
+from ranktwo.rank import validate_explicit_pair
 
 from oracles import (
     FIXTURE_ORACLES,
@@ -32,6 +36,7 @@ from oracles import (
     random_word,
     ref_dp_factorize,
     ref_parse_reach,
+    ref_prefix,
     ref_tiling_pairs,
     regex_member,
 )
@@ -184,6 +189,49 @@ def test_word_checks_past_one_byte_of_letters():
     for x in (w[:700], shuffled[:700]):
         assert search_pairs(x, 5) == list(ref_tiling_pairs(x, 5))
         assert appearance_values(x, 12) == [brute_appearance_value(x, n) for n in range(1, 13)]
+
+
+@st.composite
+def _dfaos(draw):
+    """A Dfao whose letters start at 0 or at 2**70.  Half of them have
+    1 to 6 states with random moves, so at most 256 canonical states
+    (prefix_states' byte gather); the rest have p = 257 or 263 states,
+    delta(r, d) = (k r + d) mod p and pairwise distinct outputs, so p
+    canonical states (its list gather) and p letters."""
+    k, base = draw(st.integers(2, 3)), draw(st.sampled_from((0, 2 ** 70)))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 6))
+        delta = [[draw(st.integers(0, n - 1)) for _ in range(k)] for _ in range(n)]
+        delta[0][0] = 0
+        outputs = [base + draw(st.integers(0, 3)) for _ in range(n)]
+    else:
+        n = draw(st.sampled_from((257, 263)))
+        delta = [[(k * r + d) % n for d in range(k)] for r in range(n)]
+        outputs = list(range(base, base + n))
+        random.Random(draw(st.integers(0, 2 ** 32))).shuffle(outputs)
+    m = Dfao(k, tuple(sorted(set(outputs))), tuple(outputs), tuple(map(tuple, delta)), 0)
+    assert m.canonical().num_states == n or n <= 6
+    return m
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_dfaos(), st.integers(0, 700), st.data())
+def test_rank_prefix_is_the_prefix_and_certifies_as_the_tuple(m, n, data):
+    text, code = rank_prefix(m, n)
+    letters = list(code)
+    assert letters == sorted(set(m.canonical().outputs))
+    assert [letters[ord(c)] for c in text] == ref_prefix(m, n) == m.prefix(n)
+    # blocks cut from the prefix, so that parses run long
+    head = ref_prefix(m, 64)
+    i, j = data.draw(st.integers(0, 63)), data.draw(st.integers(0, 63))
+    u = tuple(head[i:i + data.draw(st.integers(1, 4))])
+    v = tuple(head[j:j + data.draw(st.integers(1, 4))])
+    min_prefix = data.draw(st.integers(0, 300))
+    want = certified_cut(tuple(ref_prefix(m, min_prefix + max(len(u), len(v)))), u, v, min_prefix)
+    assert validate_explicit_pair(m, u, v, min_prefix) == want
+    # a letter the prefix lacks, in both blocks, parses nothing
+    absent = max(letters) + 1
+    assert validate_explicit_pair(m, u + (absent,), (absent,) + v, max(min_prefix, 1)) is None
 
 
 def test_search_pairs_thue_morse():
