@@ -603,13 +603,9 @@ class Dfao:
         return self.outputs[q]
 
     def prefix(self, n: int) -> list[int]:
-        """First n symbols: the outputs of prefix_states' states, by one
-        translate when those are a byte string and the outputs all fall
-        below 256."""
-        states, outputs = self.prefix_states(n), self.canonical().outputs
-        if isinstance(states, bytearray) and all(0 <= s < 256 for s in outputs):
-            return list(states.translate(bytes(outputs).ljust(256, b"\0")))
-        return list(map(outputs.__getitem__, states))
+        """First n symbols: the outputs of prefix_states' states."""
+        outputs = self.canonical().outputs
+        return list(map(outputs.__getitem__, self.prefix_states(n)))
 
     def prefix_states(self, n: int):
         """The states of self.canonical() at positions 0..n - 1, one

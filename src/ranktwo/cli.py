@@ -57,13 +57,13 @@ def _digits(w) -> str:
 def _word_arg(text: str) -> tuple[int, ...]:
     if not text:
         raise InputError("words must be nonempty digit strings")
-    if not text.isdigit():
+    if not text.isdecimal():
         raise InputError(f"words are digit strings; got {text!r}")
     return word(text)
 
 
 def _alphabet_arg(text: str) -> tuple[int, ...]:
-    if not text.isdigit():
+    if not text.isdecimal():
         raise InputError(f"alphabets are digit strings; got {text!r}")
     letters = tuple(dict.fromkeys(int(c) for c in text))
     if len(letters) < 2:

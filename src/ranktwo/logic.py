@@ -326,16 +326,15 @@ def forall(vs, body: Formula) -> Formula:
 # by position: each binder, an Exists (a forall's is under its Not),
 # becomes %b<depth>, its depth counted from the formula's root, and, when
 # asked, each free variable becomes %f<i>, i counting free variables in
-# order of first occurrence.  compile_formula normalizes binders only, so
-# its result keeps the caller's track names; _compile_child normalizes a
-# quantified subformula (a forall with its Not) fully, compiles it,
-# and renames the tracks back to the names it had at its use site.  So
-# factoreq(i, j, n) and factoreq(i, add(i, p), d), say, compile once.
-# User names cannot start with '%' and free variables become %f names, so
-# a %b binder never captures a name from outside its subtree.  decide
-# never names the whole sentence: it names each part it compiles, once,
-# from the sentence as written, with env mapping the names bound around
-# the part to the %b variables the whole sentence would give them.
+# order of first occurrence.  compile_formula names the whole formula
+# once, binders only, so its result keeps the caller's track names;
+# decide names the whole sentence once, free variables too, and refuses
+# it if that walk finds any.  _compile_child names a quantified
+# subformula (a forall with its Not) fully, compiles it, and renames the
+# tracks back to the names it had at its use site.  So factoreq(i, j, n)
+# and factoreq(i, add(i, p), d), say, compile once.  User names cannot
+# start with '%' and free variables become %f names, so a %b binder
+# never captures a name from outside its subtree.
 
 class _ReservedVar(Var):
     """Variable with a reserved name, constructible only internally."""
@@ -376,7 +375,17 @@ def _normal(f: Formula, env: dict[str, Var], depth: int,
     if cls is SeqEq:
         return SeqEq(_normal_term(f.left, env, free), _normal_term(f.right, env, free))
     if cls is Not:
-        return Not(_normal(f.body, env, depth, free))
+        if type(f.body) is not Not:
+            return Not(_normal(f.body, env, depth, free))
+        # a chain of negations is peeled in a loop, so its length costs no
+        # stack; a single one takes the cheaper line above
+        nots = 0
+        while type(f) is Not:
+            f, nots = f.body, nots + 1
+        f = _normal(f, env, depth, free)
+        for _ in range(nots):
+            f = Not(f)
+        return f
     if cls is And or cls is Or:
         return cls(tuple([_normal(p, env, depth, free) for p in f.parts]))
     if cls is Exists:
@@ -478,20 +487,17 @@ def _compile(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int],
-                   env: Optional[dict[str, Var]] = None, depth: int = 0) -> Dfa:
+def _compile_child(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> Dfa:
     """Compile a subformula; a comparison is compiled with no sequence,
     and a quantified one (an Exists, or a forall: a Not over an Exists)
-    under its normal names, its tracks renamed back.  Given env, f is
-    spelled as written, under depth binders that env names, and is named
-    here, once, as _normal would name it there."""
+    under its normal names, its tracks renamed back."""
+    if isinstance(f, Cmp):
+        return _compile(f, None, k, cap)
     if not isinstance(f.body if isinstance(f, Not) else f, Exists):
-        if env is not None:
-            f = _normal(f, env, depth, None)
-        return _compile(f, None if isinstance(f, Cmp) else seq, k, cap)
+        return _compile(f, seq, k, cap)
     free: dict[str, Var] = {}
     a = _compile(_normal(f, {}, 0, free), seq, k, cap)
-    return A.rename_tracks(a, {new.name: env[old].name if env else old for old, new in free.items()})
+    return A.rename_tracks(a, {new.name: old for old, new in free.items()})
 
 
 def compile_formula(
@@ -527,10 +533,9 @@ def _base_and_cap(seq: Optional[Dfao], k: Optional[int],
     return k, limits.max_automaton_states if limits is not None else None
 
 
-def _some(f: Formula, want: bool, env: dict[str, Var], depth: int,
-          seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
+def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
     """Whether some assignment of f's free variables gives f the value
-    want; f is spelled as written, under depth binders named by env.
+    want.
 
     Some assignment makes Exists(v, b) true iff some assignment, v's
     included, makes b true.  An And or an Or compiles its parts: those
@@ -542,15 +547,15 @@ def _some(f: Formula, want: bool, env: dict[str, Var], depth: int,
     while isinstance(f, Not):
         f, want = f.body, not want
     if isinstance(f, Exists) and want:
-        return _some(f.body, True, {**env, f.var: _ReservedVar(f"%b{depth}")}, depth + 1, seq, k, cap)
+        return _some(f.body, True, seq, k, cap)
     if isinstance(f, (And, Or)):
         op, stage = (operator.and_, "intersect") if isinstance(f, And) else (operator.or_, "union")
-        parts = [_compile_child(p, seq, k, cap, env, depth) for p in f.parts]
+        parts = [_compile_child(p, seq, k, cap) for p in f.parts]
         out = parts[0]
         for p in parts[1:-1]:
             out = A.product(out, p, op, cap, stage)
         return A.meets(out, parts[-1], op, want, cap, stage)
-    return want in _compile_child(f, seq, k, cap, env, depth).accepting
+    return want in _compile_child(f, seq, k, cap).accepting
 
 
 def _true(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
@@ -564,37 +569,8 @@ def _true(f: Formula, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
         values = [_true(p, seq, k, cap) for p in f.parts]
         value = all(values) if isinstance(f, And) else any(values)
     else:
-        value = _some(f, True, {}, 0, seq, k, cap)
+        value = _some(f, True, seq, k, cap)
     return value != negated
-
-
-def _free_names(f: Formula, bound: frozenset, out: set) -> None:
-    """Add to out the names of f's variables that neither bound nor a
-    binder of f binds."""
-    cls = type(f)
-    while cls is Not or cls is Exists:
-        if cls is Exists:
-            bound |= {f.var}
-        f = f.body
-        cls = type(f)
-    if cls is And or cls is Or:
-        for p in f.parts:
-            _free_names(p, bound, out)
-        return
-    if cls is SeqAt:
-        stack = [f.index]
-    elif cls is Cmp or cls is SeqEq:
-        stack = [f.left, f.right]
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    for t in stack:
-        if isinstance(t, Var):
-            if t.name not in bound:
-                out.add(t.name)
-        elif isinstance(t, Sum):
-            stack += (t.left, t.right)
-        elif isinstance(t, ConstMul):
-            stack.append(t.arg)
 
 
 def decide(
@@ -605,22 +581,22 @@ def decide(
 ) -> bool:
     """Truth value of a sentence.
 
-    The sentence is walked top down as written: _true through its closed
-    connectives, then _some, which names each part it compiles as
-    compile_formula would name it in the whole sentence, once, and
-    compiles the parts of the connectives below the outermost
-    quantifiers through the one cache, so no root automaton is built.
-    A base mismatch and free variables are refused before the walk, a
-    sequence atom without a sequence when it compiles, and a sentence
-    nested too deeply for the interpreter's stack with a ValueError.
+    The sentence is named in one walk, as compile_formula names a
+    formula but with its free variables collected, and walked top down:
+    _true through its closed connectives, then _some, which compiles the
+    parts of the connectives below the outermost quantifiers through the
+    one cache, so no root automaton is built.  A base mismatch and free
+    variables are refused before the walk, a sequence atom without a
+    sequence when it compiles, and a sentence nested too deeply for the
+    interpreter's stack with a ValueError.
     """
     k, cap = _base_and_cap(seq, k, limits)
     try:
-        free: set[str] = set()
-        _free_names(f, frozenset(), free)
+        free: dict[str, Var] = {}
+        g = _normal(f, {}, 0, free)
         if free:
             raise ValueError(f"not a sentence; free variables {', '.join(sorted(free))}")
-        return _true(f, seq, k, cap)
+        return _true(g, seq, k, cap)
     except RecursionError:
         raise ValueError("nested too deeply") from None
 

@@ -3,8 +3,8 @@
 Everything in this module works on concrete finite words and makes no
 use of the formula engine, so its answers can be compared against the
 automaton-based ones.  rank2_decide finds and certifies explicit pairs
-here (Steps 0b to 0d): tiling_pairs proposes them, certified_cut finds
-the furthest factorization cut and checks it with dp_factorize's DP.
+here (Steps 0b to 0d): tiling_pairs proposes them, ranked_cut finds the
+furthest factorization cut and checks it with dp_factorize's DP.
 
 The scans run on rank strings: a word over naturals is written as a str
 with one character chr(r) per letter, r the letter's position in the
@@ -13,10 +13,11 @@ of a word happens in C, and a letter past 255, or 2**70, is a wider
 character on the same path.  The public functions take words and blocks
 as sequences of naturals, encode them once on entry, and answer in
 letters and cut positions; rank_prefix writes a Dfao prefix straight
-into a rank string from Dfao.prefix_states' gather.  A block letter
-outside the code is chr(len(code)), which no word in that code holds.
-Rank strings stay inside this module and rank: words.word reads a str
-as a digit string.
+into a rank string from Dfao.prefix_states' gather, and tiling_pairs
+and ranked_cut, the two that rank calls, take it as it is.  A block
+letter outside the code is chr(len(code)), which no word in that code
+holds.  Rank strings stay inside this module and rank: words.word reads
+a str as a digit string.
 
 Both scans run one aligned chunk of _CHUNK cuts at a time, the forward
 reach from the left and the DP from the right, each carrying a window
@@ -181,25 +182,11 @@ def dp_factorize(word, u, v) -> Optional[list[int]]:
     return cuts
 
 
-def parse_reach(word, u, v) -> list[int]:
-    """All cut positions reachable by u/v block parses from the left,
-    in ascending order; the last is the furthest cut.  Empty blocks are
-    ignored.
-    """
-    word, code = _ranked(word)
-    chunks = _reach_chunks(word, _encode(code, u), _encode(code, v))
-    return [c * _CHUNK + j for c, bits in enumerate(chunks) for j in range(bits.bit_length()) if bits >> j & 1]
-
-
-def certified_cut(word, u, v, min_cut: int) -> Optional[int]:
-    """The furthest cut parse_reach finds, or None below min_cut, checked
-    by dp_factorize's backward DP up to it: a cut the DP cannot
-    factorize raises RankTwoError."""
-    return ranked_cut(_ranked(word), tuple(u), tuple(v), min_cut)
-
-
 def ranked_cut(ranked: Ranked, u: tuple, v: tuple, min_cut: int) -> Optional[int]:
-    """certified_cut of a ranked word, for blocks of naturals."""
+    """The furthest cut that u/v block parses of a ranked word reach from
+    the left, or None below min_cut, checked by dp_factorize's backward
+    DP up to it: a cut the DP cannot factorize raises RankTwoError.  The
+    blocks are naturals, encoded here in the word's code."""
     word, code = ranked
     eu, ev = _encode(code, u), _encode(code, v)
     best = _last_cut(_reach_chunks(word, eu, ev))

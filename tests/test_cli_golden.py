@@ -90,6 +90,9 @@ CASES = [
     ["oracle", "comb-search", "--max-pair-total", "-1", "--alphabet", "0"],
     ["oracle", "depsilon-search", "--alphabet", "0"],
     ["oracle", "depsilon-search", "--alphabet", "0x"],
+    # '²' is a digit to str.isdigit but no decimal numeral
+    ["max-exponent", "--fixture", "thue-morse", "--word", "0²"],
+    ["oracle", "comb-search", "--alphabet", "0²"],
 ]
 
 

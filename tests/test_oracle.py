@@ -11,15 +11,15 @@ from ranktwo.automata import Dfao
 from ranktwo.fixtures import load_fixture
 from ranktwo.oracle import (
     _CHUNK,
+    _ranked,
     appearance_values,
     brute_appearance,
-    certified_cut,
     dp_factorize,
     in_pair_star,
     is_minimal_pair,
     minimal_pairs,
-    parse_reach,
     rank_prefix,
+    ranked_cut,
     search_comb_counterexample,
     search_depsilon_counterexample,
     search_pairs,
@@ -98,9 +98,16 @@ def test_dp_factorize_agrees_with_greedy_parse():
             assert cuts == greedy, (u, v, w)
 
 
-def test_parse_reach_tracks_every_cut():
-    assert parse_reach((0, 1, 0, 1), (0,), (0, 1)) == [0, 1, 2, 3, 4]
-    assert parse_reach((1, 1), (0,), (0, 1)) == [0]
+def _reached(w, u, v) -> list[int]:
+    """The cuts m where w[:m] splits into u/v blocks, by in_pair_star."""
+    return [m for m in range(len(w) + 1) if in_pair_star(w[:m], u, v)]
+
+
+def test_reach_tracks_every_cut():
+    assert _reached((0, 1, 0, 1), (0,), (0, 1)) == [0, 1, 2, 3, 4]
+    assert _reached((1, 1), (0,), (0, 1)) == [0]
+    assert ranked_cut(_ranked((0, 1, 0, 1)), (0,), (0, 1), 4) == 4
+    assert ranked_cut(_ranked((1, 1)), (0,), (0, 1), 1) is None
 
 
 # letters of the random words: small ones, and naturals too large for
@@ -148,16 +155,15 @@ def _words_and_blocks(draw):
 def test_chunked_scans_match_slice_loops(wuv, off):
     w, u, v = wuv
     reach = ref_parse_reach(w, u, v)
-    assert parse_reach(w, u, v) == reach
+    assert _reached(w, u, v) == reach
     assert dp_factorize(w, u, v) == ref_dp_factorize(w, u, v)
     assert dp_factorize(w[:reach[-1]], u, v) == ref_dp_factorize(w[:reach[-1]], u, v)
     min_cut = max(reach[-1] + off, 0)
-    assert certified_cut(w, u, v, min_cut) == (reach[-1] if off <= 0 else None)
-    assert parse_reach(w[:0], u, v) == [0] and dp_factorize(w[:0], u, v) == [0]
+    assert ranked_cut(_ranked(w), u, v, min_cut) == (reach[-1] if off <= 0 else None)
+    assert ranked_cut(_ranked(w[:0]), u, v, 0) == 0 and dp_factorize(w[:0], u, v) == [0]
     # an empty block never occurs
     for a, b in ((u, ()), ((), v), ((), ())):
-        assert parse_reach(w, a, b) == ref_parse_reach(w, a, b)
-        assert in_pair_star(w, a, b) == (ref_parse_reach(w, a, b)[-1] == len(w))
+        assert _reached(w, a, b) == ref_parse_reach(w, a, b)
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -180,11 +186,12 @@ def test_word_checks_past_one_byte_of_letters():
     assert len(set(w)) == 300
     for a, b in ((u, v), (v, u), (u[:70], u[70:]), (v[:1], w[:3]), (u, (2 ** 80,))):
         reach = ref_parse_reach(w, a, b)
-        assert parse_reach(w, a, b) == reach
+        assert _reached(w, a, b) == reach
         assert dp_factorize(w, a, b) == ref_dp_factorize(w, a, b)
         assert dp_factorize(w[:reach[-1]], a, b) == ref_dp_factorize(w[:reach[-1]], a, b)
         for min_cut in (0, reach[-1], reach[-1] + 1):
-            assert certified_cut(w, a, b, min_cut) == (reach[-1] if reach[-1] >= min_cut else None)
+            want = reach[-1] if reach[-1] >= min_cut else None
+            assert ranked_cut(_ranked(w), a, b, min_cut) == want
     shuffled = tuple(rng.sample(w, len(w)))
     for x in (w[:700], shuffled[:700]):
         assert search_pairs(x, 5) == list(ref_tiling_pairs(x, 5))
@@ -227,8 +234,8 @@ def test_rank_prefix_is_the_prefix_and_certifies_as_the_tuple(m, n, data):
     u = tuple(head[i:i + data.draw(st.integers(1, 4))])
     v = tuple(head[j:j + data.draw(st.integers(1, 4))])
     min_prefix = data.draw(st.integers(0, 300))
-    want = certified_cut(tuple(ref_prefix(m, min_prefix + max(len(u), len(v)))), u, v, min_prefix)
-    assert validate_explicit_pair(m, u, v, min_prefix) == want
+    best = ref_parse_reach(ref_prefix(m, min_prefix + max(len(u), len(v))), u, v)[-1]
+    assert validate_explicit_pair(m, u, v, min_prefix) == (best if best >= min_prefix else None)
     # a letter the prefix lacks, in both blocks, parses nothing
     absent = max(letters) + 1
     assert validate_explicit_pair(m, u + (absent,), (absent,) + v, max(min_prefix, 1)) is None

@@ -25,7 +25,7 @@ from ranktwo.automata import Dfao
 from ranktwo.errors import BudgetExceededError, EnumerationLimitError, RankTwoError
 from ranktwo.fixtures import load_fixture
 from ranktwo.logic import Exists, compile_formula, decide, witness
-from ranktwo.oracle import certified_cut, dp_factorize, parse_reach, search_pairs
+from ranktwo.oracle import _ranked, dp_factorize, ranked_cut, search_pairs
 from ranktwo.rank import (
     Budget,
     ExistenceByFormula,
@@ -189,11 +189,11 @@ def test_pair_omega_membership_agrees_with_finite_parses():
             continue
         member = pair_omega_membership(seq, (u, v))
         w = prefixes[id(seq)]
-        cuts = parse_reach(w, u, v)
+        best = ranked_cut(_ranked(w), u, v, 0)
         slack = len(u) + len(v)
         if member:
-            assert cuts[-1] >= len(w) - slack
-        if cuts[-1] < 512:
+            assert best >= len(w) - slack
+        if best < 512:
             assert not member
 
 
@@ -790,7 +790,7 @@ def test_campaign_frontier_draws_get_certified_pairs(draw, pair):
     assert isinstance(cert, ExplicitPair) and (cert.u, cert.v) == pair
     assert rep.constants is None and rep.budget_report["stages_run"][-1] == "Step5"
     u, v = pair
-    assert certified_cut(seq.prefix(2 ** 14 + 1), u, v, 2 ** 14) == cert.validated_prefix
+    assert ranked_cut(_ranked(seq.prefix(2 ** 14 + 1)), u, v, 2 ** 14) == cert.validated_prefix
 
 
 def test_rank2_decide_small_state_budget_reaches_pattern_stage():
