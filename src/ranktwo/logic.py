@@ -375,10 +375,8 @@ def _normal(f: Formula, env: dict[str, Var], depth: int,
     if cls is SeqEq:
         return SeqEq(_normal_term(f.left, env, free), _normal_term(f.right, env, free))
     if cls is Not:
-        if type(f.body) is not Not:
-            return Not(_normal(f.body, env, depth, free))
         # a chain of negations is peeled in a loop, so its length costs no
-        # stack; a single one takes the cheaper line above
+        # stack
         nots = 0
         while type(f) is Not:
             f, nots = f.body, nots + 1
