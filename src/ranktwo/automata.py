@@ -28,8 +28,17 @@ members instead of exploring the quotient again.  project's two subset
 constructions and rename_tracks are _explore runs too, whose results
 are minimal already.  Pairs of states are numbered (qa << s) | qb by
 one loop, _pair_explore, which product, meets and seq_rel for two
-indices run; meets stops it at the first pair with the label it asks
-for and builds no automaton.
+indices run.
+
+A question that needs only a least witness builds no automaton: a walk
+stops _explore at the first state with the wanted label and keeps its
+partial table, and _least_word reads the least word back off it, as
+shortest_accepted reads it off a canonical Dfa.  meets and
+least_meeting walk the pairs of a product, least_projected the forward
+subsets of a projection (_subsets, which project's passes run too).
+Breadth-first order with letters ascending is length-lexicographic, so
+the first hit ends the word shortest_accepted gives on the automaton
+the walk stands for.
 
 rank2_decide puts its deadline (a time.monotonic value) in the context
 variable deadline, None by default.  Every automaton build checks it per
@@ -158,18 +167,21 @@ def _explore(start, successors, max_states=None, stage="explore", until=None):
     successors.  More than max_states states raise BudgetExceededError
     naming the stage, and passing the deadline raises it at "wall_time".
     Given until, the walk ends at the first state met (start included)
-    for which until(state) is true, and returns None.
+    for which until(state) is true: that state is numbered last, and
+    delta ends with the row that met it, cut just after it, so a walk
+    that stopped has fewer rows than states (see _stopped).
     """
-    if until is not None and until(start):
-        return None
     ids = {start: 0}
     order = [start]
     delta = []
+    if until is not None and until(start):
+        return order, delta
     stop = deadline.get()
     for state in order:
         if stop is not None and time.monotonic() > stop:
             raise BudgetExceededError("wall_time", stop)
         row = []
+        delta.append(row)
         for t in successors(state):
             i = ids.get(t)
             if i is None:
@@ -178,10 +190,48 @@ def _explore(start, successors, max_states=None, stage="explore", until=None):
                 if max_states is not None and len(order) > max_states:
                     raise BudgetExceededError(stage, max_states)
                 if until is not None and until(t):
-                    return None
+                    row.append(i)
+                    return order, delta
             row.append(i)
-        delta.append(row)
     return order, delta
+
+
+def _stopped(table) -> bool:
+    """Whether an _explore run stopped at a state until picked, the last
+    one it numbered."""
+    order, delta = table
+    return len(delta) < len(order)
+
+
+def _least_word(k: int, tracks: int, delta, q: int) -> tuple[int, ...]:
+    """Values of the length-lexicographically least word that leads
+    state 0 to state q of a breadth-first table, as _explore numbers it.
+
+    Breadth-first search with letters in ascending order meets the states
+    in the order of their numbers and reaches each along its length-lex
+    least path.  It first enters a state q > 0 by the first edge into q in
+    row order, which leaves a state numbered below q; following those
+    edges back to state 0 spells the word.  So only the rows up to q's
+    parent are read, and a table that _explore cut short at q has them.
+    """
+    letters = []
+    while q:
+        q, ell = next((p, row.index(q)) for p, row in enumerate(delta) if q in row)
+        letters.append(ell)
+    values = [0] * tracks
+    for ell in reversed(letters):
+        for i, d in enumerate(decode_letter(k, tracks, ell)):
+            values[i] = values[i] * k + d
+    return tuple(values)
+
+
+def _least_met(k: int, tracks: tuple[str, ...], table) -> Optional[dict[str, int]]:
+    """The values, by track, of the word that ends a stopped walk; None
+    when the walk met every state."""
+    if not _stopped(table):
+        return None
+    order, delta = table
+    return dict(zip(tracks, _least_word(k, len(tracks), delta, len(order) - 1)))
 
 
 def _minimize(delta, labels):
@@ -321,7 +371,18 @@ def meets(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool], want: bool,
     pair is reached by the encoding of some tuple.  The pairs met, that
     one included, count against max_states as in product.
     """
-    return _pair_walk(a, b, op, max_states, stage, want)[2] is None
+    return _stopped(_pair_walk(a, b, op, max_states, stage, want)[2])
+
+
+def least_meeting(a: Dfa, b: Dfa, op: Callable[[bool, bool], bool], want: bool,
+                  max_states: Optional[int] = None, stage: str = "product") -> Optional[dict[str, int]]:
+    """The least tuple, by track, for which op(a accepts, b accepts) is
+    want, or None: shortest_accepted of product(a, b, op), or of its
+    complement when want is false, read off the walk meets runs.  The
+    pairs met count against max_states, and a breach names stage.
+    """
+    merged, _, table = _pair_walk(a, b, op, max_states, stage, want)
+    return _least_met(a.k, merged, table)
 
 
 def intersect(a: Dfa, b: Dfa, max_states=None) -> Dfa:
@@ -351,19 +412,20 @@ def _reversed_rows(delta, letters):
     return packed
 
 
-def _subsets(packed, n_letters, start, max_states):
+def _subsets(row, n, n_letters, start, max_states, until=None):
     """Subset construction over packed rows, from the start mask.
 
-    Subsets of the n states are n-bit masks, and packed[q] holds state
-    q's targets on letter l at bit offset l*n.  The targets of a subset
-    are the OR of its members' packed ints, taken one 8-state chunk at a
-    time: the union for each (chunk, byte of the mask) pair is computed
-    on first use and kept in that chunk's dict, so a chunk's table holds
-    at most 256 entries of n*n_letters bits each.  Returns _explore's
-    (order, delta), order[i] being the mask of subset i; more than
-    max_states subsets raise BudgetExceededError("project", max_states).
+    Subsets of the n states are n-bit masks, and row(q) is state q's
+    packed int: its targets on letter l at bit offset l*n.  The targets
+    of a subset are the OR of its members' packed ints, taken one 8-state
+    chunk at a time: the union for each (chunk, byte of the mask) pair is
+    computed on first use and kept in that chunk's dict, so a chunk's
+    table holds at most 256 entries of n*n_letters bits each, and row is
+    called only for states of the subsets met.  Returns _explore's
+    (order, delta), order[i] being the mask of subset i, and stops as it
+    does at the first mask for which until is true; more than max_states
+    subsets raise BudgetExceededError("project", max_states).
     """
-    n = len(packed)
     shifts = range(0, n_letters * n, n)
     full = (1 << n) - 1
     tables = [{} for _ in range(0, n, 8)]
@@ -379,42 +441,26 @@ def _subsets(packed, n_letters, start, max_states):
                     u = 0
                     for i in range(8):
                         if byte >> i & 1:
-                            u |= packed[8 * j + i]
+                            u |= row(8 * j + i)
                     table[byte] = u
                 out |= u
         return [out >> s & full for s in shifts]
 
-    return _explore(start, successors, max_states, "project")
+    return _explore(start, successors, max_states, "project", until)
 
 
-def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
-    """Existential projection of one track, with leading-zero saturation.
-
-    Dropping a track makes the automaton nondeterministic.  The projected
-    component may need more digits than the remaining tracks, so a tuple
-    can be recognised only in paddings longer than its own minimal one;
-    saturating the initial state set under all-zero columns (any digit on
-    the dropped track) restores closure under leading zeros.
-
-    The nondeterministic automaton is determinized twice, by Brzozowski's
-    double reversal.  The first subset construction runs on its reverse:
-    it starts from a's accepting states, and a subset is final when it
-    meets the saturated start set.  That gives a deterministic automaton
-    for the reversed language with every state reachable, so the second
-    subset construction, on the reverse of that one (starting from its
-    final states, accepting the subsets that hold its start), gives the
-    minimal complete automaton of the projection.  _explore numbers it
-    breadth-first in letter order, which is the canonical numbering, so
-    it is returned as it is, with no minimization pass.  max_states caps
-    the subsets of each of the two constructions.
-    """
+def _dropping(a: Dfa, var: str):
+    """The nondeterministic automaton left when var is dropped: its
+    tracks, the letter map onto them, and its start and accepting sets
+    as masks.  The start set is state 0 saturated under the columns that
+    are zero on every track left (any digit on var), which restores
+    closure under leading zeros: the dropped component may need more
+    digits than the others, so a tuple can be recognised only in
+    paddings longer than its own minimal one."""
     if var not in a.var_order:
         raise ValueError(f"unknown track {var!r}")
     new_vars = tuple(v for v in a.var_order if v != var)
     reduced = _letter_map(a.k, a.var_order, new_vars)
-    n_letters = letter_count(a.k, len(new_vars))
-
-    # the start set, saturated under all-zero columns
     start = 1
     frontier = [0]
     for q in frontier:
@@ -422,13 +468,63 @@ def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
             if ell == 0 and not start >> t & 1:
                 start |= 1 << t
                 frontier.append(t)
-    acc_mask = sum(1 << q for q, acc in enumerate(a.accepting) if acc)
+    return new_vars, reduced, start, sum(1 << q for q, acc in enumerate(a.accepting) if acc)
 
-    order, delta = _subsets(_reversed_rows(a.delta, reduced), n_letters, acc_mask, max_states)
+
+def project(a: Dfa, var: str, max_states: Optional[int] = None) -> Dfa:
+    """Existential projection of one track, with leading-zero saturation
+    (see _dropping).
+
+    Dropping a track makes the automaton nondeterministic.  It is
+    determinized twice, by Brzozowski's double reversal.  The first
+    subset construction runs on its reverse: it starts from a's
+    accepting states, and a subset is final when it meets the saturated
+    start set.  That gives a deterministic automaton for the reversed
+    language with every state reachable, so the second subset
+    construction, on the reverse of that one (starting from its final
+    states, accepting the subsets that hold its start), gives the
+    minimal complete automaton of the projection.  _explore numbers it
+    breadth-first in letter order, which is the canonical numbering, so
+    it is returned as it is, with no minimization pass.  max_states caps
+    the subsets of each of the two constructions.
+    """
+    new_vars, reduced, start, acc_mask = _dropping(a, var)
+    n_letters = letter_count(a.k, len(new_vars))
+    order, delta = _subsets(_reversed_rows(a.delta, reduced).__getitem__, a.num_states,
+                            n_letters, acc_mask, max_states)
     final = sum(1 << i for i, mask in enumerate(order) if mask & start)
     del order
-    order, delta = _subsets(_reversed_rows(delta, range(n_letters)), n_letters, final, max_states)
+    order, delta = _subsets(_reversed_rows(delta, range(n_letters)).__getitem__, len(delta),
+                            n_letters, final, max_states)
     return Dfa(a.k, new_vars, tuple(map(tuple, delta)), tuple(bool(mask & 1) for mask in order))
+
+
+def least_projected(a: Dfa, var: str, want: bool,
+                    max_states: Optional[int] = None) -> Optional[dict[str, int]]:
+    """The least tuple, by track, whose membership in project(a, var) is
+    want, or None: shortest_accepted of the projection, or of its
+    complement when want is false, with no projection built.
+
+    A word is in the projection iff the forward subset it reaches from
+    the saturated start set meets a's accepting states.  _subsets walks
+    those subsets over packed rows in _reversed_rows' format with the
+    edges kept forward, each packed when first needed, and stops at the
+    first subset that does (does not, when want is false).  The subsets
+    met count against max_states, and a breach names "project".  A
+    forward construction can be exponentially larger than the reverse
+    one, so the walk is smaller than project's passes only when it meets
+    a witness early.
+    """
+    new_vars, reduced, start, acc_mask = _dropping(a, var)
+    n = a.num_states
+    offsets = [ell * n for ell in reduced]
+
+    def row(q):
+        return sum({1 << (off + t) for t, off in zip(a.delta[q], offsets)})
+
+    table = _subsets(row, n, letter_count(a.k, len(new_vars)), start, max_states,
+                     lambda mask: bool(mask & acc_mask) == want)
+    return _least_met(a.k, new_vars, table)
 
 
 def is_empty(a: Dfa) -> bool:
@@ -438,26 +534,16 @@ def is_empty(a: Dfa) -> bool:
 def shortest_accepted(a: Dfa) -> Optional[tuple[int, ...]]:
     """Values of the length-lexicographically least accepted encoding.
 
-    Breadth-first search with letters in ascending order meets the states
-    in the order of their numbers and reaches each along its length-lex
-    least path, so the least accepting state ends the least witness.
-    That search first enters a state q > 0 by the first edge into q in
-    row order, which leaves a state numbered below q; following those
-    edges back to state 0 spells the encoding.
+    A canonical Dfa is numbered breadth-first, so the least accepting
+    state ends the least witness, and _least_word reads it back to state
+    0.  The walks least_meeting and least_projected read the same word
+    off an early-stopped walk, for a product or a projection that is
+    never built.
     """
     q = next((q for q, acc in enumerate(a.accepting) if acc), None)
     if q is None:
         return None
-    letters = []
-    while q:
-        q, ell = next((p, row.index(q)) for p, row in enumerate(a.delta[:q]) if q in row)
-        letters.append(ell)
-    values = [0] * len(a.var_order)
-    for ell in reversed(letters):
-        digits = decode_letter(a.k, len(a.var_order), ell)
-        for i, d in enumerate(digits):
-            values[i] = values[i] * a.k + d
-    return tuple(values)
+    return _least_word(a.k, len(a.var_order), a.delta, q)
 
 
 def enumerate_accepted(a: Dfa, limit: int) -> list[tuple[int, ...]]:

@@ -531,28 +531,35 @@ def _base_and_cap(seq: Optional[Dfao], k: Optional[int],
     return k, limits.max_automaton_states if limits is not None else None
 
 
+def _last_pair(f, seq: Optional[Dfao], k: int, cap: Optional[int]):
+    """An And's or an Or's parts compiled, those before the last combined
+    as _compile combines them: (that, the last part, op, stage), the
+    arguments of a pair walk."""
+    op, stage = (operator.and_, "intersect") if isinstance(f, And) else (operator.or_, "union")
+    parts = [_compile_child(p, seq, k, cap) for p in f.parts]
+    out = parts[0]
+    for p in parts[1:-1]:
+        out = A.product(out, p, op, cap, stage)
+    return out, parts[-1], op, stage
+
+
 def _some(f: Formula, want: bool, seq: Optional[Dfao], k: int, cap: Optional[int]) -> bool:
     """Whether some assignment of f's free variables gives f the value
     want.
 
     Some assignment makes Exists(v, b) true iff some assignment, v's
-    included, makes b true.  An And or an Or compiles its parts: those
-    before the last are combined as _compile combines them, and
-    automata.meets looks for a pair of states of that and the last part
-    labelled want.  Any other f is compiled; every state of a canonical
-    automaton is reached by some assignment.
+    included, makes b true.  For an And or an Or, automata.meets looks
+    for a pair of states labelled want of its _last_pair.  Any other f
+    is compiled; every state of a canonical automaton is reached by some
+    assignment.
     """
     while isinstance(f, Not):
         f, want = f.body, not want
     if isinstance(f, Exists) and want:
         return _some(f.body, True, seq, k, cap)
     if isinstance(f, (And, Or)):
-        op, stage = (operator.and_, "intersect") if isinstance(f, And) else (operator.or_, "union")
-        parts = [_compile_child(p, seq, k, cap) for p in f.parts]
-        out = parts[0]
-        for p in parts[1:-1]:
-            out = A.product(out, p, op, cap, stage)
-        return A.meets(out, parts[-1], op, want, cap, stage)
+        out, last, op, stage = _last_pair(f, seq, k, cap)
+        return A.meets(out, last, op, want, cap, stage)
     return want in _compile_child(f, seq, k, cap).accepting
 
 
@@ -605,12 +612,35 @@ def witness(
     k: Optional[int] = None,
     limits: Optional[CompileLimits] = None,
 ) -> Optional[dict[str, int]]:
-    """A satisfying assignment with the least digit encoding, or None.
+    """A satisfying assignment with the least digit encoding, or None:
+    shortest_accepted(compile_formula(f)), by track.
 
     For formulas with a single free variable this is the least witness.
+    The root automaton is not built.  The formula is named as
+    compile_formula names it, and each Not at its root flips the value
+    wanted.  An Exists root is a forward subset walk over its compiled
+    body (automata.least_projected), an And or an Or root a pair walk
+    over its _last_pair (automata.least_meeting), as decide's is; each
+    stops at the first state with the wanted value and reads the least
+    word back, and a breach names the stage of the projection or the
+    product it stands for.  Any other root is compiled.
     """
-    a = compile_formula(f, seq, k, limits)
-    got = A.shortest_accepted(a)
-    if got is None:
-        return None
-    return dict(zip(a.var_order, got))
+    k, cap = _base_and_cap(seq, k, limits)
+    try:
+        f, want = _normal(f, {}, 0, None), True
+        while isinstance(f, Not):
+            f, want = f.body, not want
+        if isinstance(f, (And, Or)):
+            out, last, op, stage = _last_pair(f, seq, k, cap)
+            return A.least_meeting(out, last, op, want, cap, stage)
+        if isinstance(f, Exists):
+            body = _compile_child(f.body, seq, k, cap)
+            if f.var in body.var_order:
+                return A.least_projected(body, f.var, want, cap)
+            a = body
+        else:
+            a = _compile_child(f, seq, k, cap)
+    except RecursionError:
+        raise ValueError("nested too deeply") from None
+    got = A.shortest_accepted(a if want else A.complement(a))
+    return None if got is None else dict(zip(a.var_order, got))

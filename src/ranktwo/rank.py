@@ -522,8 +522,7 @@ def _pattern_pair(seq: Dfao, found: Dfa, budget: Budget) -> tuple[Optional[tuple
     """The shortest blocks u = x[0..r), v = x[j..j+s) of E q. R_w when
     x is in {u, v}^omega, decided exactly; else None, with the reason."""
     try:
-        blocks = A.project(found, "q", budget.max_automaton_states)
-        got = dict(zip(blocks.var_order, A.shortest_accepted(blocks)))
+        got = A.least_projected(found, "q", True, budget.max_automaton_states)
         pref = tuple(seq.prefix(max(got["r"], got["j"] + got["s"])))
         u, v = pref[:got["r"]], pref[got["j"]:got["j"] + got["s"]]
         if decide_fixed_pair(seq, u, v, budget):

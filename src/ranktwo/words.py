@@ -21,8 +21,6 @@ WordLike = Union[str, Iterable[int]]
 
 def word(w: WordLike) -> Word:
     """Coerce a digit string or an int iterable to a Word tuple."""
-    if isinstance(w, str):
-        return tuple(int(c) for c in w)
     return tuple(int(c) for c in w)
 
 

@@ -577,6 +577,78 @@ def test_project_budget_counts_raw_subsets():
         assert (ei.value.stage, ei.value.cap) == ("project", cap)
 
 
+# ---------------------------------------------------------------------------
+# witness walks against the automata they stand for
+
+def _least(a, want):
+    """shortest_accepted of a, or of its complement, by track."""
+    got = A.shortest_accepted(a if want else A.complement(a))
+    return None if got is None else dict(zip(a.var_order, got))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), st.integers(1, 24),
+    st.integers(0, 2), st.integers(0, 2), st.sampled_from(("drawn", "empty", "track absent")),
+)
+def test_projection_walk_reads_the_projections_least_tuple(seed, k, tracks, n, pos, absent, shape):
+    pos, absent = pos % tracks, absent % tracks
+    delta, accepting = _initial_first(*_random_dfa(seed, k, tracks, n))
+    if shape == "empty":
+        accepting = [False] * n
+    elif shape == "track absent":
+        # each letter moves as the one with a 0 on that track does
+        zeroed = []
+        for x in range(k ** tracks):
+            digits = list(A.decode_letter(k, tracks, x))
+            digits[absent] = 0
+            zeroed.append(A.encode_letter(k, digits))
+        delta = [[row[y] for y in zeroed] for row in delta]
+    a = A.Dfa(k, _TRACKS[:tracks], tuple(map(tuple, delta)), tuple(accepting))
+    var = _TRACKS[pos]
+    projected = A.project(a, var)
+    forward = ref_subsets(k, tracks, pos, delta, accepting, 0, _FORWARD_LIMIT)
+    for want in (True, False):
+        got = A.least_projected(a, var, want)
+        assert got == _least(projected, want)
+        if forward is None:
+            continue
+        # the walk meets the forward subsets up to the first labelled want
+        labels = forward[1]
+        met = labels.index(want) + 1 if want in labels else len(labels)
+        assert A.least_projected(a, var, want, max_states=met) == got
+        if met > 1:
+            with pytest.raises(BudgetExceededError) as ei:
+                A.least_projected(a, var, want, max_states=met - 1)
+            assert (ei.value.stage, ei.value.cap) == ("project", met - 1)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    st.integers(0, 2**32), st.sampled_from((2, 3)), st.integers(1, 3), st.integers(1, 3),
+    st.integers(1, 9), st.integers(1, 9), st.booleans(), st.booleans(),
+    st.sampled_from((operator.and_, operator.or_, operator.xor)),
+)
+def test_pair_walk_reads_the_products_least_tuple(seed, k, ta, tb, na, nb, sink, empty, op):
+    a = _random_canonical(seed, k, ta, na, sink)
+    # b's tracks are the last tb names, so the two share some or none
+    b = A.rename_tracks(_random_canonical(seed + 1, k, tb, nb, sink), dict(zip(_TRACKS, _TRACKS[3 - tb:])))
+    if empty:
+        b = A.Dfa(k, b.var_order, b.delta, (False,) * b.num_states)
+    full = A.product(a, b, op)
+    for want in (True, False):
+        got = A.least_meeting(a, b, op, want, stage="walk")
+        assert got == _least(full, want)
+        assert A.meets(a, b, op, want) == (got is not None)
+        # the least cap the walk fits in; one less is a breach at its stage
+        for cap in itertools.count(1):
+            try:
+                assert A.least_meeting(a, b, op, want, cap, "walk") == got
+                break
+            except BudgetExceededError as exc:
+                assert (exc.stage, exc.cap) == ("walk", cap)
+
+
 def _pairs(a, b, absorbing):
     """The pairs of states reachable from (0, 0) in the product of a and b,
     not going on past a pair that holds a state in absorbing[0] (of a) or

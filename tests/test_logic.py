@@ -373,13 +373,24 @@ def _assert_matches_brute(f, a):
         assert a.accepts(env) == eval_formula(f, env, TM_PREF, bound=_BOUND), (f, env)
 
 
+def _assert_least_witness(f, a):
+    """witness, which walks f's root, reads the least tuple of a, f's
+    compiled automaton."""
+    least = shortest_accepted(a)
+    assert witness(f, seq=TM) == (None if least is None else dict(zip(a.var_order, least))), f
+
+
 @settings(max_examples=50, deadline=None, database=None)
 @given(_FORMULAS, _FORMULAS)
 def test_cache_hits_agree_with_brute_evaluation(f, h):
     L._compile.cache_clear()
-    _assert_matches_brute(f, compile_formula(f, seq=TM))
+    a = compile_formula(f, seq=TM)
+    _assert_matches_brute(f, a)
+    _assert_least_witness(f, a)
     g = and_(h, _rename_binders(f, {}, itertools.count()))
-    _assert_matches_brute(g, compile_formula(g, seq=TM))
+    b = compile_formula(g, seq=TM)
+    _assert_matches_brute(g, b)
+    _assert_least_witness(g, b)
 
 
 @settings(max_examples=50, deadline=None, database=None)
@@ -416,6 +427,9 @@ def test_decide_matches_compile_and_brute_evaluation(f, universal, order):
     # unbounded binders reach the body's connectives and Nots directly
     u = _closed(f, universal, order, bounded=False)
     assert compile_formula(u, seq=TM).accepting == (decide(u, seq=TM),)
+    # one unbounded binder over a formula with free variables left
+    p = _closed(f, universal, order[:1], bounded=False)
+    _assert_least_witness(p, compile_formula(p, seq=TM))
 
 
 def test_decide_walk_cases():

@@ -689,19 +689,26 @@ def test_deadline_inside_a_projection_is_a_verdict_and_caches_nothing(monkeypatc
         return real_subsets(*args)
 
     monkeypatch.setattr(A, "_subsets", subsets)
-    # the innermost compile that the breach interrupted, with its arguments
-    real_compile, interrupted = L.compile_formula, []
+    # the innermost compile that the breach interrupted, with its entry
+    # point and arguments: compile_formula, or witness, which compiles the
+    # parts of a root it walks
+    interrupted = []
 
-    def compile_formula(*args, **kwargs):
-        try:
-            return real_compile(*args, **kwargs)
-        except BudgetExceededError as exc:
-            if exc.stage == "wall_time" and not interrupted:
-                interrupted.append((args, kwargs))
-            raise
+    def capturing(real):
+        def entry(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except BudgetExceededError as exc:
+                if exc.stage == "wall_time" and not interrupted:
+                    interrupted.append((real, args, kwargs))
+                raise
 
-    for mod in (L, An, rank_module):
-        monkeypatch.setattr(mod, "compile_formula", compile_formula)
+        return entry
+
+    for name in ("compile_formula", "witness"):
+        entry = capturing(getattr(L, name))
+        for mod in (L, An, rank_module):
+            monkeypatch.setattr(mod, name, entry)
     L._compile.cache_clear()
     rep = rank2_decide(seq, disable_fast_paths=True)
     assert rep.verdict == Inconclusive(stage, "wall_time exhausted")
@@ -711,10 +718,10 @@ def test_deadline_inside_a_projection_is_a_verdict_and_caches_nothing(monkeypatc
     assert A.deadline.get() is None
     # compiled again with no deadline, the interrupted formula is what a
     # fresh compile gives: the breach left nothing in the compile cache
-    (args, kwargs), = interrupted
-    again = real_compile(*args, **kwargs)
+    (real, args, kwargs), = interrupted
+    again = real(*args, **kwargs)
     L._compile.cache_clear()
-    assert again == real_compile(*args, **kwargs)
+    assert again == real(*args, **kwargs)
 
 
 def test_deadline_is_reset_when_an_exception_leaves_rank2_decide(monkeypatch):
@@ -791,6 +798,38 @@ def test_campaign_frontier_draws_get_certified_pairs(draw, pair):
     assert rep.constants is None and rep.budget_report["stages_run"][-1] == "Step5"
     u, v = pair
     assert ranked_cut(_ranked(seq.prefix(2 ** 14 + 1)), u, v, 2 ** 14) == cert.validated_prefix
+
+
+def test_campaign_draw_31_reads_pattern_witnesses_off_subset_walks(monkeypatch):
+    # Step 5's first try reads the least (j, r, s) of E q. R_w, where R_w
+    # has 800 states over (j, q, r, s).  Projecting it takes about 18 s
+    # and 2.8 GB; the forward subset walk meets 117 subsets and stops.  A
+    # later try proves the pair
+    met, tries = [], []
+    real_pair, real_subsets = rank_module._pattern_pair, A._subsets
+
+    def pattern_pair(*args):
+        start = len(met)
+        got = real_pair(*args)
+        tries.append(met[start:])
+        return got
+
+    def subsets(*args):
+        table = real_subsets(*args)
+        met.append(len(table[0]))
+        return table
+
+    monkeypatch.setattr(rank_module, "_pattern_pair", pattern_pair)
+    monkeypatch.setattr(A, "_subsets", subsets)
+    # the campaign's caps with fast paths off, the deadline raised from 5 s
+    # as in test_campaign_frontier_draws_get_certified_pairs
+    budget = Budget(wall_time=30, max_patterns=256, max_automaton_states=20000)
+    rep = rank2_decide(campaign_draw(31), budget, disable_fast_paths=True)
+    cert = rep.verdict.certificate
+    assert isinstance(cert, ExplicitPair) and (cert.u, cert.v) == ((1,), (0,))
+    assert rep.budget_report["stages_run"][-1] == "Step5"
+    # each try runs one subset construction, its walk, and no projection
+    assert all(len(sizes) == 1 for sizes in tries) and tries[0][0] <= 150
 
 
 def test_rank2_decide_small_state_budget_reaches_pattern_stage():
